@@ -5,7 +5,6 @@ duality, splitting and subframe axioms with p-morphism search, the named
 frame families, and exhaustive desk-scale verification scenarios.
 """
 
-from ._kernel import KERNEL
 from .axioms import (
     decompose_kg,
     jankov_syntactic,

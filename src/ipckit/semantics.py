@@ -9,12 +9,17 @@ case) with a work meter charged one unit per valuation row.
 
 from __future__ import annotations
 
-from . import _kernel
+from itertools import product
+
 from .budget import WorkMeter
 from .errors import BudgetExceeded, NotIntuitionistic, VariableUnassigned
 from .formulas import And, Bot, Box, Formula, Imp, Or, Var, is_modal, variables
-from .poset import Poset, is_upset, upset_masks
-from ._pureval import OP_AND, OP_BOT, OP_BOX, OP_IMP, OP_OR, OP_VAR
+from .poset import Poset, _bits, is_upset, upset_masks
+
+OP_VAR, OP_BOT, OP_AND, OP_OR, OP_IMP, OP_BOX = range(6)
+
+# most valuation rows one bit-sliced evaluation covers
+WINDOW = 4096
 
 
 def compile_formula(f, slot_of):
@@ -42,6 +47,148 @@ def compile_formula(f, slot_of):
     return ops, args
 
 
+def _upward(p):
+    """(x, covers of x) for every point, maximal points first."""
+    strict = [u & ~(1 << x) for x, u in enumerate(p.up)]
+    out = []
+    for x in sorted(range(p.n), key=lambda x: p.up[x].bit_count()):
+        over = 0  # points strictly above some point strictly above x
+        for y in _bits(strict[x]):
+            over |= strict[y]
+        out.append((x, list(_bits(strict[x] & ~over))))
+    return out
+
+
+def _evaluate(ops, args, slots, upward, ones):
+    """Bit-sliced truth of a compiled formula at every point.
+
+    slots[s][x] is the truth of slot s at point x over a window of
+    valuation rows, one bit per row, and ones has every row's bit set.
+    Returns the formula's truth at each point in the same form.  The
+    ``->`` and ``[]`` cases hold at x in the rows where a local test holds
+    everywhere in up(x): the local misses are ORed down the covers in one
+    top-down pass.
+    """
+    stack = []
+    push = stack.append
+    for op, arg in zip(ops, args):
+        if op == OP_VAR:
+            push(slots[arg])
+        elif op == OP_BOT:
+            push([0] * len(upward))
+        elif op == OP_AND:
+            b = stack.pop()
+            stack[-1] = [u & v for u, v in zip(stack[-1], b)]
+        elif op == OP_OR:
+            b = stack.pop()
+            stack[-1] = [u | v for u, v in zip(stack[-1], b)]
+        else:
+            if op == OP_IMP:
+                b = stack.pop()
+                miss = [u & ~v for u, v in zip(stack[-1], b)]
+            else:  # OP_BOX
+                miss = [ones ^ u for u in stack[-1]]
+            for x, covers in upward:
+                m = miss[x]
+                for y in covers:
+                    m |= miss[y]
+                miss[x] = m
+            stack[-1] = [ones ^ m for m in miss]
+    return stack[-1]
+
+
+def _point_bits(n, masks, ones=1):
+    """Per slot, per point: ones where the mask holds the point, else 0."""
+    return [[ones if m >> x & 1 else 0 for x in range(n)] for m in masks]
+
+
+def _held(n, values, block):
+    """Bit-sliced values of a slot that holds each of values in turn for
+    block rows, for each point."""
+    run = (1 << block) - 1
+    per_point = [0] * n
+    for j, d in enumerate(values):
+        for x in _bits(d):
+            per_point[x] |= run << (j * block)
+    return per_point
+
+
+def _fast_patterns(n, domain, k):
+    """Bit-sliced values of the last k slots over one block of m**k rows
+    (last slot fastest), for each of the k slots and each point."""
+    m = len(domain)
+    ones = (1 << m ** k) - 1
+    pats = []
+    for i in range(k):
+        stride = m ** (k - 1 - i)  # rows one domain value is held for
+        # the run of m*stride rows repeats over the block
+        repeat = ones // ((1 << (m * stride)) - 1)
+        pats.append([v * repeat for v in _held(n, domain, stride)])
+    return pats
+
+
+def _windows(n, domain, nvars):
+    """(slots, rows) for each window of at most WINDOW rows, in row order.
+
+    The last k slots are fast: each window holds whole blocks of their
+    m**k rows.  The slot before them steps through a chunk of its domain
+    within the window, and the slower slots are fixed across it.
+    """
+    m = len(domain)
+    k = 0
+    while k < nvars and m ** (k + 1) <= WINDOW:
+        k += 1
+    block = m ** k
+    fast = _fast_patterns(n, domain, k)
+    if k == nvars:  # one window holds every row
+        yield fast, block
+        return
+    c = WINDOW // block  # values of the chunked slot per window
+    ones = (1 << c * block) - 1
+    repeat = ones // ((1 << block) - 1)
+    fast = [[v * repeat for v in pat] for pat in fast]
+    for slow in product(domain, repeat=nvars - k - 1):
+        fixed = _point_bits(n, slow, ones)
+        for a in range(0, m, c):
+            values = domain[a:a + c]
+            yield fixed + [_held(n, values, block)] + fast, len(values) * block
+
+
+def scan_validity(p, ops, args, nvars, domain, limit):
+    """Check the formula under every assignment of domain values to slots.
+
+    Rows are ordered with slot 0 slowest; one work unit is one row, and a
+    refuted scan counts every row up to and including the first refuting
+    one.  Returns (status, work) with status one of "valid", "refuted",
+    "budget"; with a limit, at most limit rows are examined.
+
+    Rows are evaluated bit-sliced, a window of at most WINDOW rows at a
+    time, so a budget is overrun by less than one window's evaluation.
+    """
+    if nvars and not domain:
+        return ("valid", 0)
+    upward = _upward(p)
+    start = 0
+    for slots, rows in _windows(p.n, domain, nvars):
+        if limit is not None and start >= limit:
+            return ("budget", max(limit, 0))
+        # bits above rows (a short last chunk) are computed but not read
+        ones = (1 << rows) - 1
+        cut = ones
+        if limit is not None and start + rows > limit:
+            cut = (1 << (limit - start)) - 1  # rows inside the budget
+        holds = ones
+        for t in _evaluate(ops, args, slots, upward, ones):
+            holds &= t
+        fail = (ones ^ holds) & cut
+        if fail:
+            return ("refuted", start + (fail & -fail).bit_length())
+        if cut != ones:
+            return ("budget", limit)
+        start += rows
+    return ("valid", start)
+
+
 def _mask_of(p, points):
     if isinstance(points, int):
         return points
@@ -63,8 +210,10 @@ def truth_set(p: Poset, valuation, f: Formula, modal=False):
             raise ValueError(f"valuation of p{v} is not an upset")
     slot_of = {v: i for i, v in enumerate(sorted(masks))}
     ops, args = compile_formula(f, slot_of)
-    vals = [masks[v] for v in sorted(masks)]
-    return _kernel.eval_program(p.n, p.up, ops, args, vals)
+    slots = _point_bits(p.n, [masks[v] for v in sorted(masks)])
+    # a one-row window: bit 0 of each point's value
+    truth = _evaluate(ops, args, slots, _upward(p), 1)
+    return sum(t << x for x, t in enumerate(truth))
 
 
 def eval_at(p: Poset, valuation, x, f: Formula) -> bool:
@@ -79,17 +228,12 @@ def _scan(p, f, domain, meter):
     slot_of = {v: i for i, v in enumerate(vs)}
     ops, args = compile_formula(f, slot_of)
     limit = None if meter is None else meter.remaining()
-    # the compiled kernel works on 64-bit masks; wider posets take the
-    # pure scanner, which uses unbounded ints
-    scan = (_kernel.scan_validity if p.n <= 64
-            else _kernel.pure_scan_validity)
-    status, witness, work = scan(
-        p.n, list(p.up), p.full_mask, ops, args, len(vs), list(domain), limit)
+    status, work = scan_validity(p, ops, args, len(vs), domain, limit)
     if meter is not None:
         meter.spent += work
     if status == "budget":
         raise BudgetExceeded(spent=None if meter is None else meter.spent)
-    return status == "valid", witness
+    return status == "valid"
 
 
 def is_valid(p: Poset, f: Formula, meter: WorkMeter | None = None) -> bool:
@@ -100,8 +244,7 @@ def is_valid(p: Poset, f: Formula, meter: WorkMeter | None = None) -> bool:
     if p.n == 0:
         return True
     domain = upset_masks(p, cap=p.n)
-    ok, _ = _scan(p, f, domain, meter)
-    return ok
+    return _scan(p, f, domain, meter)
 
 
 def is_valid_modal(p: Poset, f: Formula, meter: WorkMeter | None = None) -> bool:
@@ -112,8 +255,7 @@ def is_valid_modal(p: Poset, f: Formula, meter: WorkMeter | None = None) -> bool
     if p.n > 22:
         raise BudgetExceeded(f"2^{p.n} modal valuations per variable")
     domain = list(range(1 << p.n))
-    ok, _ = _scan(p, f, domain, meter)
-    return ok
+    return _scan(p, f, domain, meter)
 
 
 def is_valid_algebra(a, f: Formula, meter: WorkMeter | None = None) -> bool:

@@ -1,11 +1,12 @@
-"""Pure-Python valuation scanner.
+"""Row-by-row valuation scanner: the test oracle for the bit-sliced
+scanner in ipckit.semantics.
 
-Mirrors ipckit._fastval exactly: same opcode set, same iteration order
-(last variable slot fastest), same work accounting (one unit per
+It evaluates one valuation row at a time, in the same order (last
+variable slot fastest) and with the same work accounting (one unit per
 valuation row).  Truth sets are bitmasks over the poset's points.
 """
 
-OP_VAR, OP_BOT, OP_AND, OP_OR, OP_IMP, OP_BOX = range(6)
+from ipckit.semantics import OP_AND, OP_BOT, OP_BOX, OP_IMP, OP_OR, OP_VAR
 
 
 def eval_program(n, up, ops, args, vals):

@@ -1,28 +1,46 @@
-"""Compiled and pure valuation scanners must be interchangeable."""
+"""The bit-sliced valuation scanner against the row-by-row oracle."""
 
 from __future__ import annotations
 
-import random
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ipckit import _kernel, _pureval
-from ipckit.formulas import bw, grz_axiom, parse, variables
-from ipckit.poset import enumerate_posets, upset_masks
-from ipckit.semantics import compile_formula
-from helpers import random_formula as _random_formula
+from ipckit.catalog import fan
+from ipckit.formulas import BOT, And, Box, Imp, Or, Var, bw, grz_axiom, parse, variables
+from ipckit.poset import build_poset, enumerate_posets, upset_masks
+from ipckit.semantics import WINDOW, compile_formula, scan_validity
+from _pureval import scan_validity as oracle_scan
+
+POSETS5 = enumerate_posets(5)
 
 
 def _both(p, f, domain, limit=None):
+    """(status, work) from the scanner and from the oracle."""
     vs = sorted(variables(f))
-    slot = {v: i for i, v in enumerate(vs)}
-    ops, args = compile_formula(f, slot)
-    fast = _kernel.scan_validity(
+    ops, args = compile_formula(f, {v: i for i, v in enumerate(vs)})
+    new = scan_validity(p, ops, args, len(vs), list(domain), limit)
+    status, witness, work = oracle_scan(
         p.n, list(p.up), p.full_mask, ops, args, len(vs), list(domain), limit)
-    pure = _pureval.scan_validity(
-        p.n, list(p.up), p.full_mask, ops, args, len(vs), list(domain), limit)
-    return fast, pure
+    if status == "refuted" and vs:
+        # the work count names the refuting row: its digits are the witness
+        row = 0
+        for i in witness:
+            row = row * len(domain) + i
+        assert row == work - 1
+    return new, (status, work)
 
 
-def test_twins_agree_on_fixed_formulas():
+def _limits(m, nvars):
+    """Budgets at the edges: none, an overdrawn meter's -1, zero, one, the
+    window size and the block sizes m**j of this scan, each exactly and
+    off by one."""
+    out = {None, -1, 0, 1}
+    for edge in [WINDOW] + [m ** j for j in range(1, nvars + 1)]:
+        out.update((edge - 1, edge, edge + 1))
+    return sorted(out, key=lambda x: -1 if x is None else x)
+
+
+def test_scanner_matches_oracle_on_fixed_formulas():
     fs = [bw(1), bw(2), grz_axiom(), parse("p0 | ~p0"),
           parse("[](p0 -> p1) -> ([]p0 -> []p1)"), parse("bot -> p0")]
     for n in range(1, 5):
@@ -31,24 +49,111 @@ def test_twins_agree_on_fixed_formulas():
             subsets = list(range(1 << p.n))
             for f in fs:
                 for domain in (ups, subsets):
-                    fast, pure = _both(p, f, domain)
-                    assert fast == pure
+                    new, old = _both(p, f, domain)
+                    assert new == old
 
 
-def test_twins_agree_on_random_formulas_and_budgets():
-    rng = random.Random(99)
-    posets = [p for n in range(1, 5) for p in enumerate_posets(n)]
-    for _ in range(300):
-        p = rng.choice(posets)
-        f = _random_formula(rng, rng.randrange(0, 5), modal=True)
+def test_budgets_at_window_edges():
+    # three variables over 32 values: windows of 1024 rows, 32 of them
+    antichain = next(p for p in POSETS5 if len(upset_masks(p, cap=5)) == 32)
+    chain = next(p for p in POSETS5 if len(upset_masks(p, cap=5)) == 6)
+    subsets = list(range(32))
+    cases = [
+        # valid: every window is scanned
+        (antichain, parse("p0 & p1 & p2 -> p1"), upset_masks(antichain, cap=5)),
+        # refuted inside the second window, on its first row, in the third
+        (chain, parse("(p0 -> p1) | (p1 -> p2) | (p2 -> p0)"), subsets),
+        (chain, parse("~~p0 | p1 | p2 | ~p0"), subsets),
+        (chain, parse("p0 | p1 | p2 | ~p0"), subsets),
+    ]
+    for p, f, domain in cases:
+        _, (_, work) = _both(p, f, domain)
+        limits = _limits(32, 3) + [work - 1, work, work + 1]
+        for limit in limits:
+            new, old = _both(p, f, domain, limit)
+            assert new == old, (f, limit)
+
+
+def test_domains_wider_than_a_window():
+    # one variable's domain alone spans more than one window
+    fan12 = fan(12)  # 4097 upsets
+    antichain = build_poset([f"a{i}" for i in range(13)], [])  # 8192 upsets
+    cases = [
+        # valid: every row of both windows
+        (antichain, parse("p0 -> p0")),
+        # refuted only where p0 is every top but not the root: the last
+        # row of the first window
+        (fan12, parse("~~p0 -> p0")),
+        # refuted on the second row
+        (fan12, parse("p0 | ~p0")),
+        # valid: a window of 4096 rows, then one of a single row
+        (fan12, parse("p0 -> p0")),
+        # refuted where p1 holds at the root and p0 is one top: in the
+        # third window, which holds a single row
+        (fan12, parse("p1 -> p0 | ~p0")),
+    ]
+    for p, f in cases:
         domain = upset_masks(p, cap=p.n)
-        limit = rng.choice([None, 1, 3, 10, 100])
-        fast, pure = _both(p, f, domain, limit)
-        assert fast == pure
+        _, (_, work) = _both(p, f, domain)
+        limits = _limits(len(domain), len(variables(f))) + [work - 1, work, work + 1]
+        for limit in limits:
+            new, old = _both(p, f, domain, limit)
+            assert new == old, (f, limit)
+    # two variables over 4097 values: windows of 4096 rows and of 1 row
+    # alternate; the oracle can only follow a budgeted scan
+    f = parse("p0 -> (p1 -> p0)")
+    domain = upset_masks(fan12, cap=13)
+    for limit in (0, 1, WINDOW - 1, WINDOW, WINDOW + 1, WINDOW + 2,
+                  2 * 4097 - 1, 2 * 4097, 2 * 4097 + 1):
+        new, old = _both(fan12, f, domain, limit)
+        assert new == old == ("budget", limit), limit
 
 
 def test_work_counts_match():
     p = enumerate_posets(3)[0]
-    f = parse("p0 -> p0")
-    fast, pure = _both(p, f, upset_masks(p, cap=3))
-    assert fast[2] == pure[2]
+    new, old = _both(p, parse("p0 -> p0"), upset_masks(p, cap=3))
+    assert new[1] == old[1] == len(upset_masks(p, cap=3))
+
+
+def test_variable_free_formulas():
+    p = POSETS5[3]
+    for f in (BOT, Imp(BOT, BOT), Box(BOT)):
+        for limit in (None, -1, 0, 1):
+            new, old = _both(p, f, upset_masks(p, cap=5), limit)
+            assert new == old
+
+
+def _formulas(nvars):
+    atoms = st.sampled_from([Var(i) for i in range(nvars)] + [BOT])
+    return st.recursive(
+        atoms,
+        lambda sub: st.one_of(
+            st.builds(And, sub, sub), st.builds(Or, sub, sub),
+            st.builds(Imp, sub, sub), st.builds(Box, sub)),
+        max_leaves=12)
+
+
+@st.composite
+def _scans(draw):
+    p = draw(st.sampled_from(POSETS5))
+    f = draw(_formulas(draw(st.integers(3, 5))))
+    for v in range(3):  # at least three variables, so scans span windows
+        if v not in variables(f):
+            op = draw(st.sampled_from([And, Or, Imp]))
+            f = op(Var(v), f) if draw(st.booleans()) else op(f, Var(v))
+    if draw(st.booleans()):
+        domain = upset_masks(p, cap=p.n)
+    else:
+        domain = list(range(1 << p.n))
+    limits = _limits(len(domain), len(variables(f)))
+    limit = draw(st.one_of(st.sampled_from(limits), st.integers(0, 40000)))
+    return p, f, domain, limit
+
+
+# derandomized: every run checks the same examples
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_scans())
+def test_scanner_matches_oracle_on_generated_scans(scan):
+    p, f, domain, limit = scan
+    new, old = _both(p, f, domain, limit)
+    assert new == old

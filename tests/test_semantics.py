@@ -112,7 +112,7 @@ def test_work_is_counted():
     meter = WorkMeter()
     is_valid(CH2, parse("p0 -> p0"), meter=meter)
     assert meter.spent == 3  # one row per upset of the 2-chain
-def test_wide_poset_uses_pure_scanner():
+def test_wide_poset_scans():
     from ipckit.formulas import parse
     from ipckit.poset import build_poset
     from ipckit.semantics import is_valid, is_valid_algebra
@@ -121,3 +121,31 @@ def test_wide_poset_uses_pure_scanner():
     wide = build_poset(els, [(els[i + 1], els[i]) for i in range(69)])
     assert is_valid(wide, parse("p0 -> p0"))
     assert not is_valid(wide, parse("p0 | ~p0"))
+
+
+def test_wide_poset_budget():
+    els = [f"c{i}" for i in range(70)]
+    wide = build_poset(els, [(els[i + 1], els[i]) for i in range(69)])
+    # 71 upsets per variable: the 71 * 71 rows of p0 -> p1 -> p0 span
+    # two fast variables in one window, cut part-way by the budget
+    meter = WorkMeter(limit=100)
+    with pytest.raises(BudgetExceeded):
+        is_valid(wide, parse("p0 -> (p1 -> p0)"), meter=meter)
+    assert meter.spent == 100
+    meter = WorkMeter(limit=71 * 71)
+    assert is_valid(wide, parse("p0 -> (p1 -> p0)"), meter=meter)
+    assert meter.spent == 71 * 71
+    # p0 | ~p0 first fails where p0 is the second upset, the top alone
+    meter = WorkMeter(limit=2)
+    assert not is_valid(wide, parse("p0 | ~p0"), meter=meter)
+    assert meter.spent == 2
+
+
+def test_wide_modal_budget():
+    # 2**20 subsets for p0: the budget stops the scan in its first window
+    els = [f"a{i}" for i in range(20)]
+    p = build_poset(els, [(els[0], e) for e in els[1:]])
+    meter = WorkMeter(limit=10)
+    with pytest.raises(BudgetExceeded):
+        is_valid_modal(p, parse("p0 -> p0"), meter=meter)
+    assert meter.spent == 10
