@@ -6,6 +6,13 @@ decreasing height makes the condition local: once everything strictly
 above x is mapped to S, the image of x must be the unique t with
 up(t) = S or up(t) = S + {t}.  That keeps the branching factor at two,
 so exhaustive absence proofs stay cheap.
+
+The image criteria use the same walk.  With the skip option a point may
+also be left out: S is then the image of the kept points above x, and
+the condition stays local, so one walk over the host searches all of its
+subposets at once (subframe axioms), with no subposet ever built.  Upset
+images need no skipping, since for a rooted target the principal upsets
+suffice (splitting axioms; see image_of_upset).
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 from . import budget as _budget
 from .budget import WorkMeter
 from .errors import BudgetExceeded, NotAnEPartition
-from .poset import Poset, _bits, upset_masks, width, _max_antichain
+from .poset import Poset, _bits, _max_antichain, root, width
 
 
 @dataclass(frozen=True)
@@ -66,9 +73,57 @@ def compose(first: PMorphism, then: PMorphism) -> PMorphism:
         tuple(then.mapping[t] for t in first.mapping))
 
 
-def _height_order(p):
-    h = p.heights()
-    return sorted(range(p.n), key=lambda i: (h[i], i))
+def _height_order(h):
+    """Points top-down: by height h (0 at the top), then by index."""
+    return sorted(range(len(h)), key=lambda i: (h[i], i))
+
+
+def _search(host: Poset, target: Poset, domain, skip, surjective,
+            meter: WorkMeter | None):
+    """First map found from the points of domain to target that is a
+    p-morphism on the subposet it keeps; None if there is none.
+
+    domain lists host points top-down, so every host point above a point
+    comes before it or lies outside domain.  Each point is mapped to a
+    target point, or, when skip is set, left out; points outside domain
+    are left out.  One node is charged per step of the walk.  The result
+    is a list over the host points, -1 at those left out.
+    """
+    # kept images strictly above a point -> its candidates: the t with
+    # up(t) == above (t already hit), then those with up(t) == above + {t}
+    cands = {}
+    for t in range(target.n):
+        cands[target.up[t]] = [t]
+    for t in range(target.n):
+        cands.setdefault(target.strict_up(t), []).append(t)
+    above = [tuple(_bits(host.strict_up(i))) for i in domain]
+    last = len(domain)
+    image = [0] * host.n  # bit of the image of each kept point, else 0
+    hit = [0] * target.n
+
+    def rec(k, unhit):
+        if meter is not None:
+            meter.charge()
+        if k == last:
+            return not surjective or unhit == 0
+        if surjective and unhit > last - k:
+            return False
+        s_mask = 0
+        for j in above[k]:
+            s_mask |= image[j]
+        i = domain[k]
+        for t in cands.get(s_mask, ()):
+            image[i] = 1 << t
+            hit[t] += 1
+            if rec(k + 1, unhit - (hit[t] == 1)):
+                return True
+            hit[t] -= 1
+        image[i] = 0
+        return skip and rec(k + 1, unhit)
+
+    if not rec(0, target.n):
+        return None
+    return [b.bit_length() - 1 for b in image]
 
 
 def find_pmorphism(source: Poset, target: Poset, surjective=False,
@@ -80,67 +135,43 @@ def find_pmorphism(source: Poset, target: Poset, surjective=False,
         return None
     if surjective and target.n > source.n:
         return None
-    order = _height_order(source)
-    by_upmask = {target.up[t]: t for t in range(target.n)}
-    mapping = [-1] * source.n
-    hit = [0] * target.n
-
-    def rec(k, unhit):
-        if meter is not None:
-            meter.charge()
-        if k == len(order):
-            return not surjective or unhit == 0
-        i = order[k]
-        if surjective and unhit > len(order) - k:
-            return False
-        s_mask = 0
-        for j in _bits(source.strict_up(i)):
-            s_mask |= 1 << mapping[j]
-        cands = []
-        t = by_upmask.get(s_mask)
-        if t is not None and s_mask >> t & 1:
-            cands.append(t)
-        for t in _bits(~s_mask & ((1 << target.n) - 1)):
-            if target.up[t] == s_mask | 1 << t:
-                cands.append(t)
-        for t in cands:
-            mapping[i] = t
-            hit[t] += 1
-            rec_unhit = unhit - (1 if hit[t] == 1 else 0)
-            if rec(k + 1, rec_unhit):
-                return True
-            hit[t] -= 1
-            mapping[i] = -1
-        return False
-
-    if rec(0, target.n):
-        pm = PMorphism(source, target, tuple(mapping))
-        pm.validate()
-        return pm
-    return None
-
-
-def _can_map_onto(source, target, meter):
-    return find_pmorphism(source, target, surjective=True, meter=meter) is not None
+    mapping = _search(source, target, _height_order(source.heights()),
+                      False, surjective, meter)
+    if mapping is None:
+        return None
+    pm = PMorphism(source, target, tuple(mapping))
+    pm.validate()
+    return pm
 
 
 def image_of_upset(target: Poset, host: Poset, meter: WorkMeter | None = None) -> bool:
-    """Is the rooted target a p-morphic image of some upset of host?"""
+    """Is the rooted target a p-morphic image of some upset of host?
+
+    Only the principal upsets up(x) need searching.  Let a map an upset U
+    of host onto target, and let x in U be sent to the root r.  U is an
+    upset, so up(x) lies inside U and the up-set of each of its points is
+    the same in up(x) as in U: a, cut down to up(x), keeps the back
+    condition.  Its image is a(up(x)) = up(a(x)) = up(r), all of
+    target, so it is onto.  Conversely up(x) is an upset.  Each up(x) is
+    searched without leaving points out, largest first; the height of
+    up(x) is that of x in host.
+    """
     if target.n == 0:
         return True
+    if root(target) is None:
+        raise ValueError("image_of_upset expects a rooted target")
+    h = host.heights()
+    order = _height_order(h)
     tw = width(target)
-    th = max(target.heights()) if target.n else 0
-    for mask in sorted(upset_masks(host, cap=host.n),
-                       key=lambda m: -bin(m).count("1")):
-        size = bin(mask).count("1")
-        if size < target.n:
+    th = max(target.heights())
+    for x in sorted(range(host.n), key=lambda x: -bin(host.up[x]).count("1")):
+        up_x = host.up[x]
+        if bin(up_x).count("1") < target.n or h[x] < th:
             continue
-        if _max_antichain(host, mask) < tw:
+        if _max_antichain(host, up_x) < tw:
             continue
-        sub = host.restrict(mask)
-        if max(sub.heights(), default=-1) < th:
-            continue
-        if _can_map_onto(sub, target, meter):
+        domain = [i for i in order if up_x >> i & 1]
+        if _search(host, target, domain, False, True, meter) is not None:
             return True
     return False
 
@@ -151,20 +182,10 @@ def image_of_subposet(target: Poset, host: Poset, meter: WorkMeter | None = None
         return True
     if target.n > host.n:
         return False
-    tw = width(target)
-    th = max(target.heights())
-    if _max_antichain(host, host.full_mask) < tw:
+    if _max_antichain(host, host.full_mask) < width(target):
         return False
-    full = 1 << host.n
-    for mask in range(full - 1, 0, -1):
-        if bin(mask).count("1") < target.n:
-            continue
-        sub = host.restrict(mask)
-        if max(sub.heights()) < th:
-            continue
-        if _can_map_onto(sub, target, meter):
-            return True
-    return False
+    return _search(host, target, _height_order(host.heights()), True, True,
+                   meter) is not None
 
 
 # E-partitions ------------------------------------------------------------

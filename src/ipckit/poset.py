@@ -266,7 +266,6 @@ def is_upset(p, mask):
 
 def _max_antichain(p, mask):
     """Size of the largest antichain inside mask."""
-    elems = sorted(_bits(mask), key=lambda i: -bin(p.up[i] | p.down(i)).count("1"))
     down = p.down_masks()
     comp = [p.up[i] | down[i] for i in range(p.n)]
     best = 0

@@ -1,0 +1,115 @@
+"""Restrict-per-candidate image searches: the test oracle for the fused
+top-down search in ipckit.morphisms.
+
+find_pmorphism is the backtracking search that ipckit.morphisms keeps as
+its no-skip case, with the same order, candidates and node charges.
+image_of_upset and image_of_subposet build every candidate upset or
+subset with Poset.restrict and run a surjective find_pmorphism on each.
+"""
+
+from __future__ import annotations
+
+from ipckit.budget import WorkMeter
+from ipckit.morphisms import PMorphism
+from ipckit.poset import Poset, _bits, upset_masks, width, _max_antichain
+
+
+def _height_order(p):
+    h = p.heights()
+    return sorted(range(p.n), key=lambda i: (h[i], i))
+
+
+def find_pmorphism(source: Poset, target: Poset, surjective=False,
+                   meter: WorkMeter | None = None):
+    """First p-morphism found, or None; exhaustive, so None is a proof."""
+    if source.n == 0:
+        return None if (surjective and target.n > 0) else PMorphism(source, target, ())
+    if target.n == 0:
+        return None
+    if surjective and target.n > source.n:
+        return None
+    order = _height_order(source)
+    by_upmask = {target.up[t]: t for t in range(target.n)}
+    mapping = [-1] * source.n
+    hit = [0] * target.n
+
+    def rec(k, unhit):
+        if meter is not None:
+            meter.charge()
+        if k == len(order):
+            return not surjective or unhit == 0
+        i = order[k]
+        if surjective and unhit > len(order) - k:
+            return False
+        s_mask = 0
+        for j in _bits(source.strict_up(i)):
+            s_mask |= 1 << mapping[j]
+        cands = []
+        t = by_upmask.get(s_mask)
+        if t is not None and s_mask >> t & 1:
+            cands.append(t)
+        for t in _bits(~s_mask & ((1 << target.n) - 1)):
+            if target.up[t] == s_mask | 1 << t:
+                cands.append(t)
+        for t in cands:
+            mapping[i] = t
+            hit[t] += 1
+            rec_unhit = unhit - (1 if hit[t] == 1 else 0)
+            if rec(k + 1, rec_unhit):
+                return True
+            hit[t] -= 1
+            mapping[i] = -1
+        return False
+
+    if rec(0, target.n):
+        pm = PMorphism(source, target, tuple(mapping))
+        pm.validate()
+        return pm
+    return None
+
+
+def _can_map_onto(source, target, meter):
+    return find_pmorphism(source, target, surjective=True, meter=meter) is not None
+
+
+def image_of_upset(target: Poset, host: Poset, meter: WorkMeter | None = None) -> bool:
+    """Is the rooted target a p-morphic image of some upset of host?"""
+    if target.n == 0:
+        return True
+    tw = width(target)
+    th = max(target.heights()) if target.n else 0
+    for mask in sorted(upset_masks(host, cap=host.n),
+                       key=lambda m: -bin(m).count("1")):
+        size = bin(mask).count("1")
+        if size < target.n:
+            continue
+        if _max_antichain(host, mask) < tw:
+            continue
+        sub = host.restrict(mask)
+        if max(sub.heights(), default=-1) < th:
+            continue
+        if _can_map_onto(sub, target, meter):
+            return True
+    return False
+
+
+def image_of_subposet(target: Poset, host: Poset, meter: WorkMeter | None = None) -> bool:
+    """Is the rooted target a p-morphic image of some subposet of host?"""
+    if target.n == 0:
+        return True
+    if target.n > host.n:
+        return False
+    tw = width(target)
+    th = max(target.heights())
+    if _max_antichain(host, host.full_mask) < tw:
+        return False
+    full = 1 << host.n
+    for mask in range(full - 1, 0, -1):
+        if bin(mask).count("1") < target.n:
+            continue
+        sub = host.restrict(mask)
+        if max(sub.heights()) < th:
+            continue
+        if _can_map_onto(sub, target, meter):
+            return True
+    return False

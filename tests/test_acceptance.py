@@ -115,7 +115,7 @@ def test_criterion_13_determinism():
 
 def test_determinism_across_worker_counts():
     # parallel aggregation sorts by instance order, so jobs must not matter
-    for name in ("sobolev-width", "ym-rigidity"):
+    for name in ("sobolev-width", "ym-rigidity", "kg-structure"):
         params = _SMALL_PARAMS[name]
         seq = render_report(run_scenario(name, params, jobs=1), "json")
         par = render_report(run_scenario(name, params, jobs=2), "json")

@@ -247,3 +247,21 @@ def test_search_budget():
     meter = WorkMeter(limit=10)
     with pytest.raises(BudgetExceeded):
         find_pmorphism(y_poset(2), y_poset(1), surjective=True, meter=meter)
+
+
+@pytest.mark.parametrize("search", [image_of_upset, image_of_subposet])
+def test_image_search_budget(search):
+    from ipckit.catalog import catalog_get
+
+    host, target = catalog_get("Z_K(3)"), catalog_get("P(1)")
+    full = WorkMeter()
+    answer = search(target, host, full)
+    assert full.spent > 10
+    for limit in (0, 10, full.spent - 1):
+        meter = WorkMeter(limit=limit)
+        with pytest.raises(BudgetExceeded):
+            search(target, host, meter)
+        assert meter.spent == limit + 1
+    meter = WorkMeter(limit=full.spent)
+    assert search(target, host, meter) == answer
+    assert meter.spent == full.spent
