@@ -65,7 +65,7 @@ def _build_parser():
                    help="override the default enumeration size cap")
 
     c = sub.add_parser("catalog", help="print a named poset as JSON")
-    c.add_argument("key")
+    c.add_argument("key", nargs="?")
     c.add_argument("--list", action="store_true", help="list known keys")
 
     c = sub.add_parser("translate", help="modal companion of an intuitionistic formula")
@@ -158,6 +158,9 @@ def _dispatch(args) -> int:
             for key in catalog_keys():
                 print(key)
             return EXIT_PASS
+        if args.key is None:
+            print("usage: ipckit catalog (KEY | --list)", file=sys.stderr)
+            return EXIT_USAGE
         p = catalog_get(args.key)
         print(json.dumps(pio.poset_to_obj(p), sort_keys=True, indent=2))
         return EXIT_PASS

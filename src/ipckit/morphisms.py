@@ -13,6 +13,12 @@ the condition stays local, so one walk over the host searches all of its
 subposets at once (subframe axioms), with no subposet ever built.  Upset
 images need no skipping, since for a rooted target the principal upsets
 suffice (splitting axioms; see image_of_upset).
+
+E-partitions, the kernels of the p-morphisms onto rooted images, come
+from a walk in the same top-down order.  Each point joins a block or
+opens one; once everything above x is placed, the blocks meeting up(x)
+are known, so condition (a) is checked as x is placed and only
+E-partitions are ever built (see epartitions).
 """
 
 from __future__ import annotations
@@ -206,25 +212,6 @@ class EPartition:
         return out
 
 
-def _set_partitions(n):
-    """Restricted-growth enumeration of set partitions of range(n)."""
-    parts = []
-
-    def rec(i):
-        if i == n:
-            yield [list(b) for b in parts]
-            return
-        for b in parts:
-            b.append(i)
-            yield from rec(i + 1)
-            b.pop()
-        parts.append([i])
-        yield from rec(i + 1)
-        parts.pop()
-
-    yield from rec(0)
-
-
 def _blocks_ok(p, masks):
     """Condition (a) plus a partial order on blocks."""
     k = len(masks)
@@ -251,28 +238,74 @@ def _blocks_ok(p, masks):
 
 
 def epartitions(p: Poset, cap: int | None = None):
-    """All E-partitions of p, deterministic block ordering."""
+    """All E-partitions of p: blocks sorted by their least index, and the
+    partitions in restricted-growth order of their labels (point i
+    labelled with the position of its block).
+
+    One walk places the points top-down, in the _height_order key.  Let s
+    be the set of blocks that meet strict_up(x).  x may join block b only
+    when s + {b} == sees[b], the set of blocks meeting up(y) for the points
+    y already in b; a new block gets sees = s + {itself}.  Every leaf is an
+    E-partition, and every E-partition is a leaf:
+
+    - Every point strictly above x has smaller height, so it is placed
+      before x.  So the set of blocks meeting up(x), s + {block of x}, is
+      final when x is placed.
+    - Condition (a) says exactly that all points of a block have the same
+      such set, and the walk checks it for each point as it is placed.
+    - Antisymmetry of the block order follows, so it needs no check.
+      Let blocks b != c see each other, and let m be a maximal point of
+      b + c, say in b.  All points of b see c, so some point of c lies in
+      up(m); it is not m, so it lies strictly above m, against the choice
+      of m.
+    """
     cap = _budget.DEFAULT_EPARTITION_CAP if cap is None else cap
     if p.n > cap:
         raise BudgetExceeded(f"{p.n} elements exceeds E-partition cap {cap}")
     if p.n == 0:
         return [EPartition(p, ())]
-    out = []
-    for part in _set_partitions(p.n):
-        masks = []
-        for b in part:
-            m = 0
-            for i in b:
-                m |= 1 << i
-            masks.append(m)
-        if _blocks_ok(p, masks) is None:
-            continue
-        blocks = tuple(
-            frozenset(p.elements[i] for i in b)
-            for b in sorted(part, key=min)
-        )
-        out.append(EPartition(p, blocks))
-    return out
+    n = p.n
+    order = _height_order(p.heights())
+    above = [tuple(_bits(p.strict_up(x))) for x in order]
+    block = [0] * n  # block of each placed point
+    sees = []  # per block: the blocks meeting up(y) for its points y
+    members = []  # per block: the mask of its points
+    leaves = []
+
+    def rec(k):
+        if k == n:
+            masks = sorted(members, key=lambda m: m & -m)
+            label = [0] * n
+            for b, m in enumerate(masks):
+                for i in _bits(m):
+                    label[i] = b
+            leaves.append((label, masks))
+            return
+        s = 0
+        for j in above[k]:
+            s |= 1 << block[j]
+        x = order[k]
+        for b in range(len(sees)):
+            if s | 1 << b == sees[b]:
+                block[x] = b
+                members[b] |= 1 << x
+                rec(k + 1)
+                members[b] ^= 1 << x
+        new = len(sees)
+        block[x] = new
+        sees.append(s | 1 << new)
+        members.append(1 << x)
+        rec(k + 1)
+        sees.pop()
+        members.pop()
+
+    rec(0)
+    leaves.sort(key=lambda leaf: leaf[0])
+    return [
+        EPartition(p, tuple(
+            frozenset(p.elements[i] for i in _bits(m)) for m in masks))
+        for _, masks in leaves
+    ]
 
 
 def is_epartition(p: Poset, blocks) -> bool:
@@ -282,7 +315,7 @@ def is_epartition(p: Poset, blocks) -> bool:
         m = 0
         for e in b:
             m |= 1 << p.index(e)
-        if m & covered:
+        if m & covered or m == 0:
             return False
         covered |= m
         masks.append(m)
@@ -344,12 +377,3 @@ def kernel_partition(pm: PMorphism) -> EPartition:
         key=lambda b: min(pm.source.index(e) for e in b),
     )
     return EPartition(pm.source, tuple(blocks))
-
-
-def all_surjective_images(p: Poset, cap=None, meter=None):
-    """Quotients of p by each of its E-partitions (poset, partition)."""
-    out = []
-    for part in epartitions(p, cap=cap):
-        q, pm = quotient(p, part)
-        out.append((q, part))
-    return out

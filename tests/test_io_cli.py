@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from ipckit.catalog import catalog_keys
 from ipckit.cli import main
 from ipckit.errors import SchemaError
 from ipckit.io import export_poset, import_poset, poset_from_obj, poset_to_dot, poset_to_obj
@@ -129,6 +130,11 @@ def test_cli_enumerate_and_catalog(capsys):
     assert len(blob["elements"]) == 5
     assert main(["catalog", "nosuch"]) == 2
     capsys.readouterr()
+    assert main(["catalog", "--list"]) == 0
+    keys = capsys.readouterr().out.split()
+    assert keys == catalog_keys()
+    assert main(["catalog"]) == 2
+    assert "catalog" in capsys.readouterr().err
 
 
 def test_cli_translate(capsys):

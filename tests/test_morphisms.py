@@ -125,6 +125,12 @@ def test_quotient_rejects_bad_partition():
     assert not is_epartition(F2, bad.blocks)
     with pytest.raises(NotAnEPartition):
         quotient(F2, bad)
+    # an empty block beside the one-block E-partition
+    whole = next(ep for ep in epartitions(F2) if len(ep.blocks) == 1)
+    empty = EPartition(F2, whole.blocks + (frozenset(),))
+    assert not is_epartition(F2, empty.blocks)
+    with pytest.raises(NotAnEPartition):
+        quotient(F2, empty)
 
 
 def test_collapse_upset_is_epartition():
