@@ -29,9 +29,6 @@ class HeytingAlgebra:
     def size(self):
         return len(self.leq)
 
-    def le(self, a, b):
-        return bool(self.leq[a] >> b & 1)
-
     def coatoms(self):
         return [a for a in range(self.size) if a != self.top
                 and self.leq[a] == (1 << a) | (1 << self.top)]
@@ -99,7 +96,7 @@ def _tables_from_order(leq, name=None):
 
 
 @lru_cache(maxsize=None)
-def upset_algebra(p: Poset, cap: int | None = None) -> HeytingAlgebra:
+def upset_algebra(p: Poset) -> HeytingAlgebra:
     """The algebra of upsets of p: joins are unions, meets intersections,
     U -> V = the points whose up-set meets U inside V."""
     masks = upset_masks(p, cap=p.n)
@@ -228,16 +225,18 @@ def dual_poset(a: HeytingAlgebra) -> Poset:
     return Poset(els, tuple(ups), name=None)
 
 
-def count_quotients(a: HeytingAlgebra) -> int:
-    """Congruences correspond to filters; finite filters are principal."""
-    if a.size > _budget.DEFAULT_ALGEBRA_CAP:
-        raise BudgetExceeded("algebra too large")
+def count_quotients(a: HeytingAlgebra, cap: int | None = None) -> int:
+    """Congruences correspond to filters, counted here as the nonempty
+    upsets of the algebra's order that are closed under meet."""
+    cap = _budget.DEFAULT_SUBALG_CAP if cap is None else cap
+    if a.size > cap:
+        raise BudgetExceeded(f"carrier {a.size} exceeds quotient cap {cap}")
+    order = Poset(tuple(str(x) for x in range(a.size)), a.leq)
     count = 0
-    for x in range(a.size):
-        # sanity: the up-set of x is meet-closed, hence a filter
-        ups = list(_bits(a.leq[x]))
-        assert all(a.leq[x] >> a.meet[u][v] & 1 for u in ups for v in ups)
-        count += 1
+    for u in upset_masks(order, cap=a.size):
+        xs = list(_bits(u))
+        if xs and all(u >> a.meet[x][y] & 1 for x in xs for y in xs):
+            count += 1
     return count
 
 

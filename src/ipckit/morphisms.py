@@ -50,8 +50,9 @@ class PMorphism:
         return len(set(self.mapping)) == self.target.n
 
     def validate(self):
-        """Exhaustive check of totality, monotonicity and the back
-        condition up(a(x)) == a(up(x))."""
+        """Exhaustive check of totality and the back condition
+        up(a(x)) == a(up(x)).  Monotonicity follows: for j in up(i), a(j)
+        lies in a(up(i)) == up(a(i))."""
         src, dst, m = self.source, self.target, self.mapping
         if len(m) != src.n:
             raise ValueError("mapping is not total")
@@ -64,10 +65,6 @@ class PMorphism:
             if img != dst.up[m[i]]:
                 raise ValueError(
                     f"back condition fails at {src.elements[i]}")
-        for i in range(src.n):
-            for j in _bits(src.up[i]):
-                if not dst.leq_idx(m[i], m[j]):
-                    raise ValueError("not monotone")
         return True
 
 
@@ -77,11 +74,6 @@ def compose(first: PMorphism, then: PMorphism) -> PMorphism:
     return PMorphism(
         first.source, then.target,
         tuple(then.mapping[t] for t in first.mapping))
-
-
-def _height_order(h):
-    """Points top-down: by height h (0 at the top), then by index."""
-    return sorted(range(len(h)), key=lambda i: (h[i], i))
 
 
 def _search(host: Poset, target: Poset, domain, skip, surjective,
@@ -141,8 +133,7 @@ def find_pmorphism(source: Poset, target: Poset, surjective=False,
         return None
     if surjective and target.n > source.n:
         return None
-    mapping = _search(source, target, _height_order(source.heights()),
-                      False, surjective, meter)
+    mapping = _search(source, target, source.topdown, False, surjective, meter)
     if mapping is None:
         return None
     pm = PMorphism(source, target, tuple(mapping))
@@ -167,7 +158,7 @@ def image_of_upset(target: Poset, host: Poset, meter: WorkMeter | None = None) -
     if root(target) is None:
         raise ValueError("image_of_upset expects a rooted target")
     h = host.heights()
-    order = _height_order(h)
+    order = host.topdown
     tw = width(target)
     th = max(target.heights())
     for x in sorted(range(host.n), key=lambda x: -bin(host.up[x]).count("1")):
@@ -190,8 +181,7 @@ def image_of_subposet(target: Poset, host: Poset, meter: WorkMeter | None = None
         return False
     if _max_antichain(host, host.full_mask) < width(target):
         return False
-    return _search(host, target, _height_order(host.heights()), True, True,
-                   meter) is not None
+    return _search(host, target, host.topdown, True, True, meter) is not None
 
 
 # E-partitions ------------------------------------------------------------
@@ -242,7 +232,7 @@ def epartitions(p: Poset, cap: int | None = None):
     partitions in restricted-growth order of their labels (point i
     labelled with the position of its block).
 
-    One walk places the points top-down, in the _height_order key.  Let s
+    One walk places the points top-down, in the order p.topdown.  Let s
     be the set of blocks that meet strict_up(x).  x may join block b only
     when s + {b} == sees[b], the set of blocks meeting up(y) for the points
     y already in b; a new block gets sees = s + {itself}.  Every leaf is an
@@ -265,7 +255,7 @@ def epartitions(p: Poset, cap: int | None = None):
     if p.n == 0:
         return [EPartition(p, ())]
     n = p.n
-    order = _height_order(p.heights())
+    order = p.topdown
     above = [tuple(_bits(p.strict_up(x))) for x in order]
     block = [0] * n  # block of each placed point
     sees = []  # per block: the blocks meeting up(y) for its points y

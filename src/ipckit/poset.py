@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import budget as _budget
 from .errors import (
@@ -62,15 +62,11 @@ class Poset:
     def leq_idx(self, i, j):
         return bool(self.up[i] >> j & 1)
 
-    # derived masks -----------------------------------------------------
-
-    def down(self, i):
-        """Bitmask of j with e_j <= e_i."""
-        m = 0
-        for j in range(self.n):
-            if self.up[j] >> i & 1:
-                m |= 1 << j
-        return m
+    # derived order data ------------------------------------------------
+    #
+    # The heights, topdown, upper_covers and comparable are computed once
+    # per instance, on first use.  down_masks is not kept, so the many
+    # candidates that canonical_code sees during enumeration carry no memo.
 
     def down_masks(self):
         d = [0] * self.n
@@ -83,40 +79,47 @@ class Poset:
     def strict_up(self, i):
         return self.up[i] & ~(1 << i)
 
-    def covers(self):
-        """List of (i, j) index pairs with e_j covering e_i."""
-        out = []
-        for i in range(self.n):
-            su = self.strict_up(i)
-            for j in _bits(su):
-                inter = su & ~(1 << j)
-                if not any(self.up[k] >> j & 1 for k in _bits(inter)):
-                    out.append((i, j))
-        return out
-
-    def maximal_mask(self):
-        m = 0
-        for i in range(self.n):
-            if self.strict_up(i) == 0:
-                m |= 1 << i
-        return m
-
-    def minimal_mask(self):
-        down = self.down_masks()
-        m = 0
-        for i in range(self.n):
-            if down[i] == 1 << i:
-                m |= 1 << i
-        return m
-
-    def heights(self):
-        """Longest-chain distance from the top: maximal elements get 0."""
+    @cached_property
+    def _heights(self):
         h = [None] * self.n
         order = sorted(range(self.n), key=lambda i: bin(self.up[i]).count("1"))
         for i in order:
             above = [h[j] for j in _bits(self.strict_up(i))]
             h[i] = 1 + max(above) if above else 0
-        return h
+        return tuple(h)
+
+    def heights(self):
+        """Longest-chain distance from the top: maximal elements get 0."""
+        return list(self._heights)
+
+    @cached_property
+    def topdown(self):
+        """The points by height, then index: every point strictly above x
+        comes before x."""
+        h = self._heights
+        return tuple(sorted(range(self.n), key=lambda i: (h[i], i)))
+
+    @cached_property
+    def upper_covers(self):
+        """Per point x, the points covering x, by index: those strictly
+        above x and not strictly above another point strictly above x."""
+        strict = [u & ~(1 << x) for x, u in enumerate(self.up)]
+        out = []
+        for x in range(self.n):
+            over = 0
+            for y in _bits(strict[x]):
+                over |= strict[y]
+            out.append(tuple(_bits(strict[x] & ~over)))
+        return tuple(out)
+
+    @cached_property
+    def comparable(self):
+        """Per point, the mask of the points comparable with it."""
+        return tuple(u | d for u, d in zip(self.up, self.down_masks()))
+
+    def covers(self):
+        """List of (i, j) index pairs with e_j covering e_i."""
+        return [(i, j) for i in range(self.n) for j in self.upper_covers[i]]
 
     def restrict(self, mask, name=None):
         """Induced subposet on the elements in mask (original order kept)."""
@@ -231,9 +234,8 @@ def upset_masks(p, cap=None):
     if cap is not None and p.n > cap:
         raise BudgetExceeded(f"{p.n} elements exceeds upset cap {cap}")
     out = []
-    # elements with larger strict up-sets go late, so the inclusion check
-    # only looks at already-decided elements
-    order = sorted(range(p.n), key=lambda i: bin(p.strict_up(i)).count("1"))
+    # top-down, so the inclusion check only looks at decided elements
+    order = p.topdown
 
     def rec(k, mask):
         if k == len(order):
@@ -266,8 +268,7 @@ def is_upset(p, mask):
 
 def _max_antichain(p, mask):
     """Size of the largest antichain inside mask."""
-    down = p.down_masks()
-    comp = [p.up[i] | down[i] for i in range(p.n)]
+    comp = p.comparable
     best = 0
 
     def rec(avail, size):
@@ -314,19 +315,6 @@ def _refined_colors(p):
         if new == colors:
             return colors
         colors = new
-
-
-def _perm_rows(p, perm):
-    """Adjacency rows of the relabeled poset, row k encodes e_perm[k]
-    against the earlier entries (2 bits per pair)."""
-    rows = []
-    for k, v in enumerate(perm):
-        r = 0
-        for j in range(k):
-            u = perm[j]
-            r = r << 2 | (p.leq_idx(v, u) << 1 | p.leq_idx(u, v))
-        rows.append(r)
-    return tuple(rows)
 
 
 class _Improved(Exception):
@@ -420,20 +408,6 @@ def are_isomorphic(p, q):
 # enumeration ------------------------------------------------------------
 
 
-def _downset_masks(p):
-    down = p.down_masks()
-    out = []
-    for mask in range(1 << p.n):
-        ok = True
-        for i in _bits(mask):
-            if down[i] & ~mask:
-                ok = False
-                break
-        if ok:
-            out.append(mask)
-    return out
-
-
 @lru_cache(maxsize=None)
 def enumerate_posets(n):
     """One representative per isomorphism class, sorted by canonical code."""
@@ -443,7 +417,8 @@ def enumerate_posets(n):
         return (EMPTY,)
     seen = {}
     for q in enumerate_posets(n - 1):
-        for dmask in _downset_masks(q):
+        # the downsets of q, complements of its upsets, in mask order
+        for dmask in sorted(q.full_mask ^ u for u in upset_masks(q, cap=q.n)):
             # adjoin a new maximal element above exactly dmask
             els = tuple(f"e{i}" for i in range(n))
             ups = []

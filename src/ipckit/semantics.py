@@ -47,35 +47,24 @@ def compile_formula(f, slot_of):
     return ops, args
 
 
-def _upward(p):
-    """(x, covers of x) for every point, maximal points first."""
-    strict = [u & ~(1 << x) for x, u in enumerate(p.up)]
-    out = []
-    for x in sorted(range(p.n), key=lambda x: p.up[x].bit_count()):
-        over = 0  # points strictly above some point strictly above x
-        for y in _bits(strict[x]):
-            over |= strict[y]
-        out.append((x, list(_bits(strict[x] & ~over))))
-    return out
-
-
-def _evaluate(ops, args, slots, upward, ones):
+def _evaluate(ops, args, slots, p, ones):
     """Bit-sliced truth of a compiled formula at every point.
 
     slots[s][x] is the truth of slot s at point x over a window of
     valuation rows, one bit per row, and ones has every row's bit set.
     Returns the formula's truth at each point in the same form.  The
     ``->`` and ``[]`` cases hold at x in the rows where a local test holds
-    everywhere in up(x): the local misses are ORed down the covers in one
-    top-down pass.
+    everywhere in up(x): the local misses are ORed down the covers of p
+    in one top-down pass.
     """
+    order, covers = p.topdown, p.upper_covers
     stack = []
     push = stack.append
     for op, arg in zip(ops, args):
         if op == OP_VAR:
             push(slots[arg])
         elif op == OP_BOT:
-            push([0] * len(upward))
+            push([0] * p.n)
         elif op == OP_AND:
             b = stack.pop()
             stack[-1] = [u & v for u, v in zip(stack[-1], b)]
@@ -88,9 +77,9 @@ def _evaluate(ops, args, slots, upward, ones):
                 miss = [u & ~v for u, v in zip(stack[-1], b)]
             else:  # OP_BOX
                 miss = [ones ^ u for u in stack[-1]]
-            for x, covers in upward:
+            for x in order:
                 m = miss[x]
-                for y in covers:
+                for y in covers[x]:
                     m |= miss[y]
                 miss[x] = m
             stack[-1] = [ones ^ m for m in miss]
@@ -167,7 +156,6 @@ def scan_validity(p, ops, args, nvars, domain, limit):
     """
     if nvars and not domain:
         return ("valid", 0)
-    upward = _upward(p)
     start = 0
     for slots, rows in _windows(p.n, domain, nvars):
         if limit is not None and start >= limit:
@@ -178,7 +166,7 @@ def scan_validity(p, ops, args, nvars, domain, limit):
         if limit is not None and start + rows > limit:
             cut = (1 << (limit - start)) - 1  # rows inside the budget
         holds = ones
-        for t in _evaluate(ops, args, slots, upward, ones):
+        for t in _evaluate(ops, args, slots, p, ones):
             holds &= t
         fail = (ones ^ holds) & cut
         if fail:
@@ -212,7 +200,7 @@ def truth_set(p: Poset, valuation, f: Formula, modal=False):
     ops, args = compile_formula(f, slot_of)
     slots = _point_bits(p.n, [masks[v] for v in sorted(masks)])
     # a one-row window: bit 0 of each point's value
-    truth = _evaluate(ops, args, slots, _upward(p), 1)
+    truth = _evaluate(ops, args, slots, p, 1)
     return sum(t << x for x, t in enumerate(truth))
 
 

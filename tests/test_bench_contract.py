@@ -1,0 +1,68 @@
+"""What the benchmark's tracer (perfbench/tracer.py) needs of the program.
+
+The tracer patches ipckit from outside and skips a name it cannot find,
+so a rename or a change of kind would silently zero a layer's metrics.
+These tests read perfbench/ and change nothing there.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+from ipckit.poset import Poset, canonical_code
+from ipckit.scenarios import run_scenario
+
+_TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+# wrapped by name in Tracer.install, besides the LAYERS table
+_WRAPPED = [
+    ("semantics", "is_valid"),
+    ("semantics", "is_valid_modal"),
+    ("morphisms", "find_pmorphism"),
+    ("morphisms", "image_of_upset"),
+    ("morphisms", "image_of_subposet"),
+    ("morphisms", "epartitions"),
+    ("poset", "canonical_code"),
+    ("scenarios", "_worker_init"),
+    ("scenarios", "_worker_run"),
+]
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_traced_names_resolve():
+    tracer = _load_tracer()
+    names = [pair for pairs in tracer.LAYERS.values() for pair in pairs]
+    for mod, name in names + _WRAPPED:
+        fn = getattr(importlib.import_module(f"ipckit.{mod}"), name, None)
+        assert callable(fn), f"ipckit.{mod}.{name}"
+
+
+def test_traced_methods_are_plain_functions():
+    for name in ("heights", "restrict"):
+        assert inspect.isfunction(Poset.__dict__[name]), name
+    assert callable(canonical_code.cache_info)
+
+
+def test_traced_run_matches_untraced_run():
+    params = {"size": 5}
+    plain = run_scenario("kracht-bw2", params)
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        traced = run_scenario("kracht-bw2", params)
+    finally:
+        tracer.uninstall()
+    assert traced.to_json() == plain.to_json()
+    assert tracer.metered() == traced.work_units > 0
+    stats = tracer.totals()
+    assert stats["poset.heights"]["calls"] > 0
+    assert stats["morphisms.image_upset"]["calls"] > 0

@@ -106,6 +106,12 @@ def test_count_quotients_examples():
     assert count_quotients(boolean_two()) == 2
 
 
+def test_count_quotients_budget():
+    big = build_poset([f"x{i}" for i in range(5)], [])
+    with pytest.raises(BudgetExceeded):
+        count_quotients(upset_algebra(big))
+
+
 def test_all_filters_are_principal_bruteforce():
     # the quotient count walks principal filters; check nothing is missed
     for p in (ONE, CH2, TWO, F2):

@@ -44,6 +44,25 @@ def test_identity_exists():
         pm.validate()
 
 
+def test_validate_rejects_non_monotone_maps():
+    # validate checks only the back condition, which implies monotonicity
+    posets = [p for n in range(1, 4) for p in enumerate_posets(n)]
+    rejected = 0
+    for src in posets:
+        for dst in posets:
+            for mapping in itertools.product(range(dst.n), repeat=src.n):
+                if all(dst.leq_idx(mapping[i], mapping[j])
+                       for i in range(src.n) for j in range(src.n)
+                       if src.leq_idx(i, j)):
+                    continue
+                with pytest.raises(ValueError):
+                    PMorphism(src, dst, mapping).validate()
+                rejected += 1
+    assert rejected
+    with pytest.raises(ValueError):
+        PMorphism(CH2, CH2, (1, 0)).validate()
+
+
 def test_collapse_and_absence():
     assert find_pmorphism(F2, CH2, surjective=True) is not None
     assert find_pmorphism(CH3, F2, surjective=True) is None

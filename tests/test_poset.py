@@ -92,6 +92,39 @@ def test_upsets_examples():
     assert frozenset() in ups and frozenset(F2.elements) in ups
 
 
+def test_derived_order_data_against_direct_definitions():
+    # the O(n^3) cover test and the all-masks downset filter that the
+    # memoised order data replaced serve as oracles
+    for n in range(0, 6):
+        for p in enumerate_posets(n):
+            down = p.down_masks()
+            h = p.heights()
+            assert list(p.topdown) == sorted(range(n), key=lambda i: (h[i], i))
+            for k, x in enumerate(p.topdown):
+                assert all(p.topdown.index(y) < k for y in range(n)
+                           if y != x and p.leq_idx(x, y))
+            covers = []
+            for i in range(n):
+                su = p.strict_up(i)
+                for j in range(n):
+                    if su >> j & 1 and not any(
+                            su >> k & 1 and k != j and p.leq_idx(k, j)
+                            for k in range(n)):
+                        covers.append((i, j))
+            assert p.covers() == covers
+            assert p.comparable == tuple(p.up[i] | down[i] for i in range(n))
+            downsets = [m for m in range(1 << n)
+                        if all(down[i] & ~m == 0 for i in range(n) if m >> i & 1)]
+            assert downsets == sorted(p.full_mask ^ u for u in upset_masks(p, cap=n))
+
+
+def test_heights_memo_is_not_shared():
+    p = chain(3)
+    h = p.heights()
+    h[0] = 99
+    assert p.heights() == [2, 1, 0]
+
+
 def test_upsets_budget():
     big = build_poset([f"x{i}" for i in range(13)], [])
     with pytest.raises(BudgetExceeded):
