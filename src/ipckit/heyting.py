@@ -225,12 +225,13 @@ def dual_poset(a: HeytingAlgebra) -> Poset:
     return Poset(els, tuple(ups), name=None)
 
 
-def count_quotients(a: HeytingAlgebra, cap: int | None = None) -> int:
+def count_quotients(a: HeytingAlgebra) -> int:
     """Congruences correspond to filters, counted here as the nonempty
     upsets of the algebra's order that are closed under meet."""
-    cap = _budget.DEFAULT_SUBALG_CAP if cap is None else cap
-    if a.size > cap:
-        raise BudgetExceeded(f"carrier {a.size} exceeds quotient cap {cap}")
+    if a.size > _budget.DEFAULT_SUBALG_CAP:
+        raise BudgetExceeded(
+            f"carrier {a.size} exceeds quotient cap {_budget.DEFAULT_SUBALG_CAP}"
+        )
     order = Poset(tuple(str(x) for x in range(a.size)), a.leq)
     count = 0
     for u in upset_masks(order, cap=a.size):

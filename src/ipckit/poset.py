@@ -136,6 +136,11 @@ class Poset:
     def relabel(self, names, name=None):
         return Poset(tuple(names), self.up, name)
 
+    def __getstate__(self):
+        # a pickle carries the order, not the memos: the posets --jobs
+        # ships back from the workers stay as small as the ones it sends
+        return {"elements": self.elements, "up": self.up, "name": self.name}
+
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"<Poset{tag} n={self.n}>"
@@ -445,11 +450,13 @@ def enumerate_rooted(size, max_width=None, cap=None):
         raise BudgetExceeded(f"size {size} exceeds enumeration cap {cap}")
     out = []
     for q in enumerate_posets(size - 1):
-        p = add_bottom(q)
-        p = p.relabel(tuple(f"e{i}" for i in range(p.n)))
-        if max_width is not None and width(p) > max_width:
+        # the root is comparable with every point, so the rooted poset's
+        # width is q's (1 when q is empty); asking the cached q keeps the
+        # comparability memo off the new posets
+        if max_width is not None and max(1, _max_antichain(q, q.full_mask)) > max_width:
             continue
-        out.append(p)
+        p = add_bottom(q)
+        out.append(p.relabel(tuple(f"e{i}" for i in range(p.n))))
     out.sort(key=canonical_code)
     return out
 

@@ -113,7 +113,8 @@ def test_count_quotients_budget():
 
 
 def test_all_filters_are_principal_bruteforce():
-    # the quotient count walks principal filters; check nothing is missed
+    # a brute-force filter count over all subsets: an oracle for
+    # count_quotients, which counts the meet-closed nonempty upsets
     for p in (ONE, CH2, TWO, F2):
         alg = upset_algebra(p)
         k = alg.size

@@ -4,6 +4,7 @@ enumeration."""
 from __future__ import annotations
 
 import itertools
+import pickle
 
 import pytest
 
@@ -123,6 +124,25 @@ def test_heights_memo_is_not_shared():
     h = p.heights()
     h[0] = 99
     assert p.heights() == [2, 1, 0]
+
+
+def test_pickles_carry_no_memo():
+    p = build_poset(["a", "b", "c"], [("a", "b"), ("a", "c")], name="v")
+    p.heights(), p.topdown, p.upper_covers, p.comparable
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and q.name == "v"
+    assert pickle.dumps(p) == pickle.dumps(Poset(p.elements, p.up, "v"))
+    assert q.heights() == [1, 0, 0] and q.upper_covers == ((1, 2), (), ())
+
+
+def test_enumerate_rooted_width_filter():
+    # the filter reads the width off the unrooted representative
+    for size in range(1, 7):
+        every = enumerate_rooted(size)
+        for mw in (1, 2, 3):
+            kept = enumerate_rooted(size, max_width=mw)
+            assert kept == [p for p in every if width(p) <= mw]
+            assert not any("comparable" in vars(p) for p in kept)
 
 
 def test_upsets_budget():
