@@ -100,14 +100,6 @@ def variables(f):
     return variables(f.left) | variables(f.right)
 
 
-def is_modal(f):
-    if isinstance(f, Box):
-        return True
-    if isinstance(f, (Var, Bot)):
-        return False
-    return is_modal(f.left) or is_modal(f.right)
-
-
 def subformula_count(f):
     if isinstance(f, (Var, Bot)):
         return 1

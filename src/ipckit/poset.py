@@ -233,27 +233,35 @@ def add_bottom(p, bottom_name="r"):
 # upsets ----------------------------------------------------------------
 
 
+def iter_upset_masks(p):
+    """The upsets of p as bitmasks in (size, mask) order, one size at a time.
+
+    The upsets of size k + 1 are the u | 1 << x for u of size k and x
+    outside u with every point strictly above x inside u.  A prefix costs
+    only the sizes it reaches, and p gains no memo.
+    """
+    strict = [u & ~(1 << x) for x, u in enumerate(p.up)]
+    full = p.full_mask
+    level = [0]
+    while level:
+        yield from level
+        nxt = set()
+        for u in level:
+            rest = m = full & ~u
+            while m:
+                low = m & -m
+                m ^= low
+                if not strict[low.bit_length() - 1] & rest:
+                    nxt.add(u | low)
+        level = sorted(nxt)
+
+
 def upset_masks(p, cap=None):
     """All upward-closed subsets as bitmasks, sorted by (size, mask)."""
     cap = _budget.DEFAULT_UPSET_CAP if cap is None else cap
     if cap is not None and p.n > cap:
         raise BudgetExceeded(f"{p.n} elements exceeds upset cap {cap}")
-    out = []
-    # top-down, so the inclusion check only looks at decided elements
-    order = p.topdown
-
-    def rec(k, mask):
-        if k == len(order):
-            out.append(mask)
-            return
-        i = order[k]
-        rec(k + 1, mask)
-        if p.strict_up(i) & ~mask == 0:
-            rec(k + 1, mask | 1 << i)
-
-    rec(0, 0)
-    out.sort(key=lambda m: (bin(m).count("1"), m))
-    return out
+    return list(iter_upset_masks(p))
 
 
 def upsets(p, cap=None):

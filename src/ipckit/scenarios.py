@@ -165,12 +165,12 @@ def rn_members(size, nmax):
 
 def _sobolev_width(params):
     posets = _rooted_upto(params["size"])
-    ns = tuple(params["ns"])
+    axioms = [(n, bw(n)) for n in params["ns"]]
 
     def check(p, meter):
         w = width(p)
-        for n in ns:
-            v = is_valid(p, bw(n), meter=meter)
+        for n, ax in axioms:
+            v = is_valid(p, ax, meter=meter)
             if v != (w <= n):
                 return False, p, f"width={w} but bw({n}) {'valid' if v else 'refuted'}"
         return True, p, None
@@ -180,13 +180,12 @@ def _sobolev_width(params):
 
 def _bw_subframe_triangle(params):
     posets = _rooted_upto(params["size"])
-    ns = tuple(params["ns"])
-    fans = {n: fan(n + 1) for n in ns}
+    axioms = [(n, bw(n), fan(n + 1)) for n in params["ns"]]
 
     def check(p, meter):
-        for n in ns:
-            v = is_valid(p, bw(n), meter=meter)
-            s = validates_subframe(p, fans[n], meter=meter)
+        for n, ax, fn in axioms:
+            v = is_valid(p, ax, meter=meter)
+            s = validates_subframe(p, fn, meter=meter)
             if v != s:
                 return False, p, f"bw({n})={v} but subframe(F({n+1}))={s}"
         return True, p, None
@@ -264,15 +263,15 @@ def _duality_counts(params):
 
 def _godel_transfer(params):
     posets = _posets_upto(params["size"])
-    suite = godel_suite(params["formulas"])
+    suite = [(f, godel_translate(f)) for f in godel_suite(params["formulas"])]
     grz = grz_axiom()
 
     def check(p, meter):
         if not is_valid_modal(p, grz, meter=meter):
             return False, p, "grz axiom refuted"
-        for f in suite:
+        for f, t in suite:
             ii = is_valid(p, f, meter=meter)
-            mm = is_valid_modal(p, godel_translate(f), meter=meter)
+            mm = is_valid_modal(p, t, meter=meter)
             if ii != mm:
                 return False, p, f"transfer fails for {pretty(f)}"
         return True, p, None

@@ -5,16 +5,24 @@ recursion; a poset read as a reflexive-transitive frame interprets box
 as truth everywhere above.  Validity scans every valuation (upsets per
 variable in the intuitionistic case, arbitrary subsets in the modal
 case) with a work meter charged one unit per valuation row.
+
+A scan reuses what does not depend on the valuation rows: each formula is
+compiled once into a ScanPlan, and each order's evaluation data, upset
+domain and window patterns are built once.  These live in bounded caches
+keyed by the formula and by the order's up-masks, never on Poset
+instances, so relabelled copies share them.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice, product
 
 from .budget import WorkMeter
 from .errors import BudgetExceeded, NotIntuitionistic, VariableUnassigned
-from .formulas import And, Bot, Box, Formula, Imp, Or, Var, is_modal, variables
-from .poset import Poset, _bits, is_upset, upset_masks
+from .formulas import And, Bot, Box, Formula, Imp, Or, Var, variables
+from .poset import Poset, _bits, is_upset, iter_upset_masks
 
 OP_VAR, OP_BOT, OP_AND, OP_OR, OP_IMP, OP_BOX = range(6)
 
@@ -45,6 +53,62 @@ def compile_formula(f, slot_of):
 
     walk(f)
     return ops, args
+
+
+@dataclass(frozen=True)
+class ScanPlan:
+    """A formula compiled for scanning: postfix ops and args over one slot
+    per variable, slots numbered in the order of vars (the formula's
+    variable indices, sorted), and whether the formula has a box."""
+
+    ops: tuple
+    args: tuple
+    vars: tuple
+    modal: bool
+
+    @property
+    def nvars(self):
+        return len(self.vars)
+
+
+@lru_cache(maxsize=1024)
+def scan_plan(f):
+    """The ScanPlan of formula f, compiled once per formula (cache bound:
+    1024 formulas)."""
+    vs = tuple(sorted(variables(f)))
+    ops, args = compile_formula(f, {v: i for i, v in enumerate(vs)})
+    return ScanPlan(tuple(ops), tuple(args), vs, OP_BOX in ops)
+
+
+@lru_cache(maxsize=256)
+def _frame(up):
+    """The order up as a Poset of its own, so the top-down order and covers
+    that evaluation reads are memoised here, not on the caller's posets
+    (cache bound: 256 orders)."""
+    return Poset(tuple(range(len(up))), up)
+
+
+@lru_cache(maxsize=256)
+def _upsets(up):
+    """Every upset of the order up, in (size, mask) order (cache bound: 256
+    orders)."""
+    return tuple(iter_upset_masks(_frame(up)))
+
+
+def _upset_domain(up, limit):
+    """The upsets of the order up in (size, mask) order, or under a row
+    limit enough of them to decide the scan.
+
+    With slot 0 slowest, a row r below the limit has the digits
+    (0, ..., 0, r) in any base above the limit, so it reads only domain
+    values below the limit.  The first limit + 1 upsets therefore give the
+    same first limit rows as the full domain, and at least limit + 1 rows
+    in all, so the scan ends as the full one does.  Only complete domains
+    are cached.
+    """
+    if limit is None or 1 << len(up) <= limit + 1:
+        return _upsets(up)
+    return tuple(islice(iter_upset_masks(_frame(up)), max(limit, 0) + 1))
 
 
 def _evaluate(ops, args, slots, p, ones):
@@ -102,9 +166,11 @@ def _held(n, values, block):
     return per_point
 
 
+@lru_cache(maxsize=512)
 def _fast_patterns(n, domain, k):
     """Bit-sliced values of the last k slots over one block of m**k rows
-    (last slot fastest), for each of the k slots and each point."""
+    (last slot fastest), for each of the k slots and each point.  Built
+    once per domain (a tuple or range) and k (cache bound: 512 entries)."""
     m = len(domain)
     ones = (1 << m ** k) - 1
     pats = []
@@ -112,8 +178,8 @@ def _fast_patterns(n, domain, k):
         stride = m ** (k - 1 - i)  # rows one domain value is held for
         # the run of m*stride rows repeats over the block
         repeat = ones // ((1 << (m * stride)) - 1)
-        pats.append([v * repeat for v in _held(n, domain, stride)])
-    return pats
+        pats.append(tuple(v * repeat for v in _held(n, domain, stride)))
+    return tuple(pats)
 
 
 def _windows(n, domain, nvars):
@@ -128,7 +194,9 @@ def _windows(n, domain, nvars):
     while k < nvars and m ** (k + 1) <= WINDOW:
         k += 1
     block = m ** k
-    fast = _fast_patterns(n, domain, k)
+    # k = 0 needs no patterns, and skipping it keeps a domain of more than
+    # WINDOW values out of the cache
+    fast = _fast_patterns(n, domain, k) if k else ()
     if k == nvars:  # one window holds every row
         yield fast, block
         return
@@ -156,6 +224,9 @@ def scan_validity(p, ops, args, nvars, domain, limit):
     """
     if nvars and not domain:
         return ("valid", 0)
+    if not isinstance(domain, (tuple, range)):
+        domain = tuple(domain)  # hashable, for the pattern cache
+    q = _frame(p.up)
     start = 0
     for slots, rows in _windows(p.n, domain, nvars):
         if limit is not None and start >= limit:
@@ -166,7 +237,7 @@ def scan_validity(p, ops, args, nvars, domain, limit):
         if limit is not None and start + rows > limit:
             cut = (1 << (limit - start)) - 1  # rows inside the budget
         holds = ones
-        for t in _evaluate(ops, args, slots, p, ones):
+        for t in _evaluate(ops, args, slots, q, ones):
             holds &= t
         fail = (ones ^ holds) & cut
         if fail:
@@ -189,34 +260,29 @@ def _mask_of(p, points):
 def truth_set(p: Poset, valuation, f: Formula, modal=False):
     """Bitmask of points where f holds; valuation maps var index to
     an element collection (or a bitmask)."""
-    masks = {}
-    for v in variables(f):
+    plan = scan_plan(f)
+    masks = []
+    for v in plan.vars:
         if v not in valuation:
             raise VariableUnassigned(f"p{v}")
-        masks[v] = _mask_of(p, valuation[v])
-        if not modal and not is_upset(p, masks[v]):
+        masks.append(_mask_of(p, valuation[v]))
+        if not modal and not is_upset(p, masks[-1]):
             raise ValueError(f"valuation of p{v} is not an upset")
-    slot_of = {v: i for i, v in enumerate(sorted(masks))}
-    ops, args = compile_formula(f, slot_of)
-    slots = _point_bits(p.n, [masks[v] for v in sorted(masks)])
+    slots = _point_bits(p.n, masks)
     # a one-row window: bit 0 of each point's value
-    truth = _evaluate(ops, args, slots, p, 1)
+    truth = _evaluate(plan.ops, plan.args, slots, _frame(p.up), 1)
     return sum(t << x for x, t in enumerate(truth))
 
 
 def eval_at(p: Poset, valuation, x, f: Formula) -> bool:
     """Does f hold at point x under the given upset valuation?"""
-    if is_modal(f):
+    if scan_plan(f).modal:
         raise NotIntuitionistic(str(f))
     return bool(truth_set(p, valuation, f) >> p.index(x) & 1)
 
 
-def _scan(p, f, domain, meter):
-    vs = sorted(variables(f))
-    slot_of = {v: i for i, v in enumerate(vs)}
-    ops, args = compile_formula(f, slot_of)
-    limit = None if meter is None else meter.remaining()
-    status, work = scan_validity(p, ops, args, len(vs), domain, limit)
+def _scan(p, plan, domain, limit, meter):
+    status, work = scan_validity(p, plan.ops, plan.args, plan.nvars, domain, limit)
     if meter is not None:
         meter.spent += work
     if status == "budget":
@@ -227,12 +293,13 @@ def _scan(p, f, domain, meter):
 def is_valid(p: Poset, f: Formula, meter: WorkMeter | None = None) -> bool:
     """Intuitionistic validity: true at every point under every
     upset valuation."""
-    if is_modal(f):
+    plan = scan_plan(f)
+    if plan.modal:
         raise NotIntuitionistic(str(f))
     if p.n == 0:
         return True
-    domain = upset_masks(p, cap=p.n)
-    return _scan(p, f, domain, meter)
+    limit = None if meter is None else meter.remaining()
+    return _scan(p, plan, _upset_domain(p.up, limit), limit, meter)
 
 
 def is_valid_modal(p: Poset, f: Formula, meter: WorkMeter | None = None) -> bool:
@@ -242,15 +309,16 @@ def is_valid_modal(p: Poset, f: Formula, meter: WorkMeter | None = None) -> bool
         return True
     if p.n > 22:
         raise BudgetExceeded(f"2^{p.n} modal valuations per variable")
-    domain = list(range(1 << p.n))
-    return _scan(p, f, domain, meter)
+    limit = None if meter is None else meter.remaining()
+    return _scan(p, scan_plan(f), range(1 << p.n), limit, meter)
 
 
 def is_valid_algebra(a, f: Formula, meter: WorkMeter | None = None) -> bool:
     """Validity in a finite Heyting algebra: every assignment gives 1."""
-    if is_modal(f):
+    plan = scan_plan(f)
+    if plan.modal:
         raise NotIntuitionistic(str(f))
-    vs = sorted(variables(f))
+    vs = plan.vars
     assign = {}
 
     def ev(g):

@@ -66,3 +66,27 @@ def test_traced_run_matches_untraced_run():
     stats = tracer.totals()
     assert stats["poset.heights"]["calls"] > 0
     assert stats["morphisms.image_upset"]["calls"] > 0
+
+
+def test_traced_scan_run_sees_every_scan_layer():
+    # plans are cached, so a warm run compiles nothing; cleared, the traced
+    # run must still pass through the compile and translate names the
+    # tracer wraps, or those layers would read 0 in a fresh interpreter
+    from ipckit import semantics
+
+    params = {"size": 3, "formulas": 10}
+    plain = run_scenario("godel-transfer", params)
+    for name in ("scan_plan", "_frame", "_upsets", "_fast_patterns"):
+        getattr(semantics, name).cache_clear()
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        traced = run_scenario("godel-transfer", params)
+    finally:
+        tracer.uninstall()
+    assert traced.to_json() == plain.to_json()
+    assert tracer.metered() == traced.work_units > 0
+    stats = tracer.totals()
+    assert stats["semantics.compile"]["calls"] > 0
+    assert stats["formulas.translate"]["calls"] > 0
+    assert stats["semantics.int"]["rows"] + stats["semantics.modal"]["rows"] == traced.work_units

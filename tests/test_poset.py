@@ -18,12 +18,14 @@ from ipckit.poset import (
     canonical_code,
     enumerate_posets,
     enumerate_rooted,
+    iter_upset_masks,
     root,
     sum_posets,
     upset_masks,
     upsets,
     width,
 )
+from _oracle_upsets import upset_masks_dfs
 
 
 def chain(k):
@@ -91,6 +93,23 @@ def test_upsets_examples():
     assert len(upsets(F2)) == 5
     ups = upsets(F2)
     assert frozenset() in ups and frozenset(F2.elements) in ups
+
+
+def test_upsets_by_size_against_depth_first_search():
+    # every poset of at most 7 points, and wide and tall ones beyond
+    wide = [build_poset([f"x{i}" for i in range(k)], []) for k in (8, 10)]
+    posets = [p for n in range(8) for p in enumerate_posets(n)]
+    for p in posets + wide + [chain(12), F2.relabel(("c", "a", "b"))]:
+        memo = dict(p.__dict__)
+        assert upset_masks(p, cap=p.n) == upset_masks_dfs(p)
+        assert p.__dict__ == memo  # enumeration memoises nothing on p
+
+
+def test_upset_prefix_stops_early():
+    # the first sizes of the upsets of a 40-point antichain, without the rest
+    big = build_poset([f"x{i}" for i in range(40)], [])
+    head = list(itertools.islice(iter_upset_masks(big), 42))
+    assert head == [0] + [1 << i for i in range(40)] + [0b11]
 
 
 def test_derived_order_data_against_direct_definitions():

@@ -3,16 +3,28 @@
 from __future__ import annotations
 
 import random
+import time
+import tracemalloc
 
 import pytest
 
+from ipckit import semantics
 from ipckit.budget import WorkMeter
 from ipckit.errors import BudgetExceeded, VariableUnassigned
 from ipckit.formulas import BOT, bw, godel_translate, grz_axiom, parse
 from ipckit.heyting import upset_algebra
 from ipckit.morphisms import image_of_subposet
 from ipckit.poset import build_poset, enumerate_posets, enumerate_rooted, is_upset, upset_masks, width
-from ipckit.semantics import eval_at, is_valid, is_valid_algebra, is_valid_modal, truth_set
+from ipckit.scenarios import run_scenario
+from ipckit.semantics import (
+    eval_at,
+    is_valid,
+    is_valid_algebra,
+    is_valid_modal,
+    scan_plan,
+    scan_validity,
+    truth_set,
+)
 from helpers import random_formula as _random_formula
 
 ONE = build_poset(["o"], [])
@@ -149,3 +161,140 @@ def test_wide_modal_budget():
     with pytest.raises(BudgetExceeded):
         is_valid_modal(p, parse("p0 -> p0"), meter=meter)
     assert meter.spent == 10
+
+
+# -- scan plans and their caches ----------------------------------------------
+
+_CACHES = {name: fn for name, fn in vars(semantics).items() if hasattr(fn, "cache_info")}
+
+
+def _clear_caches():
+    for fn in _CACHES.values():
+        fn.cache_clear()
+
+
+def test_plan_caches_are_the_known_ones_and_bounded():
+    assert sorted(_CACHES) == ["_fast_patterns", "_frame", "_upsets", "scan_plan"]
+    for name, fn in _CACHES.items():
+        bound = fn.cache_info().maxsize
+        assert bound is not None, name
+        assert f"cache bound: {bound} " in " ".join(fn.__doc__.split()), name
+
+
+def test_plan_matches_formula():
+    f = parse("[](p2 -> p0) | ~p2")
+    plan = scan_plan(f)
+    assert plan.vars == (0, 2) and plan.nvars == 2 and plan.modal
+    assert plan is scan_plan(parse("[](p2 -> p0) | ~p2"))  # equal formulas share
+    assert not scan_plan(bw(2)).modal and scan_plan(BOT).vars == ()
+
+
+_RUNS = [
+    ("godel-transfer", {"size": 3, "formulas": 20}, None),
+    ("godel-transfer", {"size": 4, "formulas": 30}, 3000),
+    ("sobolev-width", {"size": 5}, None),
+    ("sobolev-width", {"size": 5}, 700),
+    ("jankov-oracle", {"target_size": 3, "host_size": 4}, None),
+    ("bw-subframe-triangle", {"size": 5}, 400),
+]
+
+
+def test_reports_with_warm_caches_equal_cold_ones():
+    run = [run_scenario(n, prm, budget=b).to_json() for n, prm, b in _RUNS]
+    warm = [run_scenario(n, prm, budget=b).to_json() for n, prm, b in _RUNS]
+    cold = []
+    for n, prm, b in _RUNS:
+        _clear_caches()
+        cold.append(run_scenario(n, prm, budget=b).to_json())
+    assert run == warm == cold
+    assert any('"status": "budget"' in r for r in cold)
+
+
+def test_repeated_runs_keep_the_caches_bounded():
+    _clear_caches()
+    sizes = []
+    for _ in range(3):
+        run_scenario("godel-transfer", {"size": 4, "formulas": 60})
+        info = {name: fn.cache_info() for name, fn in _CACHES.items()}
+        assert all(i.currsize <= i.maxsize for i in info.values())
+        sizes.append({name: i.currsize for name, i in info.items()})
+    assert sizes[0] == sizes[1] == sizes[2]  # a rerun adds no entry
+
+
+def test_relabelled_orders_share_a_domain():
+    _clear_caches()
+    f = parse("(p0 -> p1) | (p1 -> p0)")
+    assert not is_valid(F3, f)
+    assert not is_valid(F3.relabel(("w", "x", "y", "z")), f)
+    info = semantics._upsets.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # one entry per order, each the order's own upsets
+    posets = [p for n in range(1, 5) for p in enumerate_posets(n)]
+    for p in posets:
+        is_valid(p, f)
+    assert semantics._upsets.cache_info().currsize == len({p.up for p in posets + [F3]})
+    for p in posets:
+        assert semantics._upsets(p.up) == tuple(upset_masks(p, cap=p.n))
+        assert semantics._frame(p.up).up == p.up
+
+
+def test_scans_leave_no_memo_on_the_poset():
+    p = build_poset(["r", "a", "b", "c"], [("r", "a"), ("r", "b"), ("a", "c")])
+    before = dict(p.__dict__)
+    f = parse("(p0 -> p1) | ~p0")
+    is_valid(p, f, meter=WorkMeter(5000))
+    with pytest.raises(BudgetExceeded):  # a budgeted prefix of the upsets
+        is_valid(p, parse("p0 -> p0"), meter=WorkMeter(3))
+    is_valid_modal(p, godel_translate(f))
+    truth_set(p, {0: {"c"}, 1: set()}, f)
+    plan = scan_plan(f)
+    scan_validity(p, plan.ops, plan.args, plan.nvars, upset_masks(p, cap=4), None)
+    assert p.__dict__ == before
+
+
+def test_budgeted_scans_match_full_domain_scans():
+    # under a budget the scan reads only a prefix of the upsets: it must end
+    # as a scan over every upset does, at every limit up to the row count
+    fs = [parse("p0 | ~p0"), parse("(p0 -> p1) | (p1 -> p0)"), bw(2), parse("p0 -> p0")]
+    for p in enumerate_posets(5):
+        domain = upset_masks(p, cap=5)
+        for f in fs:
+            plan = scan_plan(f)
+            for limit in range(0, min(len(domain) ** plan.nvars, 40) + 2):
+                status, work = scan_validity(
+                    p, plan.ops, plan.args, plan.nvars, domain, limit)
+                meter = WorkMeter(limit)
+                try:
+                    got = "valid" if is_valid(p, f, meter=meter) else "refuted"
+                except BudgetExceeded:
+                    got = "budget"
+                assert (got, meter.spent) == (status, work), (p, f, limit)
+
+
+def test_budget_bounds_the_upset_domain():
+    # 2**28 upsets: the scan must not build them to spend ten rows
+    antichain = build_poset([f"a{i}" for i in range(28)], [])
+    meter = WorkMeter(10)
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        is_valid(antichain, parse("p0 | ~p0"), meter=meter)
+    assert time.perf_counter() - t0 < 1.0
+    assert meter.spent == 10
+
+
+def test_modal_domain_is_not_materialised():
+    # 2**22 subsets per variable: ten rows must not cost a list of them
+    p = build_poset([f"c{i}" for i in range(22)],
+                    [(f"c{i}", f"c{i + 1}") for i in range(21)])
+    f = parse("[]p0 -> p0")
+    is_valid_modal(CH2, f)  # imports and plan outside the measurement
+    tracemalloc.start()
+    try:
+        meter = WorkMeter(10)
+        with pytest.raises(BudgetExceeded):
+            is_valid_modal(p, f, meter=meter)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert meter.spent == 10
+    assert peak < 1 << 20
