@@ -17,17 +17,13 @@ from .catalog import CatalogKey, catalog_get, ladder_upset, rn_member, simple_sp
 from .formulas import bw, godel_translate, grz_axiom, parse, pretty
 from .heyting import (
     HeytingAlgebra,
-    algebra_sum,
-    algebras_isomorphic,
     count_quotients,
     count_subalgebras,
     dual_poset,
-    is_si,
     upset_algebra,
 )
 from .io import export_poset, import_poset
 from .morphisms import (
-    EPartition,
     PMorphism,
     epartitions,
     find_pmorphism,

@@ -19,7 +19,7 @@ from .formulas import godel_translate, parse, pretty
 from .morphisms import find_pmorphism
 from .poset import enumerate_rooted
 from .report import render_report
-from .scenarios import run_scenario, scenario_names
+from .scenarios import run_scenario, scenario_defaults, scenario_names
 from .semantics import is_valid, is_valid_modal
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
@@ -183,12 +183,18 @@ def _dispatch(args) -> int:
     params = {}
     if args.size is not None:
         params["size"] = args.size
+    defaults = scenario_defaults(args.scenario)
     for kv in args.param:
         key, _, value = kv.partition("=")
-        if not value:
+        if key in defaults and not isinstance(defaults[key], int):
+            print(f"--param cannot set {key!r}, which is not an int",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        try:
+            params[key] = int(value)
+        except ValueError:
             print(f"bad --param {kv!r}", file=sys.stderr)
             return EXIT_USAGE
-        params[key] = int(value)
     report = run_scenario(
         args.scenario, params=params, budget=args.budget, jobs=args.jobs,
         max_counterexamples=args.max_counterexamples)

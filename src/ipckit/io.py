@@ -38,12 +38,17 @@ def poset_from_obj(obj) -> Poset:
     if not all(isinstance(e, str) for e in elements):
         raise SchemaError("element names must be strings")
     cover = obj.get("cover", [])
+    if not isinstance(cover, list):
+        raise SchemaError("cover must be a list of pairs")
     pairs = []
     for entry in cover:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                and all(isinstance(e, str) for e in entry)):
             raise SchemaError(f"bad cover pair {entry!r}")
         pairs.append((entry[0], entry[1]))
     name = obj.get("name")
+    if "name" in obj and not isinstance(name, str):
+        raise SchemaError("poset name must be a string")
     try:
         return build_poset(elements, pairs, mode="cover", name=name)
     except IpckitError as exc:

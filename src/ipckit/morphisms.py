@@ -14,11 +14,13 @@ subposets at once (subframe axioms), with no subposet ever built.  Upset
 images need no skipping, since for a rooted target the principal upsets
 suffice (splitting axioms; see image_of_upset).
 
-E-partitions, the kernels of the p-morphisms onto rooted images, come
-from a walk in the same top-down order.  Each point joins a block or
-opens one; once everything above x is placed, the blocks meeting up(x)
-are known, so condition (a) is checked as x is placed and only
-E-partitions are ever built (see epartitions).
+E-partitions, the kernels of the p-morphisms onto rooted images, are
+tuples of block masks sorted by least point.  They come from a walk in
+the same top-down order.  Each point joins a block or opens one; once
+everything above x is placed, the blocks meeting up(x) are known, so
+condition (a) is checked as x is placed and only E-partitions are ever
+built (see epartitions).  quotient checks a given E-partition in one
+pass, since condition (a) is the back condition of the projection.
 """
 
 from __future__ import annotations
@@ -66,14 +68,6 @@ class PMorphism:
                 raise ValueError(
                     f"back condition fails at {src.elements[i]}")
         return True
-
-
-def compose(first: PMorphism, then: PMorphism) -> PMorphism:
-    if first.target is not then.source and first.target.up != then.source.up:
-        raise ValueError("composition mismatch")
-    return PMorphism(
-        first.source, then.target,
-        tuple(then.mapping[t] for t in first.mapping))
 
 
 def _search(host: Poset, target: Poset, domain, skip, surjective,
@@ -187,50 +181,10 @@ def image_of_subposet(target: Poset, host: Poset, meter: WorkMeter | None = None
 # E-partitions ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EPartition:
-    poset: Poset
-    blocks: tuple  # tuple of frozensets of element names
-
-    def block_masks(self):
-        out = []
-        for b in self.blocks:
-            m = 0
-            for e in b:
-                m |= 1 << self.poset.index(e)
-            out.append(m)
-        return out
-
-
-def _blocks_ok(p, masks):
-    """Condition (a) plus a partial order on blocks."""
-    k = len(masks)
-    # sees[b][c]: some element of block b lies below some element of block c
-    sees = [[False] * k for _ in range(k)]
-    for b in range(k):
-        for c in range(k):
-            any_sees = False
-            all_see = True
-            for i in _bits(masks[b]):
-                if p.up[i] & masks[c]:
-                    any_sees = True
-                else:
-                    all_see = False
-            if any_sees and not all_see:
-                return None  # condition (a) fails
-            sees[b][c] = any_sees
-    # antisymmetry is the finite content of the saturated-upset separation
-    for b in range(k):
-        for c in range(k):
-            if b != c and sees[b][c] and sees[c][b]:
-                return None
-    return sees
-
-
 def epartitions(p: Poset, cap: int | None = None):
-    """All E-partitions of p: blocks sorted by their least index, and the
-    partitions in restricted-growth order of their labels (point i
-    labelled with the position of its block).
+    """All E-partitions of p: tuples of block masks sorted by least
+    point, in restricted-growth order of their labels (point i labelled
+    with the position of its block).
 
     One walk places the points top-down, in the order p.topdown.  Let s
     be the set of blocks that meet strict_up(x).  x may join block b only
@@ -253,7 +207,7 @@ def epartitions(p: Poset, cap: int | None = None):
     if p.n > cap:
         raise BudgetExceeded(f"{p.n} elements exceeds E-partition cap {cap}")
     if p.n == 0:
-        return [EPartition(p, ())]
+        return [()]
     n = p.n
     order = p.topdown
     above = [tuple(_bits(p.strict_up(x))) for x in order]
@@ -264,7 +218,7 @@ def epartitions(p: Poset, cap: int | None = None):
 
     def rec(k):
         if k == n:
-            masks = sorted(members, key=lambda m: m & -m)
+            masks = tuple(sorted(members, key=lambda m: m & -m))
             label = [0] * n
             for b, m in enumerate(masks):
                 for i in _bits(m):
@@ -291,79 +245,45 @@ def epartitions(p: Poset, cap: int | None = None):
 
     rec(0)
     leaves.sort(key=lambda leaf: leaf[0])
-    return [
-        EPartition(p, tuple(
-            frozenset(p.elements[i] for i in _bits(m)) for m in masks))
-        for _, masks in leaves
-    ]
+    return [masks for _, masks in leaves]
 
 
-def is_epartition(p: Poset, blocks) -> bool:
-    masks = []
+def quotient(p: Poset, blocks):
+    """The quotient of p by an E-partition, given as block masks, and its
+    projection p-morphism; block b of the quotient is point b.
+
+    One pass computes, for each point x, the set of blocks meeting up(x),
+    and requires it to be the same for all points of a block; the
+    quotient's up-set of a block is that set.  This is condition (a), and
+    it is also the back condition of the projection a:
+    a(up(x)) is the set of blocks meeting up(x), and up(a(x)) is the set
+    kept for the block of x, so the two agree for every x exactly when
+    the set is constant on blocks.  The sets form a partial order:
+    - reflexive, since x lies in up(x);
+    - transitive: if b sees c and c sees d, take x in b, y in c above
+      x and z in d above y; z lies in up(x), so b sees d;
+    - antisymmetric, by the argument in epartitions.
+    """
     covered = 0
-    for b in blocks:
-        m = 0
-        for e in b:
-            m |= 1 << p.index(e)
-        if m & covered or m == 0:
-            return False
-        covered |= m
-        masks.append(m)
-    if covered != p.full_mask:
-        return False
-    return _blocks_ok(p, masks) is not None
-
-
-def quotient(p: Poset, r: EPartition):
-    """The quotient poset and its projection p-morphism."""
-    masks = r.block_masks()
-    covered = 0
-    for m in masks:
+    for m in blocks:
         if m & covered or m == 0:
             raise NotAnEPartition("blocks are not a partition")
         covered |= m
     if covered != p.full_mask:
         raise NotAnEPartition("blocks are not a partition")
-    sees = _blocks_ok(p, masks)
-    if sees is None:
-        raise NotAnEPartition("blocks violate the E-partition conditions")
-    k = len(masks)
-    ups = []
-    for b in range(k):
-        m = 0
-        for c in range(k):
-            if b == c or sees[b][c]:
-                m |= 1 << c
-        ups.append(m)
-    q = Poset(tuple(f"b{b}" for b in range(k)), tuple(ups))
-    block_of = {}
-    for b, m in enumerate(masks):
+    block_of = [0] * p.n
+    for b, m in enumerate(blocks):
         for i in _bits(m):
             block_of[i] = b
-    pm = PMorphism(p, q, tuple(block_of[i] for i in range(p.n)))
-    pm.validate()
-    return q, pm
-
-
-def collapse_upset(p: Poset, upset_names):
-    """The E-partition identifying the given upset to one point."""
-    mask = 0
-    for e in upset_names:
-        mask |= 1 << p.index(e)
-    blocks = [frozenset(upset_names)]
+    ups = [None] * len(blocks)
     for i in range(p.n):
-        if not mask >> i & 1:
-            blocks.append(frozenset([p.elements[i]]))
-    blocks.sort(key=lambda b: min(p.index(e) for e in b))
-    return EPartition(p, tuple(blocks))
-
-
-def kernel_partition(pm: PMorphism) -> EPartition:
-    by_target = {}
-    for i, t in enumerate(pm.mapping):
-        by_target.setdefault(t, []).append(pm.source.elements[i])
-    blocks = sorted(
-        (frozenset(v) for v in by_target.values()),
-        key=lambda b: min(pm.source.index(e) for e in b),
-    )
-    return EPartition(pm.source, tuple(blocks))
+        s = 0
+        for j in _bits(p.up[i]):
+            s |= 1 << block_of[j]
+        b = block_of[i]
+        if ups[b] is None:
+            ups[b] = s
+        elif ups[b] != s:
+            raise NotAnEPartition("blocks violate the E-partition conditions")
+    q = Poset(tuple(f"b{b}" for b in range(len(blocks))), tuple(ups))
+    return q, PMorphism(p, q, tuple(block_of))

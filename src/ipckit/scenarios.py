@@ -23,13 +23,13 @@ from .catalog import (
     ladder_trunc,
     ladder_upset,
     one_point,
-    simple_space,
+    rn_member,
     stack,
     two_antichain,
     xm_trunc,
     y_poset,
 )
-from .errors import BudgetExceeded, UnknownScenario
+from .errors import BudgetExceeded, UnknownKey, UnknownScenario
 from .formulas import BOT, And, Imp, Or, Var, bw, godel_translate, grz_axiom, kc_axiom, pretty
 from .heyting import count_quotients, count_subalgebras, dual_poset, upset_algebra
 from .morphisms import PMorphism, epartitions, find_pmorphism, image_of_upset, quotient
@@ -119,42 +119,29 @@ def rn_members(size, nmax):
     The single point is included as the degenerate member: it is the
     image of any principal upset, while the sum shapes all have two or
     more points."""
-    found = {canonical_code(one_point()): (one_point(), 0)}
+    found = {}
+
+    def add(member, param):
+        code = canonical_code(member)
+        if code not in found or found[code][1] > param:
+            found[code] = (member, param)
+
+    add(one_point(), 0)
     for word in _words_upto(size):
-        w = sum(word)
         for k in range(0, size + 1):
-            tail = ladder_upset(k) if k > 0 else one_point()
-            total = 1 + w + tail.n
-            if total > size:
-                continue
-            top = stack([("h", one_point()), ("s", simple_space(word)),
-                         ("t", tail)])
-            code = canonical_code(top)
-            if code not in found or found[code][1] > 0:
-                found[code] = (top, 0)
+            member = rn_member(word, k=k)
+            if member.n <= size:
+                add(member, 0)
         for m in range(0, nmax + 1):
-            total = 1 + w + 1 + 4 + m
-            if total > size:
-                continue
-            member = stack([
-                ("h", one_point()),
-                ("s", simple_space(word)),
-                ("j", one_point()),
-                ("f", ladder_upset(4)),
-                ("c", chain(m)),
-            ])
-            code = canonical_code(member)
-            if code not in found or found[code][1] > m:
-                found[code] = (member, m)
+            member = rn_member(word, m=m)
+            if member.n <= size:
+                add(member, m)
     # degenerate top: collapsing the whole upper segment of a chain-type
     # member onto its maximum lands on these, so they belong to the family
     for m in range(0, nmax + 1):
         if 1 + 4 + m <= size:
-            member = stack([("h", one_point()), ("f", ladder_upset(4)),
-                            ("c", chain(m))])
-            code = canonical_code(member)
-            if code not in found or found[code][1] > m:
-                found[code] = (member, m)
+            add(stack([("h", one_point()), ("f", ladder_upset(4)),
+                       ("c", chain(m))]), m)
     return [found[c] for c in sorted(found)]
 
 
@@ -458,6 +445,13 @@ def scenario_names():
     return sorted(_SCENARIOS)
 
 
+def scenario_defaults(name):
+    """The default parameters of a registered scenario."""
+    if name not in _SCENARIOS:
+        raise UnknownScenario(name)
+    return dict(_SCENARIOS[name][0])
+
+
 def _run_check(check, inst, budget):
     meter = WorkMeter(limit=budget)
     try:
@@ -491,6 +485,9 @@ def run_scenario(name, params=None, budget=None, jobs=1,
     if name not in _SCENARIOS:
         raise UnknownScenario(name)
     defaults, body = _SCENARIOS[name]
+    for key in params or {}:
+        if key not in defaults:
+            raise UnknownKey(f"{name} takes no parameter {key!r}")
     merged = dict(defaults)
     merged.update(params or {})
     report = VerificationReport(scenario=name, params=dict(merged))

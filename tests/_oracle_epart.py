@@ -1,16 +1,19 @@
 """Generate-and-filter E-partitions: the test oracle for the top-down
-E-partition walk in ipckit.morphisms.
+E-partition walk and the one-pass quotient check in ipckit.morphisms.
 
 epartitions builds every set partition of the points in restricted-growth
 order and keeps those that pass _blocks_ok (condition (a) and
-antisymmetry of the block order).
+antisymmetry of the block order).  As in ipckit, an E-partition is a
+tuple of block masks sorted by least point.  is_epartition,
+collapse_upset and kernel_partition build and check E-partitions for the
+tests.
 """
 
 from __future__ import annotations
 
 from ipckit import budget as _budget
 from ipckit.errors import BudgetExceeded
-from ipckit.morphisms import EPartition
+from ipckit.morphisms import PMorphism
 from ipckit.poset import Poset, _bits
 
 
@@ -64,7 +67,7 @@ def epartitions(p: Poset, cap: int | None = None):
     if p.n > cap:
         raise BudgetExceeded(f"{p.n} elements exceeds E-partition cap {cap}")
     if p.n == 0:
-        return [EPartition(p, ())]
+        return [()]
     out = []
     for part in _set_partitions(p.n):
         masks = []
@@ -75,9 +78,30 @@ def epartitions(p: Poset, cap: int | None = None):
             masks.append(m)
         if _blocks_ok(p, masks) is None:
             continue
-        blocks = tuple(
-            frozenset(p.elements[i] for i in b)
-            for b in sorted(part, key=min)
-        )
-        out.append(EPartition(p, blocks))
+        out.append(tuple(masks))
     return out
+
+
+def is_epartition(p: Poset, blocks) -> bool:
+    covered = 0
+    for m in blocks:
+        if m & covered or m == 0:
+            return False
+        covered |= m
+    if covered != p.full_mask:
+        return False
+    return _blocks_ok(p, list(blocks)) is not None
+
+
+def collapse_upset(p: Poset, mask):
+    """The E-partition identifying the upset mask to one point."""
+    blocks = [mask] + [1 << i for i in range(p.n) if not mask >> i & 1]
+    return tuple(sorted(blocks, key=lambda m: m & -m))
+
+
+def kernel_partition(pm: PMorphism):
+    """The blocks of points with a common image, sorted by least point."""
+    by_target = {}
+    for i, t in enumerate(pm.mapping):
+        by_target[t] = by_target.get(t, 0) | 1 << i
+    return tuple(sorted(by_target.values(), key=lambda m: m & -m))

@@ -1,0 +1,125 @@
+"""Heyting algebras built from an arbitrary lattice order: the test oracles
+for the dual constructions on posets in ipckit.
+
+- algebra_sum against poset.sum_posets (the sum of the upset algebras is
+  the upset algebra of the sum);
+- is_si against poset.root (an upset algebra is subdirectly irreducible
+  exactly when its poset is rooted);
+- algebras_isomorphic against canonical_code through heyting.dual_poset.
+"""
+
+from __future__ import annotations
+
+from ipckit.heyting import HeytingAlgebra, dual_poset
+from ipckit.poset import _bits, canonical_code
+
+
+def _tables_from_order(leq, name=None):
+    """Derive meet/join/imp tables from a lattice order and validate."""
+    k = len(leq)
+    down = [0] * k
+    for a in range(k):
+        for b in _bits(leq[a]):
+            down[b] |= 1 << a
+    full = (1 << k) - 1
+    bottoms = [a for a in range(k) if leq[a] == full]
+    tops = [a for a in range(k) if down[a] == full]
+    if len(bottoms) != 1 or len(tops) != 1:
+        raise ValueError("order is not bounded")
+    bottom, top = bottoms[0], tops[0]
+
+    def unique_min(mask):
+        cands = [c for c in _bits(mask) if mask & ~leq[c] == 0]
+        return cands[0] if len(cands) == 1 else None
+
+    def unique_max(mask):
+        cands = [c for c in _bits(mask) if mask & ~down[c] == 0]
+        return cands[0] if len(cands) == 1 else None
+
+    meet = [[0] * k for _ in range(k)]
+    join = [[0] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(k):
+            m = unique_max(down[a] & down[b])
+            j = unique_min(leq[a] & leq[b])
+            if m is None or j is None:
+                raise ValueError("order is not a lattice")
+            meet[a][b] = m
+            join[a][b] = j
+    imp = [[0] * k for _ in range(k)]
+    for b in range(k):
+        for c in range(k):
+            good = [a for a in range(k) if leq[meet[a][b]] >> c & 1]
+            mask = 0
+            for a in good:
+                mask |= 1 << a
+            r = unique_max(mask)
+            if r is None:
+                raise ValueError("meet has no residual")
+            imp[b][c] = r
+            # residuation: {a : a&b <= c} must be exactly the down-set of r
+            if mask != down[r]:
+                raise ValueError("residuation law fails")
+    return HeytingAlgebra(
+        tuple(leq),
+        tuple(tuple(r) for r in meet),
+        tuple(tuple(r) for r in join),
+        tuple(tuple(r) for r in imp),
+        bottom,
+        top,
+        name,
+    )
+
+
+def boolean_two():
+    """The two-element Boolean algebra."""
+    return _tables_from_order([0b11, 0b10], name="B2")
+
+
+def coatoms(a: HeytingAlgebra):
+    return [x for x in range(a.size) if x != a.top
+            and a.leq[x] == (1 << x) | (1 << a.top)]
+
+
+def is_si(a: HeytingAlgebra) -> bool:
+    """Subdirect irreducibility: a unique coatom (second largest element)."""
+    return len(coatoms(a)) == 1
+
+
+def algebra_sum(lower: HeytingAlgebra, upper: HeytingAlgebra, name=None):
+    """Stack lower below upper, identifying lower's top with upper's bottom."""
+    if lower.size == 0 or upper.size == 0:
+        raise ValueError("summands must be nonempty")
+    kl, ku = lower.size, upper.size
+    # lower keeps its indices; upper elements other than its bottom follow
+    upmap = {}
+    nxt = kl
+    for b in range(ku):
+        if b == upper.bottom:
+            upmap[b] = lower.top
+        else:
+            upmap[b] = nxt
+            nxt += 1
+    k = kl + ku - 1
+    leq = [0] * k
+    for a in range(kl):
+        for b in _bits(lower.leq[a]):
+            leq[a] |= 1 << b
+        for b in range(ku):
+            if b != upper.bottom:
+                leq[a] |= 1 << upmap[b]
+    for a in range(ku):
+        ia = upmap[a]
+        for b in _bits(upper.leq[a]):
+            leq[ia] |= 1 << upmap[b]
+    # lower.top == upper.bottom got upper's row merged above; fix reflexivity
+    for a in range(k):
+        leq[a] |= 1 << a
+    return _tables_from_order(leq, name=name)
+
+
+def algebras_isomorphic(a: HeytingAlgebra, b: HeytingAlgebra) -> bool:
+    """Decided through the dual posets (finite duality)."""
+    if a.size != b.size:
+        return False
+    return canonical_code(dual_poset(a)) == canonical_code(dual_poset(b))

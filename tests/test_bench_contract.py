@@ -68,6 +68,22 @@ def test_traced_run_matches_untraced_run():
     assert stats["morphisms.image_upset"]["calls"] > 0
 
 
+def test_traced_rn_closure_run_sees_the_quotient_layers():
+    params = {"size": 6, "n": 1}
+    plain = run_scenario("rn-closure", params)
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        traced = run_scenario("rn-closure", params)
+    finally:
+        tracer.uninstall()
+    assert traced.to_json() == plain.to_json()
+    assert tracer.metered() == traced.work_units
+    stats = tracer.totals()
+    assert stats["morphisms.quotient"]["calls"] > 0
+    assert stats["morphisms.epart"]["calls"] > 0
+
+
 def test_traced_scan_run_sees_every_scan_layer():
     # plans are cached, so a warm run compiles nothing; cleared, the traced
     # run must still pass through the compile and translate names the

@@ -141,6 +141,22 @@ def test_rn_member_shapes():
         rn_member((), k=1, m=1)
 
 
+def test_rn_members_match_stack_builder():
+    # scenarios.rn_members builds its word members with rn_member; the old
+    # block-by-block stack builder must give the same representatives
+    from ipckit.scenarios import rn_members
+
+    import _oracle_rn as oracle
+
+    def by_code(members):
+        return {canonical_code(p): (p.up, param) for p, param in members}
+
+    for size in range(1, 11):
+        for n in range(4):
+            assert by_code(rn_members(size, n)) == \
+                by_code(oracle.rn_members(size, n)), (size, n)
+
+
 def _all_words(weight):
     out = [()]
     frontier = [()]

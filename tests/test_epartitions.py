@@ -1,11 +1,14 @@
-"""The top-down E-partition walk against the generate-and-filter oracle."""
+"""The top-down E-partition walk and the one-pass quotient check against
+the generate-and-filter oracle."""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipckit.morphisms import epartitions, is_epartition, quotient
+from ipckit.errors import NotAnEPartition
+from ipckit.morphisms import epartitions, quotient
 from ipckit.poset import Poset, _bits, enumerate_posets
 import _oracle_epart as oracle
 
@@ -18,8 +21,33 @@ def test_epartitions_match_oracle_on_small_posets():
             parts = epartitions(p)
             assert parts == oracle.epartitions(p), p.up
             for part in parts:
-                assert is_epartition(p, part.blocks)
+                assert oracle.is_epartition(p, part)
                 quotient(p, part)
+
+
+def test_quotient_accepts_exactly_the_oracle_epartitions():
+    # every set partition of every poset of at most 6 points: quotient
+    # refuses exactly those the oracle's _blocks_ok refuses, and what it
+    # returns is the oracle's block order with a valid projection
+    tried = accepted = 0
+    for n in range(7):
+        for p in enumerate_posets(n):
+            for part in oracle._set_partitions(n):
+                masks = tuple(sum(1 << i for i in b) for b in part)
+                sees = oracle._blocks_ok(p, list(masks))
+                tried += 1
+                if sees is None:
+                    with pytest.raises(NotAnEPartition):
+                        quotient(p, masks)
+                    continue
+                accepted += 1
+                q, pm = quotient(p, masks)
+                k = len(masks)
+                assert q.up == tuple(
+                    sum(1 << c for c in range(k) if b == c or sees[b][c])
+                    for b in range(k)), (p.up, masks)
+                assert pm.validate() and pm.is_surjective()
+    assert (tried, accepted) == (68101, 14470)
 
 
 @st.composite

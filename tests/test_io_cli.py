@@ -8,7 +8,7 @@ import pytest
 
 from ipckit.catalog import catalog_keys
 from ipckit.cli import main
-from ipckit.errors import SchemaError
+from ipckit.errors import SchemaError, UnknownKey
 from ipckit.io import export_poset, import_poset, poset_from_obj, poset_to_dot, poset_to_obj
 from ipckit.poset import are_isomorphic, build_poset, canonical_code
 from ipckit.report import render_report
@@ -52,6 +52,21 @@ def test_import_rejects_malformed(tmp_path):
     path.write_text("not json")
     with pytest.raises(SchemaError):
         import_poset(path)
+
+
+@pytest.mark.parametrize("obj", [
+    {"elements": ["a", "b"], "cover": [[["x"], "a"]]},
+    {"elements": ["a", "b"], "cover": [["a", 1]]},
+    {"elements": ["a", "b"], "cover": 5},
+    {"elements": ["a", "b"], "cover": [["a", "b"]], "name": 5},
+])
+def test_import_rejects_malformed_covers_and_names(tmp_path, capsys, obj):
+    with pytest.raises(SchemaError):
+        poset_from_obj(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["check", str(path), "p0 -> p0"]) == 2
+    assert "SchemaError" in capsys.readouterr().err
 
 
 def test_obj_roundtrip_drops_nothing():
@@ -154,6 +169,27 @@ def test_cli_verify_exit_codes(capsys):
 
 def test_cli_usage_error():
     assert main(["verify", "not-a-scenario"]) == 2
+
+
+def test_run_scenario_rejects_unknown_keys():
+    with pytest.raises(UnknownKey):
+        run_scenario("sobolev-width", {"size": 3, "bogus": 3})
+    with pytest.raises(UnknownKey):
+        run_scenario("jankov-oracle", {"size": 3})
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "sobolev-width", "--size", "3", "--param", "ns=3"],
+    ["verify", "sobolev-width", "--size", "3", "--param", "bogus=3"],
+    ["verify", "sobolev-width", "--param", "size=three"],
+    ["verify", "sobolev-width", "--param", "size"],
+    ["verify", "jankov-oracle", "--size", "3"],
+    ["verify", "ym-rigidity", "--size", "3"],
+    ["verify", "pm-constructions", "--size", "3"],
+])
+def test_cli_verify_rejects_bad_params(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_enumerate_budget(capsys):
