@@ -1,8 +1,11 @@
 """Finite Heyting algebras with explicit operation tables.
 
 Carriers are index ranges with a bitmask order relation; join, meet and
-the residual -> are tables.  The residuation law a&b <= c iff a <= b->c
-is checked exhaustively whenever an algebra is built.
+the residual -> are tables.  Every upset_algebra call checks the
+residuation law a&b <= c iff a <= b->c against its tables, as a Galois
+connection: for each b, (- & b) and (b -> -) are monotone along the covers
+of the order and compose to a deflation and an inflation (proof in
+_check_residuation).
 """
 
 from __future__ import annotations
@@ -37,35 +40,39 @@ class HeytingAlgebra:
 @lru_cache(maxsize=None)
 def upset_algebra(p: Poset) -> HeytingAlgebra:
     """The algebra of upsets of p: joins are unions, meets intersections,
-    U -> V = the points whose up-set meets U inside V."""
+    U -> V = the points whose up-set meets U inside V.
+
+    A point x lies outside U -> V exactly when some y >= x lies in U - V,
+    so U -> V = X - down(U - V), where down(S) is the set of points below
+    some point of S.  down(S) is computed once per mask S within a call.
+    The residuation law is checked against the finished tables."""
     masks = upset_masks(p, cap=p.n)
     if len(masks) > _budget.DEFAULT_ALGEBRA_CAP:
         raise BudgetExceeded(
             f"{len(masks)} upsets exceeds algebra cap {_budget.DEFAULT_ALGEBRA_CAP}")
     pos = {m: i for i, m in enumerate(masks)}
-    k = len(masks)
-    leq = [0] * k
-    for i, mi in enumerate(masks):
-        for j, mj in enumerate(masks):
-            if mi & ~mj == 0:
-                leq[i] |= 1 << j
-    meet = [[pos[masks[i] & masks[j]] for j in range(k)] for i in range(k)]
-    join = [[pos[masks[i] | masks[j]] for j in range(k)] for i in range(k)]
-    imp = [[0] * k for _ in range(k)]
-    for i, u in enumerate(masks):
-        for j, v in enumerate(masks):
-            w = 0
-            for x in range(p.n):
-                if p.up[x] & u & ~v == 0:
-                    w |= 1 << x
-            imp[i][j] = pos[w]
+    leq = tuple(sum(1 << j for j, mj in enumerate(masks) if mi & ~mj == 0)
+                for mi in masks)
+    meet = tuple(tuple(pos[mi & mj] for mj in masks) for mi in masks)
+    join = tuple(tuple(pos[mi | mj] for mj in masks) for mi in masks)
+    full = p.full_mask
+    down = p.down_masks()
+    below = {}
+    imp = []
+    for u in masks:
+        row = []
+        for v in masks:
+            s = u & ~v
+            d = below.get(s)
+            if d is None:
+                d = 0
+                for y in _bits(s):
+                    d |= down[y]
+                below[s] = d
+            row.append(pos[full ^ d])
+        imp.append(tuple(row))
     alg = HeytingAlgebra(
-        tuple(leq),
-        tuple(tuple(r) for r in meet),
-        tuple(tuple(r) for r in join),
-        tuple(tuple(r) for r in imp),
-        pos[0],
-        pos[p.full_mask],
+        leq, meet, join, tuple(imp), pos[0], pos[full],
         name=f"Up({p.name})" if p.name else None,
     )
     _check_residuation(alg)
@@ -73,19 +80,46 @@ def upset_algebra(p: Poset) -> HeytingAlgebra:
 
 
 def _check_residuation(a):
+    """Raise ValueError unless x & b <= c iff x <= b -> c for all x, b, c,
+    reading only the leq, meet and imp tables.
+
+    leq must be a partial order, and that is checked first.  Then fix b,
+    and let f(x) = x & b and g(c) = b -> c.  The law holds for all x and c
+    exactly when f and g form a Galois connection (Davey & Priestley,
+    Introduction to Lattices and Order, ch. 7), that is, when
+      (i) f is monotone,  (ii) g is monotone,
+      (iii) f(g(c)) <= c for all c,  (iv) x <= g(f(x)) for all x.
+    - The law gives (i)-(iv).  x = g(c) gives (iii), since g(c) <= g(c);
+      c = f(x) gives (iv).  If x <= y, then x <= y <= g(f(y)), so
+      f(x) <= f(y): (i).  If c <= d, then f(g(c)) <= c <= d, so
+      g(c) <= g(d): (ii).
+    - (i)-(iv) give the law.  If f(x) <= c, then x <= g(f(x)) <= g(c) by
+      (iv) and (ii).  If x <= g(c), then f(x) <= f(g(c)) <= c by (i) and
+      (iii).
+    In a finite partial order x <= y exactly when a chain of covers leads
+    from x to y, and leq is transitive, so (i) and (ii) are checked along
+    the covers only.  Each b then costs O(k + covers), not the O(k^2) of
+    the law pointwise.
+    """
     k = a.size
-    down = [0] * k
-    for x in range(k):
-        for y in _bits(a.leq[x]):
-            down[y] |= 1 << x
+    leq = a.leq
+    for x, ux in enumerate(leq):
+        # reflexive, and each y strictly above x has its up-set inside
+        # that of x (transitive) without x (antisymmetric)
+        strict = ux & ~(1 << x)
+        if not ux >> x & 1 or any(leq[y] & ~strict for y in _bits(strict)):
+            raise ValueError("order is not a partial order")
+    order = Poset(tuple(map(str, range(k))), leq)
+    covers = [(x, y) for x in range(k) for y in order.upper_covers[x]]
+    meet = a.meet
     for b in range(k):
-        for c in range(k):
-            r = a.imp[b][c]
-            mask = 0
-            for x in range(k):
-                if a.leq[a.meet[x][b]] >> c & 1:
-                    mask |= 1 << x
-            if mask != down[r]:
+        f = [row[b] for row in meet]
+        g = a.imp[b]
+        for x, y in covers:
+            if not (leq[f[x]] >> f[y] & 1 and leq[g[x]] >> g[y] & 1):
+                raise ValueError("residuation law fails")
+        for x in range(k):
+            if not (leq[f[g[x]]] >> x & 1 and leq[x] >> g[f[x]] & 1):
                 raise ValueError("residuation law fails")
 
 

@@ -29,7 +29,7 @@ from .catalog import (
     xm_trunc,
     y_poset,
 )
-from .errors import BudgetExceeded, UnknownKey, UnknownScenario
+from .errors import BudgetExceeded, ParameterOutOfRange, UnknownKey, UnknownScenario
 from .formulas import BOT, And, Imp, Or, Var, bw, godel_translate, grz_axiom, kc_axiom, pretty
 from .heyting import count_quotients, count_subalgebras, dual_poset, upset_algebra
 from .morphisms import PMorphism, epartitions, find_pmorphism, image_of_upset, quotient
@@ -38,7 +38,6 @@ from .poset import (
     canonical_code,
     enumerate_posets,
     enumerate_rooted,
-    root,
     upset_masks,
     width,
 )
@@ -315,6 +314,38 @@ def _ym_rigidity(params):
     return instances, check
 
 
+def rn_closure_escape(member, member_codes):
+    """Why the closure check fails at a rooted member: a detail naming the
+    first image outside member_codes, or None.
+
+    It checks (1) that up(x) is a member, for every point x of member, and
+    (2) that every quotient of member is a member.  Run on every member
+    of a family of rooted posets, with member_codes some of their codes,
+    it decides the same question as checking every rooted quotient of
+    every upset of every member:
+    - (1) and (2) are such quotients: up(x) is an upset and its own
+      rooted quotient, and member, rooted, is up(root); every quotient of
+      a rooted poset is rooted.
+    - Let q be a rooted quotient of an upset U of member m, and x a point
+      of U that the projection a sends to the root of q.  A p-morphism
+      maps up(x) onto up(a(x)), which is all of q, and its restriction to
+      the upset up(x) is again a p-morphism, so q is a quotient of up(x),
+      as in image_of_upset.  By (1), up(x) is isomorphic to a member m',
+      and by (2) for m', q is a member.
+    So where the per-upset check fails at one member, this one fails at
+    that member or at another, and the family passes exactly when it did.
+    """
+    for x in range(member.n):
+        code = canonical_code(member.restrict(member.up[x]))
+        if code not in member_codes:
+            return f"principal upset {code.decode()} escapes the family"
+    for part in epartitions(member, cap=member.n):
+        code = canonical_code(quotient(member, part)[0])
+        if code not in member_codes:
+            return f"rooted image {code.decode()} escapes the family"
+    return None
+
+
 def _rn_closure(params):
     nmax = params["n"]
     size = params["size"]
@@ -331,17 +362,8 @@ def _rn_closure(params):
             if image_of_upset(negative, member, meter=meter):
                 return False, member, "chain-extended member arises as an image"
             return True, member, None
-        for mask in upset_masks(member, cap=member.n):
-            sub = member.restrict(mask)
-            for part in epartitions(sub, cap=sub.n):
-                q, _ = quotient(sub, part)
-                if root(q) is None:
-                    continue
-                if canonical_code(q) not in member_codes:
-                    return False, member, (
-                        f"rooted image {canonical_code(q).decode()} "
-                        "escapes the family")
-        return True, member, None
+        detail = rn_closure_escape(member, member_codes)
+        return detail is None, member, detail
 
     return instances, check
 
@@ -452,6 +474,22 @@ def scenario_defaults(name):
     return dict(_SCENARIOS[name][0])
 
 
+def scenario_params(name, params=None):
+    """The parameters a run of the scenario uses: its defaults updated with
+    params.  Raises UnknownKey for a key the defaults lack and
+    ParameterOutOfRange for a negative int, alone or in a sequence (such
+    as ns), which no scenario takes."""
+    merged = scenario_defaults(name)
+    for key, value in (params or {}).items():
+        if key not in merged:
+            raise UnknownKey(f"{name} takes no parameter {key!r}")
+        items = value if isinstance(value, (tuple, list)) else (value,)
+        if any(isinstance(v, int) and v < 0 for v in items):
+            raise ParameterOutOfRange(f"{name} parameter {key}={value} is negative")
+        merged[key] = value
+    return merged
+
+
 def _run_check(check, inst, budget):
     meter = WorkMeter(limit=budget)
     try:
@@ -482,16 +520,9 @@ def run_scenario(name, params=None, budget=None, jobs=1,
     instances in order and trips at the first one pushing the cumulative
     work over budget, so the outcome does not depend on jobs.
     """
-    if name not in _SCENARIOS:
-        raise UnknownScenario(name)
-    defaults, body = _SCENARIOS[name]
-    for key in params or {}:
-        if key not in defaults:
-            raise UnknownKey(f"{name} takes no parameter {key!r}")
-    merged = dict(defaults)
-    merged.update(params or {})
+    merged = scenario_params(name, params)
     report = VerificationReport(scenario=name, params=dict(merged))
-    instances, check = body(merged)
+    instances, check = _SCENARIOS[name][1](merged)
 
     if jobs and jobs > 1:
         import multiprocessing

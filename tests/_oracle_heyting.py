@@ -5,13 +5,34 @@ for the dual constructions on posets in ipckit.
   the upset algebra of the sum);
 - is_si against poset.root (an upset algebra is subdirectly irreducible
   exactly when its poset is rooted);
-- algebras_isomorphic against canonical_code through heyting.dual_poset.
+- algebras_isomorphic against canonical_code through heyting.dual_poset;
+- check_residuation_pointwise against heyting._check_residuation (the law
+  checked for every x, b and c, in O(k^3)).
 """
 
 from __future__ import annotations
 
 from ipckit.heyting import HeytingAlgebra, dual_poset
 from ipckit.poset import _bits, canonical_code
+
+
+def check_residuation_pointwise(a):
+    """Raise ValueError unless x & b <= c iff x <= b -> c for all x, b, c:
+    for each b and c, {x : x & b <= c} must be the down-set of b -> c."""
+    k = a.size
+    down = [0] * k
+    for x in range(k):
+        for y in _bits(a.leq[x]):
+            down[y] |= 1 << x
+    for b in range(k):
+        for c in range(k):
+            r = a.imp[b][c]
+            mask = 0
+            for x in range(k):
+                if a.leq[a.meet[x][b]] >> c & 1:
+                    mask |= 1 << x
+            if mask != down[r]:
+                raise ValueError("residuation law fails")
 
 
 def _tables_from_order(leq, name=None):

@@ -1,11 +1,18 @@
-"""The closure family built block by block with catalog.stack: the test
-oracle for scenarios.rn_members, which builds its word members with
-catalog.rn_member."""
+"""Test oracles for the rn-closure scenario.
+
+- rn_members builds the closure family block by block with catalog.stack,
+  against scenarios.rn_members, which builds its word members with
+  catalog.rn_member;
+- rn_closure_escape checks every rooted quotient of every upset, against
+  scenarios.rn_closure_escape, which checks the principal upsets and the
+  member's own quotients.
+"""
 
 from __future__ import annotations
 
 from ipckit.catalog import chain, ladder_upset, one_point, simple_space, stack
-from ipckit.poset import canonical_code
+from ipckit.morphisms import epartitions, quotient
+from ipckit.poset import canonical_code, root, upset_masks
 from ipckit.scenarios import _words_upto
 
 
@@ -46,3 +53,19 @@ def rn_members(size, nmax):
             if code not in found or found[code][1] > m:
                 found[code] = (member, m)
     return [found[c] for c in sorted(found)]
+
+
+def rn_closure_escape(member, member_codes):
+    """The closure check over every upset, as scenarios.rn_closure_escape:
+    a detail naming the first rooted quotient of an upset of member whose
+    code is outside member_codes, or None."""
+    for mask in upset_masks(member, cap=member.n):
+        sub = member.restrict(mask)
+        for part in epartitions(sub, cap=sub.n):
+            q, _ = quotient(sub, part)
+            if root(q) is None:
+                continue
+            if canonical_code(q) not in member_codes:
+                return (f"rooted image {canonical_code(q).decode()} "
+                        "escapes the family")
+    return None

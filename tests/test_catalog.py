@@ -23,6 +23,7 @@ from ipckit.catalog import (
     y_poset,
 )
 from ipckit.errors import ParameterOutOfRange, UnknownKey
+from ipckit.morphisms import epartitions, quotient
 from ipckit.poset import are_isomorphic, build_poset, canonical_code, root, width
 
 EXPECTED_SIZES = {
@@ -155,6 +156,66 @@ def test_rn_members_match_stack_builder():
         for n in range(4):
             assert by_code(rn_members(size, n)) == \
                 by_code(oracle.rn_members(size, n)), (size, n)
+
+
+class _Recorded(set):
+    """A set that records every membership query."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.asked = set()
+
+    def __contains__(self, code):
+        self.asked.add(code)
+        return super().__contains__(code)
+
+
+def test_rn_closure_escape_matches_every_upset_oracle():
+    # acceptance family: every member is rooted and passes both checks
+    from ipckit.scenarios import rn_closure_escape, rn_members
+
+    import _oracle_rn as oracle
+
+    members = [p for p, _ in rn_members(8, 2)]
+    codes = {canonical_code(p) for p in members}
+    assert all(root(p) is not None for p in members)
+    asked = {}
+    for check in (rn_closure_escape, oracle.rn_closure_escape):
+        asked[check] = []
+        for p in members:
+            seen = _Recorded(codes)
+            assert check(p, seen) is None
+            asked[check].append(seen.asked)
+    # each member's code removed in turn: both checks fail at the same
+    # members.  A passing check asks for codes in a fixed order and stops
+    # at its first miss, so without code c it fails exactly where its full
+    # run asked for c; two removals are also run outright
+    for c in codes:
+        new = [c in a for a in asked[rn_closure_escape]]
+        assert new == [c in a for a in asked[oracle.rn_closure_escape]]
+        assert any(new)
+    for c in (min(codes), max(codes)):
+        fewer = codes - {c}
+        assert [rn_closure_escape(p, fewer) is None for p in members] == \
+            [oracle.rn_closure_escape(p, fewer) is None for p in members]
+
+
+def test_rn_closure_escape_checks_principal_upsets():
+    # up(x) of this rooted poset is a 3-fan, which is no quotient of the
+    # whole: with only the quotients' codes allowed, step (1) must fail
+    from ipckit.scenarios import rn_closure_escape
+
+    import _oracle_rn as oracle
+
+    p = build_poset(["r", "x", "y", "a", "b", "c"],
+                    [("r", "x"), ("r", "y"), ("x", "a"), ("x", "b"),
+                     ("x", "c"), ("y", "a"), ("y", "b")])
+    fan3 = canonical_code(p.restrict(p.up[p.index("x")]))
+    images = {canonical_code(quotient(p, part)[0]) for part in epartitions(p)}
+    assert fan3 not in images
+    assert rn_closure_escape(p, images) == \
+        f"principal upset {fan3.decode()} escapes the family"
+    assert oracle.rn_closure_escape(p, images) is not None
 
 
 def _all_words(weight):

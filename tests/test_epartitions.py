@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ipckit.errors import NotAnEPartition
 from ipckit.morphisms import epartitions, quotient
-from ipckit.poset import Poset, _bits, enumerate_posets
+from ipckit.poset import Poset, _bits, canonical_code, enumerate_posets, root, upset_masks
 import _oracle_epart as oracle
 
 
@@ -75,3 +75,22 @@ def _posets(draw):
 @given(_posets())
 def test_epartitions_match_oracle_on_generated_posets(p):
     assert epartitions(p) == oracle.epartitions(p), p.up
+
+
+def test_rooted_images_of_upsets_are_images_of_principal_upsets():
+    # on every poset of at most 5 points, the rooted quotients of all
+    # upsets and the quotients of the principal upsets give the same
+    # isomorphism classes
+    def classes(p, masks):
+        out = set()
+        for mask in masks:
+            sub = p.restrict(mask)
+            for part in epartitions(sub):
+                q, _ = quotient(sub, part)
+                if root(q) is not None:
+                    out.add(canonical_code(q))
+        return out
+
+    for n in range(6):
+        for p in enumerate_posets(n):
+            assert classes(p, upset_masks(p)) == classes(p, set(p.up)), p.up

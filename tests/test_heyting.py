@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
 from ipckit.errors import BudgetExceeded
 from ipckit.heyting import (
+    _check_residuation,
     count_quotients,
     count_subalgebras,
     dual_poset,
@@ -13,6 +17,7 @@ from ipckit.heyting import (
 )
 from ipckit.morphisms import epartitions
 from ipckit.poset import (
+    _bits,
     are_isomorphic,
     build_poset,
     enumerate_posets,
@@ -21,7 +26,13 @@ from ipckit.poset import (
     sum_posets,
     upset_masks,
 )
-from _oracle_heyting import algebra_sum, algebras_isomorphic, boolean_two, is_si
+from _oracle_heyting import (
+    algebra_sum,
+    algebras_isomorphic,
+    boolean_two,
+    check_residuation_pointwise,
+    is_si,
+)
 
 ONE = build_poset(["o"], [])
 TWO = build_poset(["a", "b"], [])
@@ -44,6 +55,65 @@ def test_residual_on_antichain():
     a_only = pos[0b01]
     empty = pos[0]
     assert masks[alg.imp[a_only][empty]] == 0b10
+
+
+def test_implication_is_the_pointwise_definition():
+    # U -> V = {x : up(x) & U inside V}, evaluated point by point here, on
+    # every poset of at most 5 points
+    for n in range(6):
+        for p in enumerate_posets(n):
+            masks = upset_masks(p, cap=p.n)
+            alg = upset_algebra(p)
+            for i, u in enumerate(masks):
+                for j, v in enumerate(masks):
+                    w = sum(1 << x for x in range(p.n) if p.up[x] & u & ~v == 0)
+                    assert masks[alg.imp[i][j]] == w, (p.up, u, v)
+
+
+def _rejects(check, alg):
+    try:
+        check(alg)
+    except ValueError:
+        return True
+    return False
+
+
+def test_residuation_check_agrees_with_pointwise_oracle():
+    # every upset algebra of at most 6 points passes both checks; then each
+    # single-entry corruption of imp or meet, 20 per poset of at most 4
+    # points, is rejected by both checks or by neither
+    for n in range(7):
+        for p in enumerate_posets(n):
+            alg = upset_algebra(p)
+            _check_residuation(alg)
+            check_residuation_pointwise(alg)
+    rng = random.Random(0x6A1015)
+    rejected = 0
+    for n in range(5):
+        for p in enumerate_posets(n):
+            alg = upset_algebra(p)
+            k = alg.size
+            for _ in range(20):
+                table = rng.choice(["imp", "meet"])
+                rows = [list(r) for r in getattr(alg, table)]
+                rows[rng.randrange(k)][rng.randrange(k)] = rng.randrange(k)
+                bad = dataclasses.replace(alg, **{table: tuple(map(tuple, rows))})
+                verdict = _rejects(_check_residuation, bad)
+                assert verdict == _rejects(check_residuation_pointwise, bad)
+                rejected += verdict
+    assert 0 < rejected < 25 * 20
+
+
+def test_residuation_check_needs_a_partial_order():
+    alg = upset_algebra(CH3)
+    not_transitive = list(alg.leq)
+    not_transitive[alg.bottom] = 1 << alg.bottom | 1 << next(
+        y for y in _bits(alg.leq[alg.bottom]) if y != alg.bottom)
+    cyclic = list(alg.leq)
+    cyclic[alg.top] |= 1 << alg.bottom
+    for leq in (not_transitive, cyclic):
+        with pytest.raises(ValueError, match="partial order"):
+            _check_residuation(dataclasses.replace(alg, leq=tuple(leq)))
 
 
 def test_is_si():

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from ipckit.catalog import catalog_keys
 from ipckit.cli import main
-from ipckit.errors import SchemaError, UnknownKey
+from ipckit.errors import ParameterOutOfRange, SchemaError, UnknownKey
 from ipckit.io import export_poset, import_poset, poset_from_obj, poset_to_dot, poset_to_obj
 from ipckit.poset import are_isomorphic, build_poset, canonical_code
 from ipckit.report import render_report
-from ipckit.scenarios import run_scenario
+from ipckit.scenarios import run_scenario, scenario_params
 
 F2 = build_poset(["r", "a", "b"], [("r", "a"), ("r", "b")], name="F2")
 
@@ -178,6 +181,30 @@ def test_run_scenario_rejects_unknown_keys():
         run_scenario("jankov-oracle", {"size": 3})
 
 
+def test_run_scenario_rejects_negative_params():
+    with pytest.raises(ParameterOutOfRange):
+        run_scenario("sobolev-width", {"size": -3})
+    with pytest.raises(ParameterOutOfRange):
+        run_scenario("rn-closure", {"size": 5, "n": -1})
+    with pytest.raises(ParameterOutOfRange):
+        run_scenario("sobolev-width", {"size": 3, "ns": (1, -1)})
+
+
+def test_benchmark_workload_params_are_accepted(monkeypatch):
+    # every parameter set perfbench/workloads.py runs passes the checks
+    # run_scenario makes before it builds any instance
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for @dataclass
+    spec.loader.exec_module(workloads)
+    runs = [s for w in workloads.WORKLOADS.values() for s in w.scenarios]
+    assert runs
+    for s in runs:
+        merged = scenario_params(s.name, s.params)
+        assert {k: merged[k] for k in s.params} == s.params
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "sobolev-width", "--size", "3", "--param", "ns=3"],
     ["verify", "sobolev-width", "--size", "3", "--param", "bogus=3"],
@@ -186,6 +213,8 @@ def test_run_scenario_rejects_unknown_keys():
     ["verify", "jankov-oracle", "--size", "3"],
     ["verify", "ym-rigidity", "--size", "3"],
     ["verify", "pm-constructions", "--size", "3"],
+    ["verify", "sobolev-width", "--size", "-3"],
+    ["verify", "rn-closure", "--size", "5", "--param", "n=-1"],
 ])
 def test_cli_verify_rejects_bad_params(capsys, argv):
     assert main(argv) == 2
