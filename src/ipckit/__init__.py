@@ -40,11 +40,10 @@ from .poset import (
     enumerate_rooted,
     root,
     sum_posets,
-    upsets,
     width,
 )
 from .report import VerificationReport, render_report
 from .scenarios import run_scenario, scenario_names
-from .semantics import eval_at, is_valid, is_valid_algebra, is_valid_modal
+from .semantics import is_valid, is_valid_modal
 
 __version__ = "0.1.0"

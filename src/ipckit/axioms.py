@@ -55,7 +55,7 @@ def jankov_syntactic(x: Poset) -> Formula:
     if n > 16:
         raise BudgetExceeded("too many variables for a splitting formula")
     r = x.index(r_name)
-    masks = upset_masks(x, cap=n)
+    masks = upset_masks(x)
     full = x.full_mask
 
     def q(mask):

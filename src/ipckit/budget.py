@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from .errors import BudgetExceeded
 
-DEFAULT_UPSET_CAP = 12       # upsets() refuses posets larger than this
 DEFAULT_ENUM_CAP = 8         # enumerate_rooted refuses sizes beyond this
 DEFAULT_ALGEBRA_CAP = 64     # carrier bound for algebra construction
 DEFAULT_SUBALG_CAP = 16      # carrier bound for subalgebra enumeration
@@ -25,8 +24,8 @@ class WorkMeter:
         self.limit = limit
         self.spent = 0
 
-    def charge(self, amount: int = 1) -> None:
-        self.spent += amount
+    def charge(self) -> None:
+        self.spent += 1
         if self.limit is not None and self.spent > self.limit:
             raise BudgetExceeded(spent=self.spent)
 

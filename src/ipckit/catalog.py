@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ParameterOutOfRange, UnknownKey
-from .poset import build_poset, sum_posets
+from .poset import Poset, build_poset, stack, sum_posets
 
 DEFAULT_LADDER_DEPTH = 24
-DEFAULT_TRUNCATION = 12
 
 
 @dataclass(frozen=True)
@@ -140,6 +139,8 @@ _NAMED = {
 
 @lru_cache(maxsize=None)
 def _named(key):
+    if key not in _NAMED:
+        raise ParameterOutOfRange(key)
     elements, covers = _NAMED[key]
     return build_poset(elements, covers, name=key)
 
@@ -178,7 +179,7 @@ def fan(k):
 
 
 @lru_cache(maxsize=None)
-def ladder(depth=DEFAULT_LADDER_DEPTH):
+def ladder(depth):
     """Top part of the one-generated dual frame: points w0..w_{depth-1},
     point w_n covered by w_{n-2} and w_{n-3}."""
     if depth < 1:
@@ -211,18 +212,14 @@ def ladder_top_segment(m):
     return lad.restrict(mask, name=f"T({m})")
 
 
-def ladder_trunc(n_points, bottom_name="omega"):
-    """Top n_points ladder points with one adjoined bottom standing in for
-    the limit point."""
+def ladder_trunc(n_points):
+    """Top n_points ladder points with one adjoined bottom, omega, standing
+    in for the limit point."""
     if n_points < 1:
         raise ParameterOutOfRange("truncation needs at least one point")
     seg = ladder_top_segment(n_points - 1)
-    els = list(seg.elements) + [bottom_name]
-    covers = [(seg.elements[i], seg.elements[j]) for i, j in seg.covers()]
-    down = seg.down_masks()
-    covers += [(bottom_name, seg.elements[i]) for i in range(seg.n)
-               if down[i] == 1 << i]
-    return build_poset(els, covers, name=f"Ltrunc({n_points})")
+    return Poset(seg.elements + ("omega",), seg.up + ((1 << (n_points + 1)) - 1,),
+                 name=f"Ltrunc({n_points})")
 
 
 def simple_space(word):
@@ -239,7 +236,7 @@ def simple_space(word):
     return out
 
 
-def rn_member(word, k=None, m=None, depth=DEFAULT_LADDER_DEPTH):
+def rn_member(word, k=None, m=None):
     """Members of the closure family: top point, a simple part, then
     either a rooted ladder upset (k) or a point over L(4) over a chain (m)."""
     if (k is None) == (m is None):
@@ -249,7 +246,7 @@ def rn_member(word, k=None, m=None, depth=DEFAULT_LADDER_DEPTH):
     if k is not None:
         if k < 0:
             raise ParameterOutOfRange("k must be >= 0")
-        tail = ladder_upset(k, depth=max(depth, k + 1))
+        tail = ladder_upset(k, depth=max(DEFAULT_LADDER_DEPTH, k + 1))
     else:
         if m < 0:
             raise ParameterOutOfRange("m must be >= 0")
@@ -284,7 +281,7 @@ def y_poset(m):
     return build_poset(els, covers, name=f"Y({m})")
 
 
-def xm_trunc(m, n, nlevels=DEFAULT_TRUNCATION):
+def xm_trunc(m, n, nlevels):
     """Finite stand-in for the width-(n+1) tower over Y(m): the top
     nlevels of the three-column braid over b_omega over d, plus the n-2
     extra maximal points beside b_omega."""
@@ -315,28 +312,7 @@ def xm_trunc(m, n, nlevels=DEFAULT_TRUNCATION):
     return build_poset(els, covers, name=f"X({m},{n},{nlevels})")
 
 
-def stack(blocks, name=None):
-    """Ordinal sum of (tag, poset) blocks, first block on top; elements
-    are renamed tag.element so explicit maps can refer to them."""
-    els = []
-    covers = []
-    prev_minimal = None
-    for tag, block in blocks:
-        if block.n == 0:
-            continue
-        named = [f"{tag}.{e}" for e in block.elements]
-        els += named
-        covers += [(named[i], named[j]) for i, j in block.covers()]
-        maximal = [named[i] for i in range(block.n) if block.strict_up(i) == 0]
-        if prev_minimal is not None:
-            covers += [(m, u) for m in maximal for u in prev_minimal]
-        down = block.down_masks()
-        prev_minimal = [named[i] for i in range(block.n)
-                        if down[i] == 1 << i]
-    return build_poset(els, covers, name=name)
-
-
-def gn_trunc(n, nlevels=DEFAULT_TRUNCATION):
+def gn_trunc(n, nlevels):
     """Finite stand-in for the degree-(n+1) space: a point over a ladder
     truncation over L(4) over a chain of n."""
     if n < 1:
@@ -355,13 +331,13 @@ def gn_trunc(n, nlevels=DEFAULT_TRUNCATION):
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*?)\s*(?:\(\s*([0-9,\s]*)\)|([0-9]+))?$")
 
 _FAMILIES = {
-    "K": (1, lambda i: _check_named(f"K{i}", 1, 7)),
-    "G": (1, lambda i: _check_named(f"G{i}", 1, 6)),
-    "P": (1, lambda i: _check_named(f"P{i}", 1, 3)),
-    "BW1": (1, lambda i: _check_named(f"BW1_{i}", 1, 2)),
-    "BW2": (1, lambda i: _check_named(f"BW2_{i}", 1, 11)),
-    "Z_K": (1, lambda i: _check_named(f"ZK{i}", 1, 4)),
-    "Z_G": (1, lambda i: _check_named(f"ZG{i}", 1, 3)),
+    "K": (1, lambda i: _named(f"K{i}")),
+    "G": (1, lambda i: _named(f"G{i}")),
+    "P": (1, lambda i: _named(f"P{i}")),
+    "BW1": (1, lambda i: _named(f"BW1_{i}")),
+    "BW2": (1, lambda i: _named(f"BW2_{i}")),
+    "Z_K": (1, lambda i: _named(f"ZK{i}")),
+    "Z_G": (1, lambda i: _named(f"ZG{i}")),
     "F": (1, fan),
     "L": (1, ladder_upset),
     "C": (1, chain),
@@ -369,13 +345,6 @@ _FAMILIES = {
     "Gn_trunc": (2, gn_trunc),
     "Xm_trunc": (3, xm_trunc),
 }
-
-
-def _check_named(key, lo, hi):
-    idx = int(re.search(r"(\d+)$", key).group(1))
-    if not lo <= idx <= hi:
-        raise ParameterOutOfRange(key)
-    return _named(key)
 
 
 def parse_key(text):
@@ -410,30 +379,10 @@ def catalog_get(key):
     arity, fn = _FAMILIES[key.family]
     if len(key.params) != arity:
         raise UnknownKey(f"{key.family} takes {arity} parameter(s)")
-    try:
-        return fn(*key.params)
-    except (ParameterOutOfRange, UnknownKey):
-        raise
-    except KeyError:
-        raise ParameterOutOfRange(str(key)) from None
+    return fn(*key.params)
 
 
 def catalog_keys():
     """All fixed-size keys plus representative parameterized examples."""
-    out = []
-    for i in range(1, 4):
-        out.append(f"P({i})")
-    for i in range(1, 8):
-        out.append(f"K({i})")
-    for i in range(1, 7):
-        out.append(f"G({i})")
-    for i in range(1, 3):
-        out.append(f"BW1({i})")
-    for i in range(1, 12):
-        out.append(f"BW2({i})")
-    for i in range(1, 5):
-        out.append(f"Z_K({i})")
-    for i in range(1, 4):
-        out.append(f"Z_G({i})")
-    out += ["F(n)", "L(k)", "C(m)", "Y(m)", "Gn_trunc(n,N)", "Xm_trunc(m,n,N)"]
-    return out
+    return [str(parse_key(k)) for k in _NAMED] + [
+        "F(n)", "L(k)", "C(m)", "Y(m)", "Gn_trunc(n,N)", "Xm_trunc(m,n,N)"]

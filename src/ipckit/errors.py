@@ -17,10 +17,6 @@ class CycleDetected(IpckitError):
     """The given pairs force x <= y and y <= x for distinct x, y."""
 
 
-class NotAPartialOrder(IpckitError):
-    """mode=full input relation is not reflexive-transitive."""
-
-
 class BudgetExceeded(IpckitError):
     def __init__(self, message="work budget exceeded", spent=None):
         super().__init__(message)
@@ -34,10 +30,6 @@ class FormulaSyntaxError(IpckitError):
 
 
 class NotIntuitionistic(IpckitError):
-    pass
-
-
-class VariableUnassigned(IpckitError):
     pass
 
 

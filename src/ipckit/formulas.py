@@ -100,30 +100,6 @@ def variables(f):
     return variables(f.left) | variables(f.right)
 
 
-def subformula_count(f):
-    if isinstance(f, (Var, Bot)):
-        return 1
-    if isinstance(f, Box):
-        return 1 + subformula_count(f.inner)
-    return 1 + subformula_count(f.left) + subformula_count(f.right)
-
-
-def box_count(f):
-    if isinstance(f, (Var, Bot)):
-        return 0
-    if isinstance(f, Box):
-        return 1 + box_count(f.inner)
-    return box_count(f.left) + box_count(f.right)
-
-
-def depth(f):
-    if isinstance(f, (Var, Bot)):
-        return 0
-    if isinstance(f, Box):
-        return 1 + depth(f.inner)
-    return 1 + max(depth(f.left), depth(f.right))
-
-
 # parsing ----------------------------------------------------------------
 
 _ALIASES = {

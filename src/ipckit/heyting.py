@@ -46,7 +46,7 @@ def upset_algebra(p: Poset) -> HeytingAlgebra:
     so U -> V = X - down(U - V), where down(S) is the set of points below
     some point of S.  down(S) is computed once per mask S within a call.
     The residuation law is checked against the finished tables."""
-    masks = upset_masks(p, cap=p.n)
+    masks = upset_masks(p)
     if len(masks) > _budget.DEFAULT_ALGEBRA_CAP:
         raise BudgetExceeded(
             f"{len(masks)} upsets exceeds algebra cap {_budget.DEFAULT_ALGEBRA_CAP}")
@@ -165,18 +165,18 @@ def count_quotients(a: HeytingAlgebra) -> int:
         )
     order = Poset(tuple(str(x) for x in range(a.size)), a.leq)
     count = 0
-    for u in upset_masks(order, cap=a.size):
+    for u in upset_masks(order):
         xs = list(_bits(u))
         if xs and all(u >> a.meet[x][y] & 1 for x in xs for y in xs):
             count += 1
     return count
 
 
-def count_subalgebras(a: HeytingAlgebra, cap: int | None = None) -> int:
+def count_subalgebras(a: HeytingAlgebra) -> int:
     """Subsets containing 0 and 1 closed under meet, join and ->."""
-    cap = _budget.DEFAULT_SUBALG_CAP if cap is None else cap
-    if a.size > cap:
-        raise BudgetExceeded(f"carrier {a.size} exceeds subalgebra cap {cap}")
+    if a.size > _budget.DEFAULT_SUBALG_CAP:
+        raise BudgetExceeded(
+            f"carrier {a.size} exceeds subalgebra cap {_budget.DEFAULT_SUBALG_CAP}")
 
     def closure(mask):
         while True:

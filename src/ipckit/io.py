@@ -50,7 +50,7 @@ def poset_from_obj(obj) -> Poset:
     if "name" in obj and not isinstance(name, str):
         raise SchemaError("poset name must be a string")
     try:
-        return build_poset(elements, pairs, mode="cover", name=name)
+        return build_poset(elements, pairs, name=name)
     except IpckitError as exc:
         raise SchemaError(f"{type(exc).__name__}: {exc}") from exc
 

@@ -39,9 +39,6 @@ class PMorphism:
     target: Poset
     mapping: tuple  # source index -> target index
 
-    def __call__(self, name):
-        return self.target.elements[self.mapping[self.source.index(name)]]
-
     def as_dict(self):
         return {
             e: self.target.elements[self.mapping[i]]

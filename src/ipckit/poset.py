@@ -8,18 +8,11 @@ which makes comparability and upset arithmetic O(1).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from . import budget as _budget
-from .errors import (
-    BudgetExceeded,
-    CycleDetected,
-    DuplicateElement,
-    NotAPartialOrder,
-    UnknownElement,
-)
+from .errors import BudgetExceeded, CycleDetected, DuplicateElement, UnknownElement
 
 
 def _bits(mask):
@@ -54,10 +47,6 @@ class Poset:
             return self.elements.index(name)
         except ValueError:
             raise UnknownElement(name) from None
-
-    def leq(self, a, b):
-        """a <= b for element names."""
-        return bool(self.up[self.index(a)] >> self.index(b) & 1)
 
     def leq_idx(self, i, j):
         return bool(self.up[i] >> j & 1)
@@ -133,9 +122,6 @@ class Poset:
             ups.append(m)
         return Poset(tuple(self.elements[i] for i in keep), tuple(ups), name)
 
-    def relabel(self, names, name=None):
-        return Poset(tuple(names), self.up, name)
-
     def __getstate__(self):
         # a pickle carries the order, not the memos: the posets --jobs
         # ships back from the workers stay as small as the ones it sends
@@ -152,18 +138,19 @@ class Poset:
 EMPTY = Poset((), ())
 
 
-def build_poset(elements, pairs, mode="cover", name=None):
-    """Build a poset from element names and ordered pairs.
-
-    mode="cover": pairs are a < b steps, transitively closed here.
-    mode="full":  pairs (plus the diagonal) must already be a partial order.
-    """
-    elements = list(elements)
+def _check_distinct(elements):
     seen = set()
     for e in elements:
         if e in seen:
             raise DuplicateElement(e)
         seen.add(e)
+
+
+def build_poset(elements, pairs, name=None):
+    """Build a poset from element names and a < b pairs, transitively
+    closed here."""
+    elements = list(elements)
+    _check_distinct(elements)
     idx = {e: i for i, e in enumerate(elements)}
     n = len(elements)
     up = [1 << i for i in range(n)]
@@ -189,30 +176,35 @@ def build_poset(elements, pairs, mode="cover", name=None):
         for j in _bits(up[i]):
             if j != i and up[j] >> i & 1:
                 raise CycleDetected(f"{elements[i]} and {elements[j]}")
-    if mode == "full":
-        given = [1 << i for i in range(n)]
-        for a, b in pairs:
-            given[idx[a]] |= 1 << idx[b]
-        if given != up:
-            raise NotAPartialOrder("pairs are not transitively closed")
-    elif mode != "cover":
-        raise ValueError(f"unknown mode {mode!r}")
     return Poset(tuple(elements), tuple(up), name)
 
 
-def sum_posets(upper, lower, name=None):
-    """Ordinal sum: every element of lower below every element of upper."""
+def stack(blocks, name=None):
+    """Ordinal sum of (tag, poset) blocks, first block on top; elements
+    are renamed tag.element so explicit maps can refer to them.
+
+    The points of the blocks above a block come first, so each up-set of
+    a block, shifted past them, gains all of them: u << offset | above.
+    """
+    els = []
+    ups = []
+    for tag, block in blocks:
+        offset = len(els)
+        above = (1 << offset) - 1
+        els += [f"{tag}.{e}" for e in block.elements]
+        ups += [u << offset | above for u in block.up]
+    _check_distinct(els)
+    return Poset(tuple(els), tuple(ups), name)
+
+
+def sum_posets(upper, lower):
+    """Ordinal sum: every element of lower below every element of upper;
+    an empty side gives the other side unchanged."""
     if upper.n == 0:
-        return lower if name is None else Poset(lower.elements, lower.up, name)
+        return lower
     if lower.n == 0:
-        return upper if name is None else Poset(upper.elements, upper.up, name)
-    els = tuple("t." + e for e in upper.elements) + tuple("b." + e for e in lower.elements)
-    nu = upper.n
-    upper_full = (1 << nu) - 1
-    ups = list(upper.up)
-    for m in lower.up:
-        ups.append(m << nu | upper_full)
-    return Poset(els, tuple(ups), name)
+        return upper
+    return stack([("t", upper), ("b", lower)])
 
 
 def root(p):
@@ -221,13 +213,6 @@ def root(p):
         if p.up[i] == p.full_mask:
             return p.elements[i]
     return None
-
-
-def add_bottom(p, bottom_name="r"):
-    nm = bottom_name
-    while nm in p.elements:
-        nm += "_"
-    return sum_posets(p, Poset((nm,), (1,)))
 
 
 # upsets ----------------------------------------------------------------
@@ -256,24 +241,9 @@ def iter_upset_masks(p):
         level = sorted(nxt)
 
 
-def upset_masks(p, cap=None):
+def upset_masks(p):
     """All upward-closed subsets as bitmasks, sorted by (size, mask)."""
-    cap = _budget.DEFAULT_UPSET_CAP if cap is None else cap
-    if cap is not None and p.n > cap:
-        raise BudgetExceeded(f"{p.n} elements exceeds upset cap {cap}")
     return list(iter_upset_masks(p))
-
-
-def upsets(p, cap=None):
-    """All upsets as element-name frozensets, deterministic order."""
-    return [frozenset(p.elements[i] for i in _bits(m)) for m in upset_masks(p, cap)]
-
-
-def is_upset(p, mask):
-    for i in _bits(mask):
-        if p.up[i] & ~mask:
-            return False
-    return True
 
 
 # width -----------------------------------------------------------------
@@ -431,7 +401,7 @@ def enumerate_posets(n):
     seen = {}
     for q in enumerate_posets(n - 1):
         # the downsets of q, complements of its upsets, in mask order
-        for dmask in sorted(q.full_mask ^ u for u in upset_masks(q, cap=q.n)):
+        for dmask in sorted(q.full_mask ^ u for u in upset_masks(q)):
             # adjoin a new maximal element above exactly dmask
             els = tuple(f"e{i}" for i in range(n))
             ups = []
@@ -463,21 +433,9 @@ def enumerate_rooted(size, max_width=None, cap=None):
         # comparability memo off the new posets
         if max_width is not None and max(1, _max_antichain(q, q.full_mask)) > max_width:
             continue
-        p = add_bottom(q)
-        out.append(p.relabel(tuple(f"e{i}" for i in range(p.n))))
+        # the root goes below q's points, as the last point e{size-1}
+        out.append(Poset(tuple(f"e{i}" for i in range(size)),
+                         q.up + ((1 << size) - 1,)))
     out.sort(key=canonical_code)
     return out
 
-
-def automorphism_count(p):
-    """Number of order automorphisms (brute force, test-sized posets)."""
-    n = p.n
-    count = 0
-    for perm in itertools.permutations(range(n)):
-        if all(
-            p.leq_idx(i, j) == p.leq_idx(perm[i], perm[j])
-            for i in range(n)
-            for j in range(n)
-        ):
-            count += 1
-    return count

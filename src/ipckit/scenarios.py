@@ -24,7 +24,6 @@ from .catalog import (
     ladder_upset,
     one_point,
     rn_member,
-    stack,
     two_antichain,
     xm_trunc,
     y_poset,
@@ -38,6 +37,7 @@ from .poset import (
     canonical_code,
     enumerate_posets,
     enumerate_rooted,
+    stack,
     upset_masks,
     width,
 )
@@ -48,7 +48,7 @@ from .semantics import is_valid, is_valid_modal
 def _rooted_upto(size, max_width=None):
     out = []
     for n in range(1, size + 1):
-        out.extend(enumerate_rooted(n, max_width=max_width, cap=size))
+        out.extend(enumerate_rooted(n, max_width=max_width))
     return out
 
 
@@ -76,7 +76,7 @@ def _random_formula(rng, depth):
 
 
 @lru_cache(maxsize=None)
-def godel_suite(count=200):
+def godel_suite(count):
     """bw(1), bw(2), the weak excluded middle, then seeded random fills."""
     pinned = [bw(1), bw(2), kc_axiom()]
     seen = {pretty(f) for f in pinned}
@@ -165,6 +165,8 @@ def _sobolev_width(params):
 
 
 def _bw_subframe_triangle(params):
+    if any(n < 1 for n in params["ns"]):
+        raise ParameterOutOfRange("bw-subframe-triangle is stated for n >= 1")
     posets = _rooted_upto(params["size"])
     axioms = [(n, bw(n), fan(n + 1)) for n in params["ns"]]
 
@@ -234,7 +236,7 @@ def _duality_counts(params):
         kind, p = inst
         alg = upset_algebra(p)
         if kind == "counts":
-            nup = len(upset_masks(p, cap=p.n))
+            nup = len(upset_masks(p))
             if count_quotients(alg) != nup:
                 return False, p, "quotient count differs from upset count"
             if count_subalgebras(alg) != len(epartitions(p)):
@@ -514,7 +516,8 @@ def _worker_run(args):
 
 def run_scenario(name, params=None, budget=None, jobs=1,
                  max_counterexamples=10) -> VerificationReport:
-    """Execute a registered scenario and return its report.
+    """Execute a registered scenario and return its report.  Raises
+    ParameterOutOfRange when the parameters leave no instance to check.
 
     Every instance runs against the full budget; the aggregation walks
     instances in order and trips at the first one pushing the cumulative
@@ -523,6 +526,8 @@ def run_scenario(name, params=None, budget=None, jobs=1,
     merged = scenario_params(name, params)
     report = VerificationReport(scenario=name, params=dict(merged))
     instances, check = _SCENARIOS[name][1](merged)
+    if not instances:
+        raise ParameterOutOfRange(f"{name} has no instances at {merged}")
 
     if jobs and jobs > 1:
         import multiprocessing

@@ -1,4 +1,4 @@
-"""Satisfaction and validity on posets and algebras.
+"""Validity on posets, read as intuitionistic or as modal frames.
 
 Intuitionistic truth sets are upsets and evaluation is the standard
 recursion; a poset read as a reflexive-transitive frame interprets box
@@ -20,9 +20,9 @@ from functools import lru_cache
 from itertools import islice, product
 
 from .budget import WorkMeter
-from .errors import BudgetExceeded, NotIntuitionistic, VariableUnassigned
+from .errors import BudgetExceeded, NotIntuitionistic
 from .formulas import And, Bot, Box, Formula, Imp, Or, Var, variables
-from .poset import Poset, _bits, is_upset, iter_upset_masks
+from .poset import Poset, _bits, iter_upset_masks
 
 OP_VAR, OP_BOT, OP_AND, OP_OR, OP_IMP, OP_BOX = range(6)
 
@@ -150,7 +150,7 @@ def _evaluate(ops, args, slots, p, ones):
     return stack[-1]
 
 
-def _point_bits(n, masks, ones=1):
+def _point_bits(n, masks, ones):
     """Per slot, per point: ones where the mask holds the point, else 0."""
     return [[ones if m >> x & 1 else 0 for x in range(n)] for m in masks]
 
@@ -248,39 +248,6 @@ def scan_validity(p, ops, args, nvars, domain, limit):
     return ("valid", start)
 
 
-def _mask_of(p, points):
-    if isinstance(points, int):
-        return points
-    m = 0
-    for name in points:
-        m |= 1 << p.index(name)
-    return m
-
-
-def truth_set(p: Poset, valuation, f: Formula, modal=False):
-    """Bitmask of points where f holds; valuation maps var index to
-    an element collection (or a bitmask)."""
-    plan = scan_plan(f)
-    masks = []
-    for v in plan.vars:
-        if v not in valuation:
-            raise VariableUnassigned(f"p{v}")
-        masks.append(_mask_of(p, valuation[v]))
-        if not modal and not is_upset(p, masks[-1]):
-            raise ValueError(f"valuation of p{v} is not an upset")
-    slots = _point_bits(p.n, masks)
-    # a one-row window: bit 0 of each point's value
-    truth = _evaluate(plan.ops, plan.args, slots, _frame(p.up), 1)
-    return sum(t << x for x, t in enumerate(truth))
-
-
-def eval_at(p: Poset, valuation, x, f: Formula) -> bool:
-    """Does f hold at point x under the given upset valuation?"""
-    if scan_plan(f).modal:
-        raise NotIntuitionistic(str(f))
-    return bool(truth_set(p, valuation, f) >> p.index(x) & 1)
-
-
 def _scan(p, plan, domain, limit, meter):
     status, work = scan_validity(p, plan.ops, plan.args, plan.nvars, domain, limit)
     if meter is not None:
@@ -311,37 +278,3 @@ def is_valid_modal(p: Poset, f: Formula, meter: WorkMeter | None = None) -> bool
         raise BudgetExceeded(f"2^{p.n} modal valuations per variable")
     limit = None if meter is None else meter.remaining()
     return _scan(p, scan_plan(f), range(1 << p.n), limit, meter)
-
-
-def is_valid_algebra(a, f: Formula, meter: WorkMeter | None = None) -> bool:
-    """Validity in a finite Heyting algebra: every assignment gives 1."""
-    plan = scan_plan(f)
-    if plan.modal:
-        raise NotIntuitionistic(str(f))
-    vs = plan.vars
-    assign = {}
-
-    def ev(g):
-        if isinstance(g, Var):
-            return assign[g.index]
-        if isinstance(g, Bot):
-            return a.bottom
-        l, r = ev(g.left), ev(g.right)
-        if isinstance(g, And):
-            return a.meet[l][r]
-        if isinstance(g, Or):
-            return a.join[l][r]
-        return a.imp[l][r]
-
-    def rec(k):
-        if meter is not None and k == len(vs):
-            meter.charge()
-        if k == len(vs):
-            return ev(f) == a.top
-        for val in range(a.size):
-            assign[vs[k]] = val
-            if not rec(k + 1):
-                return False
-        return True
-
-    return rec(0)

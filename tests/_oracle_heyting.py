@@ -7,11 +7,15 @@ for the dual constructions on posets in ipckit.
   exactly when its poset is rooted);
 - algebras_isomorphic against canonical_code through heyting.dual_poset;
 - check_residuation_pointwise against heyting._check_residuation (the law
-  checked for every x, b and c, in O(k^3)).
+  checked for every x, b and c, in O(k^3));
+- is_valid_algebra against semantics.is_valid (a formula is valid on a
+  poset exactly when it is valid in the poset's upset algebra), with an
+  evaluator of its own over the algebra tables.
 """
 
 from __future__ import annotations
 
+from ipckit.formulas import And, Bot, Or, Var, variables
 from ipckit.heyting import HeytingAlgebra, dual_poset
 from ipckit.poset import _bits, canonical_code
 
@@ -144,3 +148,33 @@ def algebras_isomorphic(a: HeytingAlgebra, b: HeytingAlgebra) -> bool:
     if a.size != b.size:
         return False
     return canonical_code(dual_poset(a)) == canonical_code(dual_poset(b))
+
+
+def is_valid_algebra(a: HeytingAlgebra, f) -> bool:
+    """Validity of an intuitionistic formula in a finite Heyting algebra:
+    every assignment of elements to the variables gives the top."""
+    vs = sorted(variables(f))
+    assign = {}
+
+    def ev(g):
+        if isinstance(g, Var):
+            return assign[g.index]
+        if isinstance(g, Bot):
+            return a.bottom
+        l, r = ev(g.left), ev(g.right)
+        if isinstance(g, And):
+            return a.meet[l][r]
+        if isinstance(g, Or):
+            return a.join[l][r]
+        return a.imp[l][r]
+
+    def rec(k):
+        if k == len(vs):
+            return ev(f) == a.top
+        for val in range(a.size):
+            assign[vs[k]] = val
+            if not rec(k + 1):
+                return False
+        return True
+
+    return rec(0)

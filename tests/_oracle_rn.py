@@ -1,6 +1,6 @@
 """Test oracles for the rn-closure scenario.
 
-- rn_members builds the closure family block by block with catalog.stack,
+- rn_members builds the closure family block by block with poset.stack,
   against scenarios.rn_members, which builds its word members with
   catalog.rn_member;
 - rn_closure_escape checks every rooted quotient of every upset, against
@@ -10,9 +10,9 @@
 
 from __future__ import annotations
 
-from ipckit.catalog import chain, ladder_upset, one_point, simple_space, stack
+from ipckit.catalog import chain, ladder_upset, one_point, simple_space
 from ipckit.morphisms import epartitions, quotient
-from ipckit.poset import canonical_code, root, upset_masks
+from ipckit.poset import canonical_code, root, stack, upset_masks
 from ipckit.scenarios import _words_upto
 
 
@@ -59,7 +59,7 @@ def rn_closure_escape(member, member_codes):
     """The closure check over every upset, as scenarios.rn_closure_escape:
     a detail naming the first rooted quotient of an upset of member whose
     code is outside member_codes, or None."""
-    for mask in upset_masks(member, cap=member.n):
+    for mask in upset_masks(member):
         sub = member.restrict(mask)
         for part in epartitions(sub, cap=sub.n):
             q, _ = quotient(sub, part)

@@ -78,7 +78,7 @@ def image_of_upset(target: Poset, host: Poset, meter: WorkMeter | None = None) -
         return True
     tw = width(target)
     th = max(target.heights()) if target.n else 0
-    for mask in sorted(upset_masks(host, cap=host.n),
+    for mask in sorted(upset_masks(host),
                        key=lambda m: -bin(m).count("1")):
         size = bin(mask).count("1")
         if size < target.n:

@@ -11,78 +11,81 @@ from ipckit.report import render_report
 from ipckit.scenarios import run_scenario, scenario_names
 
 
-def _criterion(number, name, params=None):
+def _criterion(number, name, params, counts):
     report = run_scenario(name, params)
     outcome = "PASS" if report.status == "pass" else report.status.upper()
     print(f"criterion {number:>2} {name}: {outcome} "
           f"({report.instances_checked} instances, {report.work_units} work units)")
     assert report.status == "pass", render_report(report, "text")
+    # (instances_checked, work_units): a change that moves them on purpose
+    # updates these figures
+    assert (report.instances_checked, report.work_units) == counts
     return report
 
 
 def test_criterion_01_sobolev_width():
     # rooted posets up to 6, n in {1,2,3}: bw(n) valid iff width <= n
-    _criterion(1, "sobolev-width", {"size": 6, "ns": (1, 2, 3)})
+    _criterion(1, "sobolev-width", {"size": 6, "ns": (1, 2, 3)}, (88, 1751282))
 
 
 def test_criterion_02_bw_subframe_triangle():
     # same space, n in {1,2}: bw(n) valid iff the fan subframe axiom holds
-    _criterion(2, "bw-subframe-triangle", {"size": 6, "ns": (1, 2)})
+    _criterion(2, "bw-subframe-triangle", {"size": 6, "ns": (1, 2)}, (88, 53616))
 
 
 def test_criterion_03_kracht_bw2():
     # rooted posets up to 7: width <= 2 iff all eleven splitting axioms hold
-    _criterion(3, "kracht-bw2", {"size": 7})
+    _criterion(3, "kracht-bw2", {"size": 7}, (406, 34101))
 
 
 def test_criterion_04_appendix_k():
     # rooted width-<=2 posets up to 8: beta(P2) iff the seven K splittings
-    _criterion(4, "appendix-K", {"size": 8})
+    _criterion(4, "appendix-K", {"size": 8}, (344, 165183))
 
 
 def test_criterion_05_appendix_g():
     # rooted width-<=2 posets up to 8 validating beta(P2):
     # beta(P3) iff the six G splittings
-    _criterion(5, "appendix-G", {"size": 8})
+    _criterion(5, "appendix-G", {"size": 8}, (208, 99180))
 
 
 def test_criterion_06_duality_counts():
     # counts match up to 4 elements; dual round trip up to 6
-    _criterion(6, "duality-counts", {"size": 4, "dual_size": 6})
+    _criterion(6, "duality-counts", {"size": 4, "dual_size": 6}, (431, 0))
 
 
 def test_criterion_07_godel_transfer():
     # posets up to 5 and 200 fixed formulas; grz valid everywhere
-    _criterion(7, "godel-transfer", {"size": 5, "formulas": 200})
+    _criterion(7, "godel-transfer", {"size": 5, "formulas": 200}, (87, 7756020))
 
 
 def test_criterion_08_jankov_oracle():
     # rooted targets up to 4, hosts up to 5:
     # syntactic splitting formula valid iff no upset maps onto the target
-    _criterion(8, "jankov-oracle", {"target_size": 4, "host_size": 5})
+    _criterion(8, "jankov-oracle", {"target_size": 4, "host_size": 5}, (783, 16362727))
 
 
 def test_criterion_09_ym_rigidity():
     # surjections Y(k) -> Y(m) exist iff k = m; the documented collapse
     # maps the truncated tower onto Y(m)
-    _criterion(9, "ym-rigidity", {"max_m": 4, "trunc": 8})
+    _criterion(9, "ym-rigidity", {"max_m": 4, "trunc": 8}, (20, 13091))
 
 
 def test_criterion_10_rn_closure():
     # family of members of size <= 8 (n = 2) closed under rooted images of
     # upsets, and the chain-extended shape is not an image
-    _criterion(10, "rn-closure", {"size": 8, "n": 2})
+    _criterion(10, "rn-closure", {"size": 8, "n": 2}, (106, 76))
 
 
 def test_criterion_11_kg_structure():
     # rooted posets up to 8: sum decomposition exists iff the three
     # subframe axioms hold
-    _criterion(11, "kg-structure", {"size": 8})
+    _criterion(11, "kg-structure", {"size": 8}, (2451, 556569))
 
 
 def test_criterion_12_pm_constructions():
     # the explicit collapse maps on truncations pass the validator
-    _criterion(12, "pm-constructions", {"max_n": 3, "trunc": 12})
+    _criterion(12, "pm-constructions", {"max_n": 3, "trunc": 12}, (12, 0))
 
 
 _SMALL_PARAMS = {

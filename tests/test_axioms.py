@@ -57,7 +57,7 @@ def test_jankov_antitonicity_in_host():
         for t in targets:
             if not validates_jankov(h, t):
                 continue
-            for mask in upset_masks(h, cap=h.n):
+            for mask in upset_masks(h):
                 assert validates_jankov(h.restrict(mask), t)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from ipckit.axioms import validates_subframe
@@ -17,14 +19,23 @@ from ipckit.catalog import (
     parse_key,
     rn_member,
     simple_space,
-    stack,
     two_antichain,
     xm_trunc,
     y_poset,
 )
-from ipckit.errors import ParameterOutOfRange, UnknownKey
+from ipckit.errors import DuplicateElement, ParameterOutOfRange, UnknownKey
 from ipckit.morphisms import epartitions, quotient
-from ipckit.poset import are_isomorphic, build_poset, canonical_code, root, width
+from ipckit.poset import (
+    are_isomorphic,
+    build_poset,
+    canonical_code,
+    enumerate_posets,
+    root,
+    stack,
+    sum_posets,
+    width,
+)
+from _oracle_stack import ladder_trunc_by_covers, stack_by_covers
 
 EXPECTED_SIZES = {
     "P(1)": 4, "P(2)": 5, "P(3)": 5,
@@ -294,6 +305,36 @@ def test_stack_orders_blocks():
     s = stack([("a", one_point()), ("b", two_antichain()), ("c", one_point())])
     assert root(s) == "c.pt"
     assert s.n == 4 and width(s) == 2
+
+
+def _built(build, *args):
+    try:
+        p = build(*args)
+    except DuplicateElement as exc:
+        return "duplicate", str(exc)
+    return p.elements, p.up, p.name
+
+
+def test_sums_from_masks_match_the_cover_closure_oracle():
+    small = [p for n in range(5) for p in enumerate_posets(n)]
+    rng = random.Random(41)
+    for _ in range(3000):
+        # three tags over up to four blocks: some lists repeat a tag
+        blocks = [(rng.choice("abc"), rng.choice(small))
+                  for _ in range(rng.randrange(5))]
+        name = rng.choice([None, "s"])
+        assert _built(stack, blocks, name) == _built(stack_by_covers, blocks, name)
+    for p in small:
+        for q in small:
+            got = sum_posets(p, q)
+            if p.n == 0 or q.n == 0:
+                assert got is (q if p.n == 0 else p)
+            else:
+                want = stack_by_covers([("t", p), ("b", q)])
+                assert (got.elements, got.up, got.name) == (
+                    want.elements, want.up, want.name)
+    for k in range(1, 14):
+        assert _built(ladder_trunc, k) == _built(ladder_trunc_by_covers, k)
 
 
 def test_key_parsing():

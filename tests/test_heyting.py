@@ -50,7 +50,7 @@ def test_upset_algebra_shapes():
 def test_residual_on_antichain():
     # {a} -> empty is {b}
     alg = upset_algebra(TWO)
-    masks = upset_masks(TWO, cap=2)
+    masks = upset_masks(TWO)
     pos = {m: i for i, m in enumerate(masks)}
     a_only = pos[0b01]
     empty = pos[0]
@@ -62,7 +62,7 @@ def test_implication_is_the_pointwise_definition():
     # every poset of at most 5 points
     for n in range(6):
         for p in enumerate_posets(n):
-            masks = upset_masks(p, cap=p.n)
+            masks = upset_masks(p)
             alg = upset_algebra(p)
             for i, u in enumerate(masks):
                 for j, v in enumerate(masks):
@@ -169,7 +169,7 @@ def test_count_subalgebras_budget():
 
 def test_count_quotients_examples():
     assert count_quotients(upset_algebra(CH2)) == 3
-    assert count_quotients(upset_algebra(F2)) == len(upset_masks(F2, cap=3))
+    assert count_quotients(upset_algebra(F2)) == len(upset_masks(F2))
     assert count_quotients(boolean_two()) == 2
 
 
@@ -203,7 +203,7 @@ def test_duality_counts_invariant():
     for n in range(0, 5):
         for p in enumerate_posets(n):
             alg = upset_algebra(p)
-            assert count_quotients(alg) == len(upset_masks(p, cap=p.n))
+            assert count_quotients(alg) == len(upset_masks(p))
             assert count_subalgebras(alg) == len(epartitions(p))
 
 

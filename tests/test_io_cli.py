@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -190,6 +192,31 @@ def test_run_scenario_rejects_negative_params():
         run_scenario("sobolev-width", {"size": 3, "ns": (1, -1)})
 
 
+def test_run_scenario_rejects_vacuous_and_out_of_range_runs():
+    # nothing to check: no rooted poset has 0 points
+    with pytest.raises(ParameterOutOfRange):
+        run_scenario("sobolev-width", {"size": 0})
+    # the triangle bw(n) <-> subframe(F(n+1)) is stated for n >= 1
+    with pytest.raises(ParameterOutOfRange):
+        run_scenario("bw-subframe-triangle", {"size": 3, "ns": (0,)})
+
+
+def test_cli_verify_honours_the_enumeration_cap():
+    # size 10 asks for the rooted posets of 9 and 10 points, past the cap
+    # that ipckit enumerate applies; unbounded, this ran for minutes
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-m", "ipckit.cli", "verify", "kg-structure",
+         "--size", "10", "--budget", "10"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3
+    assert "size 9 exceeds enumeration cap 8" in done.stderr
+    assert done.stdout == ""
+
+
 def test_benchmark_workload_params_are_accepted(monkeypatch):
     # every parameter set perfbench/workloads.py runs passes the checks
     # run_scenario makes before it builds any instance
@@ -214,6 +241,7 @@ def test_benchmark_workload_params_are_accepted(monkeypatch):
     ["verify", "ym-rigidity", "--size", "3"],
     ["verify", "pm-constructions", "--size", "3"],
     ["verify", "sobolev-width", "--size", "-3"],
+    ["verify", "sobolev-width", "--size", "0"],
     ["verify", "rn-closure", "--size", "5", "--param", "n=-1"],
 ])
 def test_cli_verify_rejects_bad_params(capsys, argv):

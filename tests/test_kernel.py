@@ -45,7 +45,7 @@ def test_scanner_matches_oracle_on_fixed_formulas():
           parse("[](p0 -> p1) -> ([]p0 -> []p1)"), parse("bot -> p0")]
     for n in range(1, 5):
         for p in enumerate_posets(n):
-            ups = upset_masks(p, cap=p.n)
+            ups = upset_masks(p)
             subsets = list(range(1 << p.n))
             for f in fs:
                 for domain in (ups, subsets):
@@ -55,12 +55,12 @@ def test_scanner_matches_oracle_on_fixed_formulas():
 
 def test_budgets_at_window_edges():
     # three variables over 32 values: windows of 1024 rows, 32 of them
-    antichain = next(p for p in POSETS5 if len(upset_masks(p, cap=5)) == 32)
-    chain = next(p for p in POSETS5 if len(upset_masks(p, cap=5)) == 6)
+    antichain = next(p for p in POSETS5 if len(upset_masks(p)) == 32)
+    chain = next(p for p in POSETS5 if len(upset_masks(p)) == 6)
     subsets = list(range(32))
     cases = [
         # valid: every window is scanned
-        (antichain, parse("p0 & p1 & p2 -> p1"), upset_masks(antichain, cap=5)),
+        (antichain, parse("p0 & p1 & p2 -> p1"), upset_masks(antichain)),
         # refuted inside the second window, on its first row, in the third
         (chain, parse("(p0 -> p1) | (p1 -> p2) | (p2 -> p0)"), subsets),
         (chain, parse("~~p0 | p1 | p2 | ~p0"), subsets),
@@ -93,7 +93,7 @@ def test_domains_wider_than_a_window():
         (fan12, parse("p1 -> p0 | ~p0")),
     ]
     for p, f in cases:
-        domain = upset_masks(p, cap=p.n)
+        domain = upset_masks(p)
         _, (_, work) = _both(p, f, domain)
         limits = _limits(len(domain), len(variables(f))) + [work - 1, work, work + 1]
         for limit in limits:
@@ -102,7 +102,7 @@ def test_domains_wider_than_a_window():
     # two variables over 4097 values: windows of 4096 rows and of 1 row
     # alternate; the oracle can only follow a budgeted scan
     f = parse("p0 -> (p1 -> p0)")
-    domain = upset_masks(fan12, cap=13)
+    domain = upset_masks(fan12)
     for limit in (0, 1, WINDOW - 1, WINDOW, WINDOW + 1, WINDOW + 2,
                   2 * 4097 - 1, 2 * 4097, 2 * 4097 + 1):
         new, old = _both(fan12, f, domain, limit)
@@ -111,15 +111,15 @@ def test_domains_wider_than_a_window():
 
 def test_work_counts_match():
     p = enumerate_posets(3)[0]
-    new, old = _both(p, parse("p0 -> p0"), upset_masks(p, cap=3))
-    assert new[1] == old[1] == len(upset_masks(p, cap=3))
+    new, old = _both(p, parse("p0 -> p0"), upset_masks(p))
+    assert new[1] == old[1] == len(upset_masks(p))
 
 
 def test_variable_free_formulas():
     p = POSETS5[3]
     for f in (BOT, Imp(BOT, BOT), Box(BOT)):
         for limit in (None, -1, 0, 1):
-            new, old = _both(p, f, upset_masks(p, cap=5), limit)
+            new, old = _both(p, f, upset_masks(p), limit)
             assert new == old
 
 
@@ -142,7 +142,7 @@ def _scans(draw):
             op = draw(st.sampled_from([And, Or, Imp]))
             f = op(Var(v), f) if draw(st.booleans()) else op(f, Var(v))
     if draw(st.booleans()):
-        domain = upset_masks(p, cap=p.n)
+        domain = upset_masks(p)
     else:
         domain = list(range(1 << p.n))
     limits = _limits(len(domain), len(variables(f)))

@@ -105,7 +105,7 @@ def test_image_monotone_under_upsets():
     targets = [p for n in range(1, 4) for p in enumerate_rooted(n)]
     for h in hosts[:40]:
         for t in targets:
-            for mask in upset_masks(h, cap=h.n):
+            for mask in upset_masks(h):
                 sub = h.restrict(mask)
                 if image_of_upset(t, sub):
                     assert image_of_upset(t, h)
@@ -159,7 +159,7 @@ def test_quotient_rejects_bad_partition():
 def test_collapse_upset_is_epartition():
     for n in range(1, 6):
         for p in enumerate_posets(n):
-            for mask in upset_masks(p, cap=p.n):
+            for mask in upset_masks(p):
                 if mask == 0:
                     continue
                 part = collapse_upset(p, mask)
