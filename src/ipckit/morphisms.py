@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from . import budget as _budget
 from .budget import WorkMeter
 from .errors import BudgetExceeded, NotAnEPartition
-from .poset import Poset, _bits, _max_antichain, root, width
+from .poset import Poset, _bits, width
 
 
 @dataclass(frozen=True)
@@ -141,22 +141,23 @@ def image_of_upset(target: Poset, host: Poset, meter: WorkMeter | None = None) -
     the same in up(x) as in U: a, cut down to up(x), keeps the back
     condition.  Its image is a(up(x)) = up(a(x)) = up(r), all of
     target, so it is onto.  Conversely up(x) is an upset.  Each up(x) is
-    searched without leaving points out, largest first; the height of
-    up(x) is that of x in host.
+    searched without leaving points out, largest first, so the walk stops
+    at the first up(x) smaller than target; the height of up(x) is that
+    of x in host.
     """
     if target.n == 0:
         return True
-    if root(target) is None:
+    if target.root_index is None:
         raise ValueError("image_of_upset expects a rooted target")
     h = host.heights()
     order = host.topdown
     tw = width(target)
     th = max(target.heights())
-    for x in sorted(range(host.n), key=lambda x: -bin(host.up[x]).count("1")):
+    for x in host.by_upset_size:
         up_x = host.up[x]
-        if bin(up_x).count("1") < target.n or h[x] < th:
-            continue
-        if _max_antichain(host, up_x) < tw:
+        if bin(up_x).count("1") < target.n:
+            break
+        if h[x] < th or host.upset_widths[x] < tw:
             continue
         domain = [i for i in order if up_x >> i & 1]
         if _search(host, target, domain, False, True, meter) is not None:
@@ -170,7 +171,7 @@ def image_of_subposet(target: Poset, host: Poset, meter: WorkMeter | None = None
         return True
     if target.n > host.n:
         return False
-    if _max_antichain(host, host.full_mask) < width(target):
+    if host.full_width < width(target):
         return False
     return _search(host, target, host.topdown, True, True, meter) is not None
 

@@ -53,9 +53,10 @@ class Poset:
 
     # derived order data ------------------------------------------------
     #
-    # The heights, topdown, upper_covers and comparable are computed once
-    # per instance, on first use.  down_masks is not kept, so the many
-    # candidates that canonical_code sees during enumeration carry no memo.
+    # The heights, topdown, upper_covers, comparable, root_index, the widths
+    # and by_upset_size are computed once per instance, on first use.
+    # down_masks is not kept, so the many candidates that canonical_code
+    # sees during enumeration carry no memo.
 
     def down_masks(self):
         d = [0] * self.n
@@ -105,6 +106,27 @@ class Poset:
     def comparable(self):
         """Per point, the mask of the points comparable with it."""
         return tuple(u | d for u, d in zip(self.up, self.down_masks()))
+
+    @cached_property
+    def root_index(self):
+        """The index of the unique minimum, or None."""
+        full = self.full_mask
+        return next((i for i, u in enumerate(self.up) if u == full), None)
+
+    @cached_property
+    def full_width(self):
+        """The size of the largest antichain of the whole order."""
+        return _max_antichain(self, self.full_mask)
+
+    @cached_property
+    def upset_widths(self):
+        """Per point x, the size of the largest antichain in up(x)."""
+        return tuple(_max_antichain(self, u) for u in self.up)
+
+    @cached_property
+    def by_upset_size(self):
+        """The points by decreasing size of their up-sets, then index."""
+        return tuple(sorted(range(self.n), key=lambda i: -bin(self.up[i]).count("1")))
 
     def covers(self):
         """List of (i, j) index pairs with e_j covering e_i."""
@@ -209,10 +231,8 @@ def sum_posets(upper, lower):
 
 def root(p):
     """The unique minimum's name, or None."""
-    for i in range(p.n):
-        if p.up[i] == p.full_mask:
-            return p.elements[i]
-    return None
+    i = p.root_index
+    return None if i is None else p.elements[i]
 
 
 # upsets ----------------------------------------------------------------
@@ -273,9 +293,9 @@ def width(p):
     """Width per principal upsets; the empty poset has width 0."""
     if p.n == 0:
         return 0
-    if root(p) is not None:
-        return _max_antichain(p, p.full_mask)
-    return max(_max_antichain(p, p.up[i]) for i in range(p.n))
+    if p.root_index is not None:
+        return p.full_width
+    return max(p.upset_widths)
 
 
 # canonical form ---------------------------------------------------------
@@ -418,24 +438,73 @@ def enumerate_posets(n):
     return tuple(seen[c] for c in sorted(seen))
 
 
+def _rooted_code(q):
+    """canonical_code of q with a new root added below all of q, as the
+    last point, read off canonical_code(q) with no refinement and no
+    search.
+
+    Let q have n > 0 points and code P{n}:seq|rows, and call the rooted
+    poset r.  Then r's code is P{n+1}:seq,d|rows,R with d = max(seq) + 1
+    and R the hex of "10" repeated n times:
+
+    - _refined_colors.  The root's start colour (n + 1, 1) is the unique
+      largest, since every other point has a smaller up-set.  Every point
+      of q gains one point below, which keeps the order of their start
+      colours, so their ranks are those in q and the root's is the next.
+      In each round a point of q keeps its up-set, and its below-tuple
+      gains the root's colour, the largest, at its end.  Two signatures
+      of equal colour have equal down-counts, since the start colour
+      holds the down-count and refinement only splits colours, so their
+      below-tuples have equal length and the appended colour keeps their
+      order; signatures of unequal colour are ordered by the colour.  The
+      root's signature leads with the largest colour.  So every round
+      ranks q's points as in q and the root last, and the refinement
+      stops in the same round, with the colours of q and d for the root.
+    - _min_rows.  The root is alone in the last colour class, so the
+      first n places of every order hold q's points, in the same classes.
+      Their rows compare them with q's points only, as in q, and the twin
+      test is unchanged: the root lies below both points of a pair, so
+      their down-sets gain the same bit.  The search over the first n
+      places is q's search, and the last place always holds the root,
+      whose row is fixed, because every point lies above it: each pair of
+      bits is 1 0 (root <= u, not u <= root).  So the least rows are q's
+      rows followed by R.
+
+    The one-point poset has code P1:0|0.
+    """
+    n = q.n
+    if n == 0:
+        return b"P1:0|0"
+    head, rows = canonical_code(q).split(b"|")
+    seq = head.split(b":")[1]
+    d = max(int(c) for c in seq.split(b",")) + 1
+    return b"P%d:%s,%d|%s,%s" % (n + 1, seq, d, rows, format(int("10" * n, 2), "x").encode())
+
+
 def enumerate_rooted(size, max_width=None, cap=None):
     """Rooted posets of the given size, one per isomorphism class,
-    in canonical-code order."""
+    in canonical-code order.
+
+    Each is an enumerate_posets representative q with a root added, and
+    its code is _rooted_code(q), read off q's cached code: no rooted
+    poset is coded here.  The sort stays, since the derived codes need
+    not follow q's order once a colour rank has two digits.
+    """
     cap = _budget.DEFAULT_ENUM_CAP if cap is None else cap
     if size < 1:
         raise ValueError("size must be >= 1")
     if cap is not None and size > cap:
         raise BudgetExceeded(f"size {size} exceeds enumeration cap {cap}")
-    out = []
+    keyed = []
     for q in enumerate_posets(size - 1):
         # the root is comparable with every point, so the rooted poset's
         # width is q's (1 when q is empty); asking the cached q keeps the
-        # comparability memo off the new posets
-        if max_width is not None and max(1, _max_antichain(q, q.full_mask)) > max_width:
+        # width memos off the new posets
+        if max_width is not None and max(1, q.full_width) > max_width:
             continue
         # the root goes below q's points, as the last point e{size-1}
-        out.append(Poset(tuple(f"e{i}" for i in range(size)),
-                         q.up + ((1 << size) - 1,)))
-    out.sort(key=canonical_code)
-    return out
+        keyed.append((_rooted_code(q), Poset(tuple(f"e{i}" for i in range(size)),
+                                             q.up + ((1 << size) - 1,))))
+    keyed.sort(key=lambda kp: kp[0])
+    return [p for _, p in keyed]
 

@@ -480,12 +480,15 @@ def scenario_params(name, params=None):
     """The parameters a run of the scenario uses: its defaults updated with
     params.  Raises UnknownKey for a key the defaults lack and
     ParameterOutOfRange for a negative int, alone or in a sequence (such
-    as ns), which no scenario takes."""
+    as ns), which no scenario takes, and for an empty sequence, which
+    would check nothing on any instance."""
     merged = scenario_defaults(name)
     for key, value in (params or {}).items():
         if key not in merged:
             raise UnknownKey(f"{name} takes no parameter {key!r}")
         items = value if isinstance(value, (tuple, list)) else (value,)
+        if not items:
+            raise ParameterOutOfRange(f"{name} parameter {key} is empty")
         if any(isinstance(v, int) and v < 0 for v in items):
             raise ParameterOutOfRange(f"{name} parameter {key}={value} is negative")
         merged[key] = value

@@ -201,6 +201,14 @@ def test_run_scenario_rejects_vacuous_and_out_of_range_runs():
         run_scenario("bw-subframe-triangle", {"size": 3, "ns": (0,)})
 
 
+@pytest.mark.parametrize("name", ["sobolev-width", "bw-subframe-triangle"])
+@pytest.mark.parametrize("ns", [(), []])
+def test_run_scenario_rejects_an_empty_ns(name, ns):
+    # no n means no axiom: every instance would pass with 0 work units
+    with pytest.raises(ParameterOutOfRange):
+        run_scenario(name, {"size": 4, "ns": ns})
+
+
 def test_cli_verify_honours_the_enumeration_cap():
     # size 10 asks for the rooted posets of 9 and 10 points, past the cap
     # that ipckit enumerate applies; unbounded, this ran for minutes

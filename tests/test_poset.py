@@ -7,11 +7,16 @@ import itertools
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ipckit.poset as poset_mod
 from ipckit.errors import BudgetExceeded, CycleDetected, DuplicateElement, UnknownElement
 from ipckit.poset import (
     EMPTY,
     Poset,
+    _max_antichain,
+    _rooted_code,
     are_isomorphic,
     build_poset,
     canonical_code,
@@ -23,7 +28,12 @@ from ipckit.poset import (
     upset_masks,
     width,
 )
+from _oracle_poset import add_root, enumerate_rooted_by_code, max_antichain_brute
 from _oracle_upsets import upset_masks_dfs
+
+# the order data memoised on a Poset on first use
+MEMOS = ("_heights", "topdown", "upper_covers", "comparable", "root_index",
+         "full_width", "upset_widths", "by_upset_size")
 
 
 def chain(k):
@@ -142,13 +152,35 @@ def test_heights_memo_is_not_shared():
     assert p.heights() == [2, 1, 0]
 
 
+def test_width_memos_against_direct_definitions():
+    # per point the antichain recursion and a try-every-subset oracle, and
+    # the root and size order by a linear scan and a plain sort
+    for n in range(0, 7):
+        for p in enumerate_posets(n):
+            full = p.full_mask
+            widths = tuple(max_antichain_brute(p, u) for u in p.up)
+            assert p.upset_widths == tuple(_max_antichain(p, u) for u in p.up) == widths
+            assert p.full_width == _max_antichain(p, full) == max_antichain_brute(p, full)
+            assert width(p) == max(widths, default=0)
+            scan = [i for i in range(n) if p.up[i] == full]
+            assert p.root_index == (scan[0] if scan else None)
+            assert root(p) == (p.elements[scan[0]] if scan else None)
+            assert p.by_upset_size == tuple(
+                sorted(range(n), key=lambda i: (-bin(p.up[i]).count("1"), i)))
+
+
 def test_pickles_carry_no_memo():
     p = build_poset(["a", "b", "c"], [("a", "b"), ("a", "c")], name="v")
     p.heights(), p.topdown, p.upper_covers, p.comparable
+    p.root_index, p.full_width, p.upset_widths, p.by_upset_size
+    assert all(m in vars(p) for m in MEMOS)
     q = pickle.loads(pickle.dumps(p))
     assert q == p and q.name == "v"
+    assert not any(m in vars(q) for m in MEMOS)
     assert pickle.dumps(p) == pickle.dumps(Poset(p.elements, p.up, "v"))
     assert q.heights() == [1, 0, 0] and q.upper_covers == ((1, 2), (), ())
+    assert (q.root_index, q.full_width, q.upset_widths, q.by_upset_size) == (
+        0, 2, (2, 1, 1), (0, 1, 2))
 
 
 def test_enumerate_rooted_width_filter():
@@ -158,7 +190,55 @@ def test_enumerate_rooted_width_filter():
         for mw in (1, 2, 3):
             kept = enumerate_rooted(size, max_width=mw)
             assert kept == [p for p in every if width(p) <= mw]
-            assert not any("comparable" in vars(p) for p in kept)
+            assert not any(m in vars(p) for p in kept for m in MEMOS)
+
+
+def test_rooted_codes_derived_from_parents():
+    # every rooted poset of 1-8 points, and the old sort by its own code
+    for q in (q for n in range(8) for q in enumerate_posets(n)):
+        assert _rooted_code(q) == canonical_code(add_root(q))
+    for mw in (None, 1, 2, 3):
+        for size in range(1, 9):
+            assert enumerate_rooted(size, max_width=mw) == enumerate_rooted_by_code(size, mw)
+
+
+@st.composite
+def _renumbered_posets(draw):
+    """A poset of 9-12 points, its relations drawn along a random order of
+    its points, so that indices need not follow the order."""
+    n = draw(st.integers(9, 12))
+    perm = draw(st.permutations(range(n)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    names = [f"x{i}" for i in range(n)]
+    return build_poset(names, [(names[perm[i]], names[perm[j]])
+                               for (i, j), pick in zip(pairs, picks) if pick])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_renumbered_posets())
+def test_rooted_codes_on_generated_posets(q):
+    assert _rooted_code(q) == canonical_code(add_root(q))
+
+
+def test_enumerate_rooted_codes_no_rooted_poset(monkeypatch):
+    reps = [q for n in range(8) for q in enumerate_posets(n)]
+    for q in reps:
+        canonical_code(q)
+    size = canonical_code.cache_info().currsize
+    coded = []
+
+    def recording(p):
+        coded.append(p)
+        return canonical_code(p)
+
+    monkeypatch.setattr(poset_mod, "canonical_code", recording)
+    for mw in (None, 1, 2, 3):
+        for n in range(1, 9):
+            enumerate_rooted(n, max_width=mw)
+    assert canonical_code.cache_info().currsize == size
+    ids = {id(q) for q in reps}
+    assert coded and all(id(p) in ids for p in coded)
 
 
 def test_canonical_relabel_invariance():
