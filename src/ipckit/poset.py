@@ -301,52 +301,66 @@ def width(p):
 # canonical form ---------------------------------------------------------
 
 
-def _refined_colors(p):
+def _refined_colors(p, down):
+    """Colour refinement: start from each point's (up-set size, down-set
+    size), then split the colours by the sorted colours strictly above and
+    strictly below each point, until a round splits none.  The colours are
+    ranks, and an automorphism of p keeps them.
+
+    Once all n colours are distinct they are returned: the next round's
+    signatures would lead with n distinct colours and rank as they do, so
+    it would reproduce them and stop.
+    """
     n = p.n
-    down = p.down_masks()
     colors = [(bin(p.up[i]).count("1"), bin(down[i]).count("1")) for i in range(n)]
     rank = {c: k for k, c in enumerate(sorted(set(colors)))}
     colors = [rank[c] for c in colors]
-    while True:
-        sigs = []
-        for i in range(n):
-            above = tuple(sorted(colors[j] for j in _bits(p.strict_up(i))))
-            below = tuple(sorted(colors[j] for j in _bits(down[i] & ~(1 << i))))
-            sigs.append((colors[i], above, below))
+    above = [list(_bits(p.strict_up(i))) for i in range(n)]
+    below = [list(_bits(down[i] & ~(1 << i))) for i in range(n)]
+    while len(rank) < n:
+        sigs = [(colors[i], tuple(sorted(colors[j] for j in above[i])),
+                 tuple(sorted(colors[j] for j in below[i]))) for i in range(n)]
         rank = {s: k for k, s in enumerate(sorted(set(sigs)))}
         new = [rank[s] for s in sigs]
         if new == colors:
-            return colors
+            break
         colors = new
+    return colors
 
 
 class _Improved(Exception):
     pass
 
 
-def _min_rows(p, colors):
+def _min_rows(p, colors, down):
+    """The colour sequence and the least rows over the orders that list
+    the points by colour: row k holds, per earlier point u, the bits
+    (v <= u, u <= v) of the k-th point v.
+
+    When every colour class is a single point there is one such order,
+    so the greedy rows are the least and no search runs.
+    """
     n = p.n
+    up = p.up
     color_seq = sorted(colors)
     by_color = {}
-    for i in sorted(range(n), key=lambda i: (colors[i], i)):
+    for i in range(n):
         by_color.setdefault(colors[i], []).append(i)
-    down = p.down_masks()
 
     def row_for(v, order):
+        uv = up[v]
+        dv = down[v]
         r = 0
         for u in order:
-            r = r << 2 | (p.leq_idx(v, u) << 1 | p.leq_idx(u, v))
+            r = r << 2 | (uv >> u & 1) << 1 | dv >> u & 1
         return r
 
     def twins(u, v):
         # the transposition (u v) is an automorphism
-        if colors[u] != colors[v] or p.leq_idx(u, v) or p.leq_idx(v, u):
+        if colors[u] != colors[v] or up[u] >> v & 1 or up[v] >> u & 1:
             return False
         pair = 1 << u | 1 << v
-        return (
-            p.up[u] & ~pair == p.up[v] & ~pair
-            and down[u] & ~pair == down[v] & ~pair
-        )
+        return up[u] & ~pair == up[v] & ~pair and down[u] & ~pair == down[v] & ~pair
 
     # greedy descent for the initial bound
     order = []
@@ -357,6 +371,8 @@ def _min_rows(p, colors):
         best.append(row_for(v, order))
         order.append(v)
         used |= 1 << v
+    if len(by_color) == n:
+        return color_seq, tuple(best)
 
     def rec(k, used, order, rows, tight):
         nonlocal best
@@ -398,10 +414,51 @@ def canonical_code(p):
     """Byte string equal for two posets iff they are order-isomorphic."""
     if p.n == 0:
         return b"P0"
-    colors = _refined_colors(p)
-    seq, rows = _min_rows(p, colors)
+    down = p.down_masks()
+    colors = _refined_colors(p, down)
+    seq, rows = _min_rows(p, colors, down)
     body = ",".join(str(c) for c in seq) + "|" + ",".join(format(r, "x") for r in rows)
     return f"P{p.n}:{body}".encode()
+
+
+def _automorphisms(p):
+    """Every automorphism of p, as the tuple of the images of its points,
+    in lexicographic order, so the identity comes first.
+
+    A backtracking search maps the points in index order.  Each point's
+    image is tried only inside its own colour class, since an automorphism
+    keeps _refined_colors, and a partial map is extended only while it
+    keeps <= in both directions between the points mapped so far.  So
+    every leaf is an automorphism, and every automorphism is a leaf.
+    """
+    n = p.n
+    up = p.up
+    down = p.down_masks()
+    colors = _refined_colors(p, down)
+    same = {}
+    for j in range(n):
+        same.setdefault(colors[j], []).append(j)
+    out = []
+    img = [0] * n
+
+    def rec(i, used):
+        if i == n:
+            out.append(tuple(img))
+            return
+        done = (1 << i) - 1
+        want_up = want_down = 0
+        for k in _bits(up[i] & done):
+            want_up |= 1 << img[k]
+        for k in _bits(down[i] & done):
+            want_down |= 1 << img[k]
+        for j in same[colors[i]]:
+            if (not used >> j & 1
+                    and up[j] & used == want_up and down[j] & used == want_down):
+                img[i] = j
+                rec(i + 1, used | 1 << j)
+
+    rec(0, 0)
+    return out
 
 
 def are_isomorphic(p, q):
@@ -413,24 +470,44 @@ def are_isomorphic(p, q):
 
 @lru_cache(maxsize=None)
 def enumerate_posets(n):
-    """One representative per isomorphism class, sorted by canonical code."""
+    """One representative per isomorphism class, sorted by canonical code.
+
+    Each poset of n - 1 points, q, gains a new maximal point above exactly
+    D, for each downset D of q in mask order, and the first candidate of
+    each code is kept.  A downset that an automorphism of q maps to a
+    smaller mask is skipped before it is coded: the least mask of each
+    Aut(q) orbit comes first and marks the rest of its orbit.  This keeps
+    the same representatives:
+
+    - An automorphism a of q, extended by the new point to itself, is an
+      isomorphism from the candidate for D onto the candidate for a(D),
+      since a point x lies below the new point in one iff a(x) does in
+      the other.  So the candidates of an orbit of Aut(q) share one code.
+    - The least mask of each orbit is never skipped, and it comes first
+      in the mask order, so each skipped candidate has a coded isomorphic
+      one before it from the same q, and was never the first of its code.
+    """
     if n < 0:
         raise ValueError("size must be nonnegative")
     if n == 0:
         return (EMPTY,)
+    els = tuple(f"e{i}" for i in range(n))
+    top = 1 << (n - 1)
     seen = {}
     for q in enumerate_posets(n - 1):
+        # per automorphism other than the identity, the image bit of each point
+        images = [[1 << j for j in a] for a in _automorphisms(q)[1:]]
+        skip = set()
         # the downsets of q, complements of its upsets, in mask order
         for dmask in sorted(q.full_mask ^ u for u in upset_masks(q)):
+            if dmask in skip:
+                continue
+            points = list(_bits(dmask))
+            for a in images:
+                skip.add(sum([a[i] for i in points]))
             # adjoin a new maximal element above exactly dmask
-            els = tuple(f"e{i}" for i in range(n))
-            ups = []
-            for i in range(q.n):
-                m = q.up[i]
-                if dmask >> i & 1:
-                    m |= 1 << (n - 1)
-                ups.append(m)
-            ups.append(1 << (n - 1))
+            ups = [m | top if dmask >> i & 1 else m for i, m in enumerate(q.up)]
+            ups.append(top)
             cand = Poset(els, tuple(ups))
             code = canonical_code(cand)
             if code not in seen:

@@ -1,9 +1,153 @@
-"""Test oracles for ipckit.poset: the rooted enumeration sorted by
-canonical_code of each rooted poset, which enumerate_rooted replaced by
-codes derived from the unrooted parents, and antichain sizes by trying
-every subset."""
+"""Test oracles for ipckit.poset.
 
-from ipckit.poset import Poset, canonical_code, enumerate_posets, width
+- The canonical code and the enumeration as they were before the
+  enumeration pruned each parent's downsets by its automorphisms and
+  canonical_code took its shortcuts on discrete colourings: every
+  candidate is coded, and each code refines and searches in full.
+- The rooted enumeration sorted by the code of each rooted poset, which
+  enumerate_rooted replaced by codes derived from the unrooted parents.
+- Antichain sizes by trying every subset.
+"""
+
+from functools import lru_cache
+
+from ipckit.poset import EMPTY, Poset, _bits, upset_masks, width
+
+
+# canonical form, every candidate coded ----------------------------------
+
+
+def _refined_colors(p):
+    n = p.n
+    down = p.down_masks()
+    colors = [(bin(p.up[i]).count("1"), bin(down[i]).count("1")) for i in range(n)]
+    rank = {c: k for k, c in enumerate(sorted(set(colors)))}
+    colors = [rank[c] for c in colors]
+    while True:
+        sigs = []
+        for i in range(n):
+            above = tuple(sorted(colors[j] for j in _bits(p.strict_up(i))))
+            below = tuple(sorted(colors[j] for j in _bits(down[i] & ~(1 << i))))
+            sigs.append((colors[i], above, below))
+        rank = {s: k for k, s in enumerate(sorted(set(sigs)))}
+        new = [rank[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+class _Improved(Exception):
+    pass
+
+
+def _min_rows(p, colors):
+    n = p.n
+    color_seq = sorted(colors)
+    by_color = {}
+    for i in sorted(range(n), key=lambda i: (colors[i], i)):
+        by_color.setdefault(colors[i], []).append(i)
+    down = p.down_masks()
+
+    def row_for(v, order):
+        r = 0
+        for u in order:
+            r = r << 2 | (p.leq_idx(v, u) << 1 | p.leq_idx(u, v))
+        return r
+
+    def twins(u, v):
+        # the transposition (u v) is an automorphism
+        if colors[u] != colors[v] or p.leq_idx(u, v) or p.leq_idx(v, u):
+            return False
+        pair = 1 << u | 1 << v
+        return (
+            p.up[u] & ~pair == p.up[v] & ~pair
+            and down[u] & ~pair == down[v] & ~pair
+        )
+
+    # greedy descent for the initial bound
+    order = []
+    used = 0
+    best = []
+    for k in range(n):
+        v = next(i for i in by_color[color_seq[k]] if not used >> i & 1)
+        best.append(row_for(v, order))
+        order.append(v)
+        used |= 1 << v
+
+    def rec(k, used, order, rows, tight):
+        nonlocal best
+        if k == n:
+            if not tight:
+                best = list(rows)
+                raise _Improved
+            return
+        tried = []
+        for v in by_color[color_seq[k]]:
+            if used >> v & 1:
+                continue
+            if any(twins(u, v) for u in tried):
+                continue
+            tried.append(v)
+            r = row_for(v, order)
+            if tight:
+                if r > best[k]:
+                    continue
+                nt = r == best[k]
+            else:
+                nt = False
+            order.append(v)
+            rows.append(r)
+            rec(k + 1, used | 1 << v, order, rows, nt)
+            order.pop()
+            rows.pop()
+
+    while True:
+        try:
+            rec(0, 0, [], [], True)
+        except _Improved:
+            continue
+        return color_seq, tuple(best)
+
+
+@lru_cache(maxsize=None)
+def canonical_code(p):
+    """Byte string equal for two posets iff they are order-isomorphic."""
+    if p.n == 0:
+        return b"P0"
+    colors = _refined_colors(p)
+    seq, rows = _min_rows(p, colors)
+    body = ",".join(str(c) for c in seq) + "|" + ",".join(format(r, "x") for r in rows)
+    return f"P{p.n}:{body}".encode()
+
+
+@lru_cache(maxsize=None)
+def enumerate_posets(n):
+    """One representative per isomorphism class, sorted by canonical code."""
+    if n < 0:
+        raise ValueError("size must be nonnegative")
+    if n == 0:
+        return (EMPTY,)
+    seen = {}
+    for q in enumerate_posets(n - 1):
+        # the downsets of q, complements of its upsets, in mask order
+        for dmask in sorted(q.full_mask ^ u for u in upset_masks(q)):
+            # adjoin a new maximal element above exactly dmask
+            els = tuple(f"e{i}" for i in range(n))
+            ups = []
+            for i in range(q.n):
+                m = q.up[i]
+                if dmask >> i & 1:
+                    m |= 1 << (n - 1)
+                ups.append(m)
+            ups.append(1 << (n - 1))
+            cand = Poset(els, tuple(ups))
+            code = canonical_code(cand)
+            if code not in seen:
+                seen[code] = cand
+    return tuple(seen[c] for c in sorted(seen))
+
+
+# rooted enumeration and widths -----------------------------------------
 
 
 def add_root(q):

@@ -15,6 +15,7 @@ from ipckit.errors import BudgetExceeded, CycleDetected, DuplicateElement, Unkno
 from ipckit.poset import (
     EMPTY,
     Poset,
+    _automorphisms,
     _max_antichain,
     _rooted_code,
     are_isomorphic,
@@ -28,6 +29,7 @@ from ipckit.poset import (
     upset_masks,
     width,
 )
+import _oracle_poset as oracle
 from _oracle_poset import add_root, enumerate_rooted_by_code, max_antichain_brute
 from _oracle_upsets import upset_masks_dfs
 
@@ -219,6 +221,7 @@ def _renumbered_posets(draw):
 @given(_renumbered_posets())
 def test_rooted_codes_on_generated_posets(q):
     assert _rooted_code(q) == canonical_code(add_root(q))
+    assert canonical_code(q) == oracle.canonical_code(q)
 
 
 def test_enumerate_rooted_codes_no_rooted_poset(monkeypatch):
@@ -239,6 +242,64 @@ def test_enumerate_rooted_codes_no_rooted_poset(monkeypatch):
     assert canonical_code.cache_info().currsize == size
     ids = {id(q) for q in reps}
     assert coded and all(id(p) in ids for p in coded)
+
+
+def _candidates(n):
+    """Every poset of n - 1 points with a new maximal point e{n-1} above
+    one of its downsets, as enumerate_posets(n) builds them before any
+    pruning."""
+    els = tuple(f"e{i}" for i in range(n))
+    top = 1 << (n - 1)
+    for q in enumerate_posets(n - 1):
+        for dmask in sorted(q.full_mask ^ u for u in upset_masks(q)):
+            yield Poset(els, tuple(m | top if dmask >> i & 1 else m
+                                   for i, m in enumerate(q.up)) + (top,))
+
+
+def test_enumeration_matches_every_candidate_oracle():
+    # same representatives, same names and masks, same order
+    for n in range(8):
+        assert enumerate_posets(n) == oracle.enumerate_posets(n)
+
+
+def test_canonical_code_matches_oracle_on_every_candidate():
+    cands = [p for n in range(1, 8) for p in _candidates(n)]
+    assert len(cands) == 6378
+    for p in cands:
+        assert canonical_code(p) == oracle.canonical_code(p)
+
+
+def test_enumeration_codes_one_candidate_per_orbit(monkeypatch):
+    # the candidates coded per size once each parent's downsets are
+    # pruned by its automorphisms (6,378 in all before, 4,870 after)
+    for n in range(8):
+        enumerate_posets(n)
+    coded = []
+
+    def recording(p):
+        coded.append(p)
+        return canonical_code(p)
+
+    monkeypatch.setattr(poset_mod, "canonical_code", recording)
+    counts = []
+    for n in range(1, 8):
+        coded.clear()
+        assert enumerate_posets.__wrapped__(n) == enumerate_posets(n)
+        counts.append(len(coded))
+    assert counts == [1, 2, 6, 22, 101, 576, 4162]
+
+
+def test_automorphisms_against_brute_force():
+    for n in range(7):
+        for p in enumerate_posets(n):
+            auts = _automorphisms(p)
+            assert len(auts) == automorphism_count(p)
+            assert len(set(auts)) == len(auts)
+            assert auts[0] == tuple(range(n))
+            for a in auts:
+                assert sorted(a) == list(range(n))
+                assert all(p.leq_idx(i, j) == p.leq_idx(a[i], a[j])
+                           for i in range(n) for j in range(n))
 
 
 def test_canonical_relabel_invariance():
