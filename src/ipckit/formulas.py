@@ -27,34 +27,61 @@ class Formula:
         return pretty(self)
 
 
+def _hash_once(cls):
+    """Keep the dataclass's structural hash, hash of the tuple of fields,
+    but compute it once per node: a node's hash reads its children's
+    stored hashes, so hashing a formula is O(1) after its first time
+    instead of a walk of the whole tree.  The stored value is an int
+    hash of ints, the same in every process, so a pickled node may carry
+    it."""
+    structural = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = structural(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class Var(Formula):
     index: int
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Bot(Formula):
     pass
 
 
+@_hash_once
 @dataclass(frozen=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Imp(Formula):
     left: Formula
     right: Formula
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Box(Formula):
     inner: Formula

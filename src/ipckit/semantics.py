@@ -11,13 +11,20 @@ compiled once into a ScanPlan, and each order's evaluation data, upset
 domain and window patterns are built once.  These live in bounded caches
 keyed by the formula and by the order's up-masks, never on Poset
 instances, so relabelled copies share them.
+
+A plan lists the formula's distinct subformulas as DAG nodes whose ids
+name their structure across formulas.  While consecutive scans that fit
+in one window stay on one order, each distinct node is evaluated once
+and its value reused (_NodeValues); each formula is still scanned by its
+own call, in its own row order, under its own limit and charge, so
+statuses and work are those of scans that share nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product
+from itertools import count, islice, product
 
 from .budget import WorkMeter
 from .errors import BudgetExceeded, NotIntuitionistic
@@ -55,14 +62,56 @@ def compile_formula(f, slot_of):
     return ops, args
 
 
+# most structures the node table names at once
+NODE_BOUND = 1 << 14
+_node_ids = {}  # slot-renamed structure -> node id
+_next_id = count()
+
+
+def _dag(ops, args):
+    """The distinct subformulas of a compiled formula, children first, as
+    (id, op, a, b) nodes: a is the slot of a variable, the position of a
+    box's child, or with b the positions of a binary node's children.
+
+    A node's id names its slot-renamed structure, (op, slot) for a leaf
+    and (op, child ids) otherwise, across all formulas, so equal
+    subformulas of two formulas with the same slots get one id.  The
+    table holds at most NODE_BOUND structures and is emptied when full;
+    ids come from one counter and are never given to another structure,
+    so an emptied table only loses sharing: a structure seen again gets a
+    new id, and every id still names one structure.
+    """
+    nodes, pos, stack = [], {}, []
+    for op, arg in zip(ops, args):
+        if op == OP_VAR or op == OP_BOT:
+            key, a, b = (op, arg), arg, 0
+        elif op == OP_BOX:
+            key = (op, stack.pop())
+            a, b = pos[key[1]], 0
+        else:
+            right = stack.pop()
+            key = (op, stack.pop(), right)
+            a, b = pos[key[1]], pos[right]
+        nid = _node_ids.get(key)
+        if nid is None:
+            if len(_node_ids) >= NODE_BOUND:
+                _node_ids.clear()
+            nid = _node_ids[key] = next(_next_id)
+        if nid not in pos:
+            pos[nid] = len(nodes)
+            nodes.append((nid, op, a, b))
+        stack.append(nid)
+    return tuple(nodes)
+
+
 @dataclass(frozen=True)
 class ScanPlan:
-    """A formula compiled for scanning: postfix ops and args over one slot
+    """A formula compiled for scanning: its distinct subformulas as DAG
+    nodes, children first and the formula last (see _dag), over one slot
     per variable, slots numbered in the order of vars (the formula's
     variable indices, sorted), and whether the formula has a box."""
 
-    ops: tuple
-    args: tuple
+    nodes: tuple
     vars: tuple
     modal: bool
 
@@ -77,7 +126,7 @@ def scan_plan(f):
     1024 formulas)."""
     vs = tuple(sorted(variables(f)))
     ops, args = compile_formula(f, {v: i for i, v in enumerate(vs)})
-    return ScanPlan(tuple(ops), tuple(args), vs, OP_BOX in ops)
+    return ScanPlan(_dag(ops, args), vs, OP_BOX in ops)
 
 
 @lru_cache(maxsize=256)
@@ -111,43 +160,47 @@ def _upset_domain(up, limit):
     return tuple(islice(iter_upset_masks(_frame(up)), max(limit, 0) + 1))
 
 
-def _evaluate(ops, args, slots, p, ones):
-    """Bit-sliced truth of a compiled formula at every point.
+def _evaluate(nodes, slots, p, ones, memo):
+    """Bit-sliced truth of a plan's nodes at every point.
 
     slots[s][x] is the truth of slot s at point x over a window of
     valuation rows, one bit per row, and ones has every row's bit set.
-    Returns the formula's truth at each point in the same form.  The
+    Returns the last node's truth at each point in the same form.  The
     ``->`` and ``[]`` cases hold at x in the rows where a local test holds
     everywhere in up(x): the local misses are ORed down the covers of p
     in one top-down pass.
+
+    memo maps node ids to values already computed over these same slots
+    and this same order; the nodes computed here are added to it.
     """
     order, covers = p.topdown, p.upper_covers
-    stack = []
-    push = stack.append
-    for op, arg in zip(ops, args):
-        if op == OP_VAR:
-            push(slots[arg])
-        elif op == OP_BOT:
-            push([0] * p.n)
-        elif op == OP_AND:
-            b = stack.pop()
-            stack[-1] = [u & v for u, v in zip(stack[-1], b)]
-        elif op == OP_OR:
-            b = stack.pop()
-            stack[-1] = [u | v for u, v in zip(stack[-1], b)]
-        else:
-            if op == OP_IMP:
-                b = stack.pop()
-                miss = [u & ~v for u, v in zip(stack[-1], b)]
-            else:  # OP_BOX
-                miss = [ones ^ u for u in stack[-1]]
-            for x in order:
-                m = miss[x]
-                for y in covers[x]:
-                    m |= miss[y]
-                miss[x] = m
-            stack[-1] = [ones ^ m for m in miss]
-    return stack[-1]
+    vals = []
+    push = vals.append
+    for nid, op, a, b in nodes:
+        v = memo.get(nid)
+        if v is None:
+            if op == OP_VAR:
+                v = slots[a]
+            elif op == OP_BOT:
+                v = [0] * p.n
+            elif op == OP_AND:
+                v = [u & w for u, w in zip(vals[a], vals[b])]
+            elif op == OP_OR:
+                v = [u | w for u, w in zip(vals[a], vals[b])]
+            else:
+                if op == OP_IMP:
+                    miss = [u & ~w for u, w in zip(vals[a], vals[b])]
+                else:  # OP_BOX
+                    miss = [ones ^ u for u in vals[a]]
+                for x in order:
+                    m = miss[x]
+                    for y in covers[x]:
+                        m |= miss[y]
+                    miss[x] = m
+                v = [ones ^ m for m in miss]
+            memo[nid] = v
+        push(v)
+    return vals[-1]
 
 
 def _point_bits(n, masks, ones):
@@ -183,11 +236,15 @@ def _fast_patterns(n, domain, k):
 
 
 def _windows(n, domain, nvars):
-    """(slots, rows) for each window of at most WINDOW rows, in row order.
+    """(slots, rows, shared) for each window of at most WINDOW rows, in row
+    order.
 
     The last k slots are fast: each window holds whole blocks of their
     m**k rows.  The slot before them steps through a chunk of its domain
-    within the window, and the slower slots are fixed across it.
+    within the window, and the slower slots are fixed across it.  When
+    one window holds every row of a scan with variables, its slots are
+    the cached pattern tuple, the one object every such scan over this
+    domain with this nvars reads, and shared is True.
     """
     m = len(domain)
     k = 0
@@ -198,7 +255,7 @@ def _windows(n, domain, nvars):
     # WINDOW values out of the cache
     fast = _fast_patterns(n, domain, k) if k else ()
     if k == nvars:  # one window holds every row
-        yield fast, block
+        yield fast, block, k > 0
         return
     c = WINDOW // block  # values of the chunked slot per window
     ones = (1 << c * block) - 1
@@ -208,11 +265,55 @@ def _windows(n, domain, nvars):
         fixed = _point_bits(n, slow, ones)
         for a in range(0, m, c):
             values = domain[a:a + c]
-            yield fixed + [_held(n, values, block)] + fast, len(values) * block
+            yield fixed + [_held(n, values, block)] + fast, len(values) * block, False
 
 
-def scan_validity(p, ops, args, nvars, domain, limit):
-    """Check the formula under every assignment of domain values to slots.
+# most node values the memo holds, checked before each scan
+MEMO_BOUND = 4096
+
+
+class _NodeValues:
+    """The values of DAG nodes in the single-window scans of the last order
+    scanned, so that consecutive scans on one order compute each distinct
+    subformula once.
+
+    A node's value depends on its structure, the order and the window's
+    slots.  One table serves each pattern tuple (see _windows), which
+    fixes the domain's contents and order, nvars and the window; the memo
+    keeps each pattern alive, so its id names it.  A scan on another order
+    drops every table, as does one that finds more than MEMO_BOUND values
+    held.  The intuitionistic domain is a tuple of upsets and the modal
+    one a range of subsets, never equal, so the two kinds of scan never
+    share a value.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.up = None
+        self.tables = {}  # id(pattern) -> (pattern, {node id: values})
+        self.held = 0  # values in the tables, as of the last fetch
+        self.last, self.last_size = {}, 0  # the table last fetched
+
+    def table(self, up, pattern):
+        """The node values held for the order up and this pattern."""
+        self.held += len(self.last) - self.last_size  # the last scan's adds
+        if up != self.up or self.held > MEMO_BOUND:
+            self.up, self.tables, self.held = up, {}, 0
+        entry = self.tables.get(id(pattern))
+        if entry is None:
+            entry = self.tables[id(pattern)] = (pattern, {})
+        self.last, self.last_size = entry[1], len(entry[1])
+        return self.last
+
+
+_memo = _NodeValues()
+
+
+def scan_validity(p, plan, domain, limit):
+    """Check a ScanPlan under every assignment of domain values to its
+    slots.
 
     Rows are ordered with slot 0 slowest; one work unit is one row, and a
     refuted scan counts every row up to and including the first refuting
@@ -221,14 +322,18 @@ def scan_validity(p, ops, args, nvars, domain, limit):
 
     Rows are evaluated bit-sliced, a window of at most WINDOW rows at a
     time, so a budget is overrun by less than one window's evaluation.
+    A scan that fits in one window reads and adds to the memo's node
+    values; the limit only masks the rows read off the formula's value,
+    so a memo hit changes neither status nor work.
     """
+    nvars = plan.nvars
     if nvars and not domain:
         return ("valid", 0)
     if not isinstance(domain, (tuple, range)):
         domain = tuple(domain)  # hashable, for the pattern cache
     q = _frame(p.up)
     start = 0
-    for slots, rows in _windows(p.n, domain, nvars):
+    for slots, rows, shared in _windows(p.n, domain, nvars):
         if limit is not None and start >= limit:
             return ("budget", max(limit, 0))
         # bits above rows (a short last chunk) are computed but not read
@@ -236,8 +341,9 @@ def scan_validity(p, ops, args, nvars, domain, limit):
         cut = ones
         if limit is not None and start + rows > limit:
             cut = (1 << (limit - start)) - 1  # rows inside the budget
+        memo = _memo.table(p.up, slots) if shared else {}
         holds = ones
-        for t in _evaluate(ops, args, slots, q, ones):
+        for t in _evaluate(plan.nodes, slots, q, ones, memo):
             holds &= t
         fail = (ones ^ holds) & cut
         if fail:
@@ -249,7 +355,7 @@ def scan_validity(p, ops, args, nvars, domain, limit):
 
 
 def _scan(p, plan, domain, limit, meter):
-    status, work = scan_validity(p, plan.ops, plan.args, plan.nvars, domain, limit)
+    status, work = scan_validity(p, plan, domain, limit)
     if meter is not None:
         meter.spent += work
     if status == "budget":

@@ -106,3 +106,23 @@ def test_traced_scan_run_sees_every_scan_layer():
     assert stats["semantics.compile"]["calls"] > 0
     assert stats["formulas.translate"]["calls"] > 0
     assert stats["semantics.int"]["rows"] + stats["semantics.modal"]["rows"] == traced.work_units
+
+
+def test_traced_godel_transfer_reconciles_with_shared_node_values():
+    # node values are shared between consecutive scans, yet each formula's
+    # scan must still pass through the wrapped is_valid or is_valid_modal
+    # and charge its own rows, or the benchmark counts the scenario failed
+    params = {"size": 3, "formulas": 20}
+    plain = run_scenario("godel-transfer", params)
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        traced = run_scenario("godel-transfer", params)
+    finally:
+        tracer.uninstall()
+    assert traced.to_json() == plain.to_json()
+    assert tracer.metered() == traced.work_units > 0
+    stats = tracer.totals()
+    # per poset: grz, then each formula and its translation
+    scans = plain.instances_checked * (1 + 2 * 20)
+    assert stats["semantics.int"]["calls"] + stats["semantics.modal"]["calls"] == scans

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -141,3 +146,34 @@ def test_print_parse_normal_form():
                  "(p0 -> p1) & bot", "p0 & p1 & p2"]:
         once = pretty(parse(text))
         assert pretty(parse(once)) == once
+
+
+def _field_hash(f):
+    """The dataclass's own hash: the hash of the tuple of fields."""
+    return hash(tuple(getattr(f, fld.name) for fld in dataclasses.fields(f)))
+
+
+def test_hash_is_structural_and_survives_pickling():
+    rng = random.Random(31)
+    for _ in range(300):
+        f = _random_formula(rng, rng.randrange(0, 6), modal=True)
+        g = parse(pretty(f))  # equal, built separately
+        assert g == f and hash(g) == hash(f) == _field_hash(f)
+        hash(g)  # pickled with its hash computed, and f without
+        for h in (pickle.loads(pickle.dumps(g)), pickle.loads(pickle.dumps(f))):
+            assert h == f and hash(h) == hash(f) == _field_hash(h)
+
+
+def test_pickled_hash_holds_in_another_process():
+    # a stored hash travels with the node: it must be the one any other
+    # interpreter computes, whatever its string-hash seed
+    f = parse("[](p0 -> p1) | ~(p2 & bot)")
+    hash(f)
+    code = ("import pickle, sys; from ipckit.formulas import parse; "
+            "f = pickle.loads(bytes.fromhex(sys.argv[1])); "
+            "g = parse('[](p0 -> p1) | ~(p2 & bot)'); "
+            "print(hash(f) == hash(g), hash(g))")
+    env = dict(os.environ, PYTHONHASHSEED="12345")
+    out = subprocess.run([sys.executable, "-c", code, pickle.dumps(f).hex()],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == ["True", str(hash(f))]

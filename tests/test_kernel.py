@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipckit.catalog import fan
 from ipckit.formulas import BOT, And, Box, Imp, Or, Var, bw, grz_axiom, parse, variables
 from ipckit.poset import build_poset, enumerate_posets, upset_masks
-from ipckit.semantics import WINDOW, compile_formula, scan_validity
+from ipckit.semantics import WINDOW, compile_formula, scan_plan, scan_validity
 from _pureval import scan_validity as oracle_scan
 
 POSETS5 = enumerate_posets(5)
@@ -18,7 +20,7 @@ def _both(p, f, domain, limit=None):
     """(status, work) from the scanner and from the oracle."""
     vs = sorted(variables(f))
     ops, args = compile_formula(f, {v: i for i, v in enumerate(vs)})
-    new = scan_validity(p, ops, args, len(vs), list(domain), limit)
+    new = scan_validity(p, scan_plan(f), list(domain), limit)
     status, witness, work = oracle_scan(
         p.n, list(p.up), p.full_mask, ops, args, len(vs), list(domain), limit)
     if status == "refuted" and vs:
@@ -157,3 +159,42 @@ def test_scanner_matches_oracle_on_generated_scans(scan):
     p, f, domain, limit = scan
     new, old = _both(p, f, domain, limit)
     assert new == old
+
+
+@st.composite
+def _scan_sequences(draw):
+    """Scans in turn on two orders of one size: formulas that share
+    subformulas, each scanned on one order or on both, over domains that
+    interleave the upsets, all subsets and a permutation of either (the
+    same length, other contents or order), with limits mixed in."""
+    n = draw(st.integers(2, 5))
+    p, q = draw(st.lists(st.sampled_from(enumerate_posets(n)), min_size=2, max_size=2,
+                         unique_by=lambda r: r.up))
+    pool = draw(st.lists(_formulas(2), min_size=2, max_size=4))
+    pick = st.sampled_from(pool)
+    shared = st.one_of(pick, st.builds(Box, pick), st.builds(
+        lambda op, a, b: op(a, b), st.sampled_from([And, Or, Imp]), pick, pick))
+    scans = []
+    for _ in range(draw(st.integers(3, 6))):
+        f = draw(shared)
+        kind = draw(st.sampled_from(["upsets", "subsets", "permuted upsets", "permuted subsets"]))
+        shuffle = random.Random(draw(st.integers(0, 1 << 16))).shuffle
+        for r in draw(st.sampled_from([(p,), (q,), (p, q), (q, p)])):
+            domain = upset_masks(r) if kind.endswith("upsets") else list(range(1 << r.n))
+            if kind.startswith("permuted"):
+                shuffle(domain)
+            limit = draw(st.one_of(
+                st.none(), st.sampled_from(_limits(len(domain), len(variables(f)))),
+                st.integers(0, 2000)))
+            scans.append((r, f, domain, limit))
+    return scans
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_scan_sequences())
+def test_scan_sequences_match_oracle(scans):
+    # consecutive scans share the values of equal subformulas on one order:
+    # every scan must still end as the row-by-row oracle's does
+    for p, f, domain, limit in scans:
+        new, old = _both(p, f, domain, limit)
+        assert new == old, (p.up, f, domain, limit)

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from ipckit import semantics
+from ipckit import scenarios, semantics
 from ipckit.budget import WorkMeter
 from ipckit.errors import BudgetExceeded
 from ipckit.formulas import BOT, bw, godel_translate, grz_axiom, parse
@@ -38,7 +38,7 @@ def truth_set(p, valuation, f):
     single valuation row."""
     plan = scan_plan(f)
     slots = _point_bits(p.n, [valuation[v] for v in plan.vars], 1)
-    truth = _evaluate(plan.ops, plan.args, slots, semantics._frame(p.up), 1)
+    truth = _evaluate(plan.nodes, slots, semantics._frame(p.up), 1, {})
     return sum(t << x for x, t in enumerate(truth))
 
 
@@ -171,6 +171,8 @@ _CACHES = {name: fn for name, fn in vars(semantics).items() if hasattr(fn, "cach
 def _clear_caches():
     for fn in _CACHES.values():
         fn.cache_clear()
+    semantics._memo.clear()
+    semantics._node_ids.clear()
 
 
 def test_plan_caches_are_the_known_ones_and_bounded():
@@ -186,6 +188,7 @@ def test_plan_matches_formula():
     plan = scan_plan(f)
     assert plan.vars == (0, 2) and plan.nvars == 2 and plan.modal
     assert plan is scan_plan(parse("[](p2 -> p0) | ~p2"))  # equal formulas share
+    assert scan_plan(godel_translate(bw(2))) is scan_plan(godel_translate(bw(2)))
     assert not scan_plan(bw(2)).modal and scan_plan(BOT).vars == ()
 
 
@@ -247,7 +250,7 @@ def test_scans_leave_no_memo_on_the_poset():
         is_valid(p, parse("p0 -> p0"), meter=WorkMeter(3))
     is_valid_modal(p, godel_translate(f))
     plan = scan_plan(f)
-    scan_validity(p, plan.ops, plan.args, plan.nvars, upset_masks(p), None)
+    scan_validity(p, plan, upset_masks(p), None)
     assert p.__dict__ == before
 
 
@@ -260,8 +263,7 @@ def test_budgeted_scans_match_full_domain_scans():
         for f in fs:
             plan = scan_plan(f)
             for limit in range(0, min(len(domain) ** plan.nvars, 40) + 2):
-                status, work = scan_validity(
-                    p, plan.ops, plan.args, plan.nvars, domain, limit)
+                status, work = scan_validity(p, plan, domain, limit)
                 meter = WorkMeter(limit)
                 try:
                     got = "valid" if is_valid(p, f, meter=meter) else "refuted"
@@ -297,3 +299,82 @@ def test_modal_domain_is_not_materialised():
         tracemalloc.stop()
     assert meter.spent == 10
     assert peak < 1 << 20
+
+
+# -- node values shared by consecutive scans ----------------------------------
+
+
+def _scans_on(p, fs, share=True):
+    """(valid, work) of each formula's own intuitionistic and modal scan;
+    without share, every scan starts from an empty memo."""
+    out = []
+    for f in fs:
+        for is_valid_on, g in ((is_valid, f), (is_valid_modal, godel_translate(f))):
+            if not share:
+                semantics._memo.clear()
+            meter = WorkMeter()
+            out.append((is_valid_on(p, g, meter=meter), meter.spent))
+    return out
+
+
+def test_node_ids_name_slot_renamed_structures():
+    # p0 -> p2 and p1 -> p3 both read slot 0 -> slot 1: one node
+    a, b = scan_plan(parse("p0 -> p2")), scan_plan(parse("p1 -> p3"))
+    assert a.nodes == b.nodes
+    f = scan_plan(parse("(p0 -> p1) | ~(p0 -> p1)"))
+    assert len(f.nodes) == 6  # nine postfix ops, with p0, p1 and p0 -> p1 once
+    assert f.nodes[2][0] == a.nodes[-1][0]  # the shared p0 -> p1
+    assert len({n[0] for n in f.nodes}) == len(f.nodes)
+
+
+def test_memo_holds_one_order_only():
+    fs = list(scenarios.godel_suite(12))
+    posets = [p for n in range(1, 5) for p in enumerate_posets(n)]
+    alone = [_scans_on(p, fs, share=False) for p in posets]
+    _clear_caches()
+    for p, want in zip(posets + posets[::-1], alone + alone[::-1]):
+        assert _scans_on(p, fs) == want
+        assert semantics._memo.up == p.up
+        for _, values in semantics._memo.tables.values():
+            assert all(len(v) == p.n for v in values.values())
+
+
+def test_memo_and_node_table_stay_within_bounds(monkeypatch):
+    fs = list(scenarios.godel_suite(40))
+    p = enumerate_posets(4)[7]
+    want = _scans_on(p, fs, share=False)
+    monkeypatch.setattr(semantics, "MEMO_BOUND", 20)
+    monkeypatch.setattr(semantics, "NODE_BOUND", 16)
+    _clear_caches()
+    names = {}  # node id -> its structure, ids of children included
+    largest = 0
+    for i, f in enumerate(fs):
+        assert _scans_on(p, [f]) == want[2 * i:2 * i + 2]
+        assert len(semantics._node_ids) <= 16
+        # checked before each scan, which adds at most its own nodes
+        largest = max(largest, *(len(scan_plan(g).nodes) for g in (f, godel_translate(f))))
+        assert sum(len(t) for _, t in semantics._memo.tables.values()) <= 20 + largest
+        for g in (f, godel_translate(f)):
+            nodes = scan_plan(g).nodes
+            for nid, op, a, b in nodes:
+                if op in (semantics.OP_VAR, semantics.OP_BOT):
+                    key = (op, a)
+                elif op == semantics.OP_BOX:
+                    key = (op, nodes[a][0])
+                else:
+                    key = (op, nodes[a][0], nodes[b][0])
+                assert names.setdefault(nid, key) == key  # never another structure
+    assert len(names) > 16  # the table was emptied and ids went on
+
+
+def test_godel_transfer_budget_trip_points():
+    # measured before node values were shared; each scan still charges its
+    # own rows in suite order, warm or cold
+    params = {"size": 4, "formulas": 60}
+    pins = {1000: (1, 1206), 50000: (10, 51837), 150000: (19, 151020)}
+    for clear in (True, False):
+        for budget, counts in pins.items():
+            if clear:
+                _clear_caches()
+            r = run_scenario("godel-transfer", params, budget=budget)
+            assert (r.status, r.instances_checked, r.work_units) == ("budget",) + counts
