@@ -15,76 +15,73 @@ printer contracts it back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from weakref import WeakValueDictionary
 
 from .errors import FormulaSyntaxError, NotIntuitionistic
 
+_interned = WeakValueDictionary()  # (class, *fields) -> the live node
+
 
 class Formula:
-    __slots__ = ()
+    """An immutable formula node, hash-consed: building a node equal to a
+    live one returns that one, so equal formulas are one object, and
+    equality and hashing are identity's, O(1).  A node's fields are its
+    class's __slots__; a pickled node is rebuilt through the constructor,
+    so it is interned again in the process that loads it."""
+
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *fields):
+        if len(fields) != len(cls.__slots__):
+            raise TypeError(f"{cls.__name__} takes fields {cls.__slots__}")
+        key = (cls, *fields)
+        node = _interned.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(node, name, value)
+            _interned[key] = node
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def __str__(self):
         return pretty(self)
 
 
-def _hash_once(cls):
-    """Keep the dataclass's structural hash, hash of the tuple of fields,
-    but compute it once per node: a node's hash reads its children's
-    stored hashes, so hashing a formula is O(1) after its first time
-    instead of a walk of the whole tree.  The stored value is an int
-    hash of ints, the same in every process, so a pickled node may carry
-    it."""
-    structural = cls.__hash__
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = structural(self)
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-@_hash_once
-@dataclass(frozen=True)
 class Var(Formula):
-    index: int
+    __slots__ = ("index",)
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Bot(Formula):
-    pass
+    __slots__ = ()
 
 
-@_hash_once
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Imp(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Box(Formula):
-    inner: Formula
+    __slots__ = ("inner",)
 
 
 BOT = Bot()

@@ -285,6 +285,14 @@ def _jankov_oracle(params):
     return instances, check
 
 
+def _collapse(src, dst, image):
+    """The map sending each point e of src to dst's point named image(e),
+    as a PMorphism checked by validate()."""
+    pm = PMorphism(src, dst, tuple(dst.index(image(e)) for e in src.elements))
+    pm.validate()
+    return pm
+
+
 def _ym_rigidity(params):
     mmax = params["max_m"]
     trunc = params["trunc"]
@@ -303,12 +311,7 @@ def _ym_rigidity(params):
         x = xm_trunc(k, 3, trunc)
         y = ys[k]
         d = x.index("d")
-        mapping = tuple(
-            y.index("d") if x.leq_idx(d, i) else y.index(x.elements[i])
-            for i in range(x.n)
-        )
-        pm = PMorphism(x, y, mapping)
-        pm.validate()
+        pm = _collapse(x, y, lambda e: "d" if x.leq_idx(d, x.index(e)) else e)
         if not pm.is_surjective():
             return False, y, "collapse map not onto"
         return True, y, None
@@ -403,31 +406,15 @@ def _pm_constructions(params):
         if kind == "chain-collapse":
             n, m = a, b
             src = gn_trunc(n, nlv)
-            dst = gn_trunc(m, nlv)
-            mapping = []
-            for e in src.elements:
-                if e.startswith("c.c"):
-                    i = int(e[3:])
-                    mapping.append(dst.index(f"c.c{min(i, m - 1)}"))
-                else:
-                    mapping.append(dst.index(e))
-            pm = PMorphism(src, dst, tuple(mapping))
-            pm.validate()
+            pm = _collapse(src, gn_trunc(m, nlv), lambda e: (
+                f"c.c{min(int(e[3:]), m - 1)}" if e.startswith("c.c") else e))
             return pm.is_surjective(), src, None if pm.is_surjective() else "not onto"
         if kind == "ladder-collapse":
             n = a
             src = gn_trunc(n, nlv)
             dst = stack([("t", one_point()), ("f", ladder_upset(4)),
                          ("c", chain(n))])
-            top = dst.index("t.pt")
-            mapping = []
-            for e in src.elements:
-                if e.startswith(("t.", "l.")):
-                    mapping.append(top)
-                else:
-                    mapping.append(dst.index(e))
-            pm = PMorphism(src, dst, tuple(mapping))
-            pm.validate()
+            pm = _collapse(src, dst, lambda e: "t.pt" if e.startswith(("t.", "l.")) else e)
             return pm.is_surjective(), src, None if pm.is_surjective() else "not onto"
         # middle-drop: send the middle summand to the truncation bottom
         mid = mid_by_tag[a]
@@ -435,15 +422,7 @@ def _pm_constructions(params):
         src = stack([("x", one_point()), ("l", ladder_trunc(nlv)),
                      ("y", mid), ("z", z)])
         dst = stack([("x", one_point()), ("l", ladder_trunc(nlv)), ("z", z)])
-        omega = dst.index("l.omega")
-        mapping = []
-        for e in src.elements:
-            if e.startswith("y."):
-                mapping.append(omega)
-            else:
-                mapping.append(dst.index(e))
-        pm = PMorphism(src, dst, tuple(mapping))
-        pm.validate()
+        pm = _collapse(src, dst, lambda e: "l.omega" if e.startswith("y.") else e)
         return pm.is_surjective(), src, None if pm.is_surjective() else "not onto"
 
     return instances, check

@@ -12,23 +12,24 @@ domain and window patterns are built once.  These live in bounded caches
 keyed by the formula and by the order's up-masks, never on Poset
 instances, so relabelled copies share them.
 
-A plan lists the formula's distinct subformulas as DAG nodes whose ids
-name their structure across formulas.  While consecutive scans that fit
-in one window stay on one order, each distinct node is evaluated once
-and its value reused (_NodeValues); each formula is still scanned by its
-own call, in its own row order, under its own limit and charge, so
-statuses and work are those of scans that share nothing.
+A plan lists the formula's distinct subformulas as DAG nodes, each the
+interned formula of its slot-renamed structure, so a node is one object
+across formulas.  While consecutive scans that fit in one window stay on
+one order, each distinct node is evaluated once and its value reused
+(_NodeValues); each formula is still scanned by its own call, in its own
+row order, under its own limit and charge, so statuses and work are
+those of scans that share nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, islice, product
+from itertools import islice, product
 
 from .budget import WorkMeter
 from .errors import BudgetExceeded, NotIntuitionistic
-from .formulas import And, Bot, Box, Formula, Imp, Or, Var, variables
+from .formulas import BOT, And, Bot, Box, Formula, Imp, Or, Var, variables
 from .poset import Poset, _bits, iter_upset_masks
 
 OP_VAR, OP_BOT, OP_AND, OP_OR, OP_IMP, OP_BOX = range(6)
@@ -62,45 +63,36 @@ def compile_formula(f, slot_of):
     return ops, args
 
 
-# most structures the node table names at once
-NODE_BOUND = 1 << 14
-_node_ids = {}  # slot-renamed structure -> node id
-_next_id = count()
+_BINARY = {OP_AND: And, OP_OR: Or, OP_IMP: Imp}
 
 
 def _dag(ops, args):
     """The distinct subformulas of a compiled formula, children first, as
-    (id, op, a, b) nodes: a is the slot of a variable, the position of a
+    (node, op, a, b): a is the slot of a variable, the position of a
     box's child, or with b the positions of a binary node's children.
 
-    A node's id names its slot-renamed structure, (op, slot) for a leaf
-    and (op, child ids) otherwise, across all formulas, so equal
-    subformulas of two formulas with the same slots get one id.  The
-    table holds at most NODE_BOUND structures and is emptied when full;
-    ids come from one counter and are never given to another structure,
-    so an emptied table only loses sharing: a structure seen again gets a
-    new id, and every id still names one structure.
+    The node is the formula's subformula with each variable renamed to
+    its slot: Var(slot), BOT, Box(child) or And/Or/Imp(left, right) over
+    child nodes.  Formulas are interned, so equal subformulas of two
+    formulas with the same slots are one node object.
     """
     nodes, pos, stack = [], {}, []
     for op, arg in zip(ops, args):
-        if op == OP_VAR or op == OP_BOT:
-            key, a, b = (op, arg), arg, 0
+        if op == OP_VAR:
+            node, a, b = Var(arg), arg, 0
+        elif op == OP_BOT:
+            node, a, b = BOT, 0, 0
         elif op == OP_BOX:
-            key = (op, stack.pop())
-            a, b = pos[key[1]], 0
+            child = stack.pop()
+            node, a, b = Box(child), pos[child], 0
         else:
             right = stack.pop()
-            key = (op, stack.pop(), right)
-            a, b = pos[key[1]], pos[right]
-        nid = _node_ids.get(key)
-        if nid is None:
-            if len(_node_ids) >= NODE_BOUND:
-                _node_ids.clear()
-            nid = _node_ids[key] = next(_next_id)
-        if nid not in pos:
-            pos[nid] = len(nodes)
-            nodes.append((nid, op, a, b))
-        stack.append(nid)
+            left = stack.pop()
+            node, a, b = _BINARY[op](left, right), pos[left], pos[right]
+        if node not in pos:
+            pos[node] = len(nodes)
+            nodes.append((node, op, a, b))
+        stack.append(node)
     return tuple(nodes)
 
 
@@ -170,14 +162,14 @@ def _evaluate(nodes, slots, p, ones, memo):
     everywhere in up(x): the local misses are ORed down the covers of p
     in one top-down pass.
 
-    memo maps node ids to values already computed over these same slots
-    and this same order; the nodes computed here are added to it.
+    memo maps nodes to values already computed over these same slots and
+    this same order; the nodes computed here are added to it.
     """
     order, covers = p.topdown, p.upper_covers
     vals = []
     push = vals.append
-    for nid, op, a, b in nodes:
-        v = memo.get(nid)
+    for node, op, a, b in nodes:
+        v = memo.get(node)
         if v is None:
             if op == OP_VAR:
                 v = slots[a]
@@ -198,7 +190,7 @@ def _evaluate(nodes, slots, p, ones, memo):
                         m |= miss[y]
                     miss[x] = m
                 v = [ones ^ m for m in miss]
-            memo[nid] = v
+            memo[node] = v
         push(v)
     return vals[-1]
 
@@ -292,20 +284,16 @@ class _NodeValues:
 
     def clear(self):
         self.up = None
-        self.tables = {}  # id(pattern) -> (pattern, {node id: values})
-        self.held = 0  # values in the tables, as of the last fetch
-        self.last, self.last_size = {}, 0  # the table last fetched
+        self.tables = {}  # id(pattern) -> (pattern, {node: values})
 
     def table(self, up, pattern):
         """The node values held for the order up and this pattern."""
-        self.held += len(self.last) - self.last_size  # the last scan's adds
-        if up != self.up or self.held > MEMO_BOUND:
-            self.up, self.tables, self.held = up, {}, 0
+        if up != self.up or sum(len(t) for _, t in self.tables.values()) > MEMO_BOUND:
+            self.up, self.tables = up, {}
         entry = self.tables.get(id(pattern))
         if entry is None:
             entry = self.tables[id(pattern)] = (pattern, {})
-        self.last, self.last_size = entry[1], len(entry[1])
-        return self.last
+        return entry[1]
 
 
 _memo = _NodeValues()

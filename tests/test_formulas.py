@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
-import dataclasses
+import gc
 import os
 import pickle
 import random
 import subprocess
 import sys
+import weakref
+from pathlib import Path
 
 import pytest
 
 from helpers import random_formula as _random_formula
 
+from ipckit import formulas
 from ipckit.errors import FormulaSyntaxError, NotIntuitionistic
 from ipckit.formulas import (
     BOT,
@@ -148,32 +151,42 @@ def test_print_parse_normal_form():
         assert pretty(parse(once)) == once
 
 
-def _field_hash(f):
-    """The dataclass's own hash: the hash of the tuple of fields."""
-    return hash(tuple(getattr(f, fld.name) for fld in dataclasses.fields(f)))
-
-
-def test_hash_is_structural_and_survives_pickling():
+def test_equal_formulas_are_one_object():
     rng = random.Random(31)
     for _ in range(300):
         f = _random_formula(rng, rng.randrange(0, 6), modal=True)
-        g = parse(pretty(f))  # equal, built separately
-        assert g == f and hash(g) == hash(f) == _field_hash(f)
-        hash(g)  # pickled with its hash computed, and f without
-        for h in (pickle.loads(pickle.dumps(g)), pickle.loads(pickle.dumps(f))):
-            assert h == f and hash(h) == hash(f) == _field_hash(h)
+        assert parse(pretty(f)) is f  # built separately, interned
+        assert pickle.loads(pickle.dumps(f)) is f
 
 
-def test_pickled_hash_holds_in_another_process():
-    # a stored hash travels with the node: it must be the one any other
-    # interpreter computes, whatever its string-hash seed
+def test_unpickled_formula_is_interned_in_another_process():
+    # identity hashes differ between interpreters: unpickling must rebuild
+    # the node through the intern table, whatever the string-hash seed
     f = parse("[](p0 -> p1) | ~(p2 & bot)")
-    hash(f)
     code = ("import pickle, sys; from ipckit.formulas import parse; "
             "f = pickle.loads(bytes.fromhex(sys.argv[1])); "
-            "g = parse('[](p0 -> p1) | ~(p2 & bot)'); "
-            "print(hash(f) == hash(g), hash(g))")
-    env = dict(os.environ, PYTHONHASHSEED="12345")
+            "print(f is parse('[](p0 -> p1) | ~(p2 & bot)'))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code, pickle.dumps(f).hex()],
                          capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.split() == ["True", str(hash(f))]
+    assert out.stdout.split() == ["True"]
+
+
+def test_formulas_are_immutable():
+    f = parse("p0 -> []p1")
+    with pytest.raises(AttributeError):
+        f.left = BOT
+    with pytest.raises(AttributeError):
+        del f.right
+    assert f.left is Var(0) and f.right is Box(Var(1))
+
+
+def test_unreferenced_formulas_leave_the_intern_table():
+    f = And(Var(7071), Box(Var(7072)))
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+    assert (Var, 7071) not in formulas._interned
+    assert (Var, 7072) not in formulas._interned

@@ -129,6 +129,19 @@ def test_cli_jankov_subframe(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["jankov", "subframe"])
+def test_cli_rejects_unrooted_targets(tmp_path, capsys, command):
+    # a usage error, exit 2, not the exit 1 of a host that refutes
+    host = tmp_path / "host.json"
+    target = tmp_path / "target.json"
+    export_poset(F2, "json", host)
+    export_poset(build_poset(["a", "b"], []), "json", target)
+    assert main([command, str(host), str(target)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1
+
+
 def test_cli_pmorphism(tmp_path, capsys):
     src = tmp_path / "src.json"
     dst = tmp_path / "dst.json"
@@ -251,6 +264,7 @@ def test_benchmark_workload_params_are_accepted(monkeypatch):
     ["verify", "sobolev-width", "--size", "-3"],
     ["verify", "sobolev-width", "--size", "0"],
     ["verify", "rn-closure", "--size", "5", "--param", "n=-1"],
+    ["enumerate", "--size", "0"],
 ])
 def test_cli_verify_rejects_bad_params(capsys, argv):
     assert main(argv) == 2

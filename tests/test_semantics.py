@@ -172,7 +172,6 @@ def _clear_caches():
     for fn in _CACHES.values():
         fn.cache_clear()
     semantics._memo.clear()
-    semantics._node_ids.clear()
 
 
 def test_plan_caches_are_the_known_ones_and_bounded():
@@ -344,27 +343,24 @@ def test_memo_and_node_table_stay_within_bounds(monkeypatch):
     p = enumerate_posets(4)[7]
     want = _scans_on(p, fs, share=False)
     monkeypatch.setattr(semantics, "MEMO_BOUND", 20)
-    monkeypatch.setattr(semantics, "NODE_BOUND", 16)
     _clear_caches()
-    names = {}  # node id -> its structure, ids of children included
+    names = {}  # node -> its structure, over its children's nodes
     largest = 0
     for i, f in enumerate(fs):
         assert _scans_on(p, [f]) == want[2 * i:2 * i + 2]
-        assert len(semantics._node_ids) <= 16
         # checked before each scan, which adds at most its own nodes
         largest = max(largest, *(len(scan_plan(g).nodes) for g in (f, godel_translate(f))))
         assert sum(len(t) for _, t in semantics._memo.tables.values()) <= 20 + largest
         for g in (f, godel_translate(f)):
             nodes = scan_plan(g).nodes
-            for nid, op, a, b in nodes:
+            for node, op, a, b in nodes:
                 if op in (semantics.OP_VAR, semantics.OP_BOT):
                     key = (op, a)
                 elif op == semantics.OP_BOX:
                     key = (op, nodes[a][0])
                 else:
                     key = (op, nodes[a][0], nodes[b][0])
-                assert names.setdefault(nid, key) == key  # never another structure
-    assert len(names) > 16  # the table was emptied and ids went on
+                assert names.setdefault(node, key) == key  # never another structure
 
 
 def test_godel_transfer_budget_trip_points():
