@@ -99,7 +99,7 @@ def sum_blocks(p: Poset):
     n = p.n
     if n == 0:
         return []
-    above = [bin(p.strict_up(i)).count("1") for i in range(n)]
+    above = [p.strict_up(i).bit_count() for i in range(n)]
     cuts = []
     for m in range(1, n):
         upper = [i for i in range(n) if above[i] < m]
@@ -113,7 +113,7 @@ def sum_blocks(p: Poset):
             cuts.append(upper_mask)
     blocks = []
     prev = 0
-    for mask in sorted(cuts, key=lambda m: bin(m).count("1")) + [p.full_mask]:
+    for mask in sorted(cuts, key=int.bit_count) + [p.full_mask]:
         blocks.append(p.restrict(mask & ~prev))
         prev = mask
     return blocks

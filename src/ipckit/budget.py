@@ -7,8 +7,6 @@ never timed, so runs are reproducible across machines.
 
 from __future__ import annotations
 
-from .errors import BudgetExceeded
-
 DEFAULT_ENUM_CAP = 8         # enumerate_rooted refuses sizes beyond this
 DEFAULT_ALGEBRA_CAP = 64     # carrier bound for algebra construction
 DEFAULT_SUBALG_CAP = 16      # carrier bound for subalgebra enumeration
@@ -16,18 +14,15 @@ DEFAULT_EPARTITION_CAP = 8   # poset size bound for epartition enumeration
 
 
 class WorkMeter:
-    """Counts work units; raises once a limit is crossed."""
+    """Counts work units against an optional limit.  The scans and
+    searches that add to spent raise BudgetExceeded once they would
+    cross it."""
 
     __slots__ = ("limit", "spent")
 
     def __init__(self, limit: int | None = None):
         self.limit = limit
         self.spent = 0
-
-    def charge(self) -> None:
-        self.spent += 1
-        if self.limit is not None and self.spent > self.limit:
-            raise BudgetExceeded(spent=self.spent)
 
     def remaining(self) -> int | None:
         if self.limit is None:

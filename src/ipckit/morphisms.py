@@ -3,16 +3,24 @@
 A total map a between posets is a p-morphism when the image of every
 up-set is the up-set of the image.  Assigning sources in order of
 decreasing height makes the condition local: once everything strictly
-above x is mapped to S, the image of x must be the unique t with
-up(t) = S or up(t) = S + {t}.  That keeps the branching factor at two,
-so exhaustive absence proofs stay cheap.
+above x is mapped, onto S, the image of x must be a t with up(t) = S
+(t already in S) or up(t) = S + {t}.  A target lists these candidates
+per S once (Poset.image_candidates), so exhaustive absence proofs stay
+cheap.
+
+The walk never gathers S point by point.  For each point i it places it
+keeps seen[i], the image of the kept points of up(i), which is up(t)
+when i maps to t; S is then the union of seen[c] over the upper covers c
+of x (see _search for the proof).  It counts its nodes and charges them
+to the work meter once per search.
 
 The image criteria use the same walk.  With the skip option a point may
-also be left out: S is then the image of the kept points above x, and
-the condition stays local, so one walk over the host searches all of its
-subposets at once (subframe axioms), with no subposet ever built.  Upset
-images need no skipping, since for a rooted target the principal upsets
-suffice (splitting axioms; see image_of_upset).
+also be left out: S is then the image of the kept points above x, and a
+left-out point keeps seen = S, so the condition stays local and one walk
+over the host searches all of its subposets at once (subframe axioms),
+with no subposet ever built.  Upset images need no skipping, since for a
+rooted target the principal upsets suffice (splitting axioms; see
+image_of_upset).
 
 E-partitions, the kernels of the p-morphisms onto rooted images, are
 tuples of block masks sorted by least point.  They come from a walk in
@@ -25,6 +33,7 @@ pass, since condition (a) is the back condition of the projection.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from . import budget as _budget
@@ -72,47 +81,75 @@ def _search(host: Poset, target: Poset, domain, skip, surjective,
     """First map found from the points of domain to target that is a
     p-morphism on the subposet it keeps; None if there is none.
 
-    domain lists host points top-down, so every host point above a point
-    comes before it or lies outside domain.  Each point is mapped to a
-    target point, or, when skip is set, left out; points outside domain
-    are left out.  One node is charged per step of the walk.  The result
-    is a list over the host points, -1 at those left out.
+    domain must be an upset of host, listed top-down: every host point
+    above a point of domain lies in domain and comes before it.  Each
+    point is mapped to a target point, or, when skip is set, left out;
+    points outside domain are left out.  The result is a list over the
+    host points, -1 at those left out.
+
+    The walk keeps seen[i], the image of the kept points in up(i), for
+    each point i it has placed, and reads S, the image of the kept
+    points strictly above x, as the union of seen[c] over the upper
+    covers c of x:
+
+    - If i maps to t, seen[i] = up(t).  The kept image strictly above i
+      is S(i), and the candidate rule gives up(t) = S(i) or S(i) + {t}, so
+      the kept image of up(i) = strict_up(i) + {i}, which is S(i) + {t}, is
+      up(t) in both cases.  If i is left out, seen[i] = S(i).
+    - Every point y strictly above x lies in up(c) for some upper cover
+      c of x (take c minimal in the interval from x up to y), and each
+      such up(c) lies in strict_up(x).  So strict_up(x) is the union of
+      the up(c), and its kept image is the union of the seen[c].
+    - Each cover c of x lies in domain, since domain is an upset, and
+      comes before x, so seen[c] is set for the branch being walked.
+
+    One node is counted per step of the walk.  The count is charged to
+    meter once, at the end; when it passes what meter has left, the walk
+    stops at the first node beyond it, charges up to that node and
+    raises BudgetExceeded, as charging node by node would.
     """
-    # kept images strictly above a point -> its candidates: the t with
-    # up(t) == above (t already hit), then those with up(t) == above + {t}
-    cands = {}
-    for t in range(target.n):
-        cands[target.up[t]] = [t]
-    for t in range(target.n):
-        cands.setdefault(target.strict_up(t), []).append(t)
-    above = [tuple(_bits(host.strict_up(i))) for i in domain]
+    cands = target.image_candidates
+    covers = host.upper_covers
     last = len(domain)
-    image = [0] * host.n  # bit of the image of each kept point, else 0
-    hit = [0] * target.n
+    seen = [0] * host.n
+    mapping = [-1] * host.n
+    left = None if meter is None else meter.remaining()
+    cap = sys.maxsize if left is None else left
+    nodes = 0
 
-    def rec(k, unhit):
-        if meter is not None:
-            meter.charge()
+    # hit is the mask of target points hit so far and unhit the number
+    # of the others; a search that need not be onto starts with all hit
+    def rec(k, hit, unhit):
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            meter.spent += nodes
+            raise BudgetExceeded(spent=meter.spent)
         if k == last:
-            return not surjective or unhit == 0
-        if surjective and unhit > last - k:
+            return not unhit
+        if unhit > last - k:
             return False
-        s_mask = 0
-        for j in above[k]:
-            s_mask |= image[j]
         i = domain[k]
-        for t in cands.get(s_mask, ()):
-            image[i] = 1 << t
-            hit[t] += 1
-            if rec(k + 1, unhit - (hit[t] == 1)):
+        s = 0
+        for c in covers[i]:
+            s |= seen[c]
+        for t, bit, up_t in cands.get(s, ()):
+            seen[i] = up_t
+            if rec(k + 1, hit | bit, unhit - (not hit & bit)):
+                mapping[i] = t
                 return True
-            hit[t] -= 1
-        image[i] = 0
-        return skip and rec(k + 1, unhit)
+        if skip:
+            seen[i] = s
+            return rec(k + 1, hit, unhit)
+        return False
 
-    if not rec(0, target.n):
-        return None
-    return [b.bit_length() - 1 for b in image]
+    if surjective:
+        found = rec(0, 0, target.n)
+    else:
+        found = rec(0, target.full_mask, 0)
+    if meter is not None:
+        meter.spent += nodes
+    return mapping if found else None
 
 
 def find_pmorphism(source: Poset, target: Poset, surjective=False,
@@ -149,13 +186,13 @@ def image_of_upset(target: Poset, host: Poset, meter: WorkMeter | None = None) -
         return True
     if target.root_index is None:
         raise ValueError("image_of_upset expects a rooted target")
-    h = host.heights()
+    h = host._heights
     order = host.topdown
     tw = width(target)
-    th = max(target.heights())
+    th = target.height
     for x in host.by_upset_size:
         up_x = host.up[x]
-        if bin(up_x).count("1") < target.n:
+        if up_x.bit_count() < target.n:
             break
         if h[x] < th or host.upset_widths[x] < tw:
             continue

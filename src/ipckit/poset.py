@@ -53,8 +53,9 @@ class Poset:
 
     # derived order data ------------------------------------------------
     #
-    # The heights, topdown, upper_covers, comparable, root_index, the widths
-    # and by_upset_size are computed once per instance, on first use.
+    # The heights, height, topdown, upper_covers, comparable, root_index, the
+    # widths, by_upset_size and image_candidates are computed once per
+    # instance, on first use.
     # down_masks is not kept, so the many candidates that canonical_code
     # sees during enumeration carry no memo.
 
@@ -72,7 +73,7 @@ class Poset:
     @cached_property
     def _heights(self):
         h = [None] * self.n
-        order = sorted(range(self.n), key=lambda i: bin(self.up[i]).count("1"))
+        order = sorted(range(self.n), key=lambda i: self.up[i].bit_count())
         for i in order:
             above = [h[j] for j in _bits(self.strict_up(i))]
             h[i] = 1 + max(above) if above else 0
@@ -81,6 +82,11 @@ class Poset:
     def heights(self):
         """Longest-chain distance from the top: maximal elements get 0."""
         return list(self._heights)
+
+    @cached_property
+    def height(self):
+        """The largest height, -1 for the empty poset."""
+        return max(self._heights, default=-1)
 
     @cached_property
     def topdown(self):
@@ -126,7 +132,18 @@ class Poset:
     @cached_property
     def by_upset_size(self):
         """The points by decreasing size of their up-sets, then index."""
-        return tuple(sorted(range(self.n), key=lambda i: -bin(self.up[i]).count("1")))
+        return tuple(sorted(range(self.n), key=lambda i: -self.up[i].bit_count()))
+
+    @cached_property
+    def image_candidates(self):
+        """The candidate table of a p-morphism search onto this poset: per
+        set S of points, as a mask, the points t with up(t) == S (t
+        already in S), then those with up(t) == S + {t}, by index, each
+        as (t, 1 << t, up(t))."""
+        table = {u: [(t, 1 << t, u)] for t, u in enumerate(self.up)}
+        for t, u in enumerate(self.up):
+            table.setdefault(u & ~(1 << t), []).append((t, 1 << t, u))
+        return {s: tuple(entries) for s, entries in table.items()}
 
     def covers(self):
         """List of (i, j) index pairs with e_j covering e_i."""
@@ -276,7 +293,7 @@ def _max_antichain(p, mask):
 
     def rec(avail, size):
         nonlocal best
-        if size + bin(avail).count("1") <= best:
+        if size + avail.bit_count() <= best:
             return
         if not avail:
             best = max(best, size)
@@ -312,7 +329,7 @@ def _refined_colors(p, down):
     it would reproduce them and stop.
     """
     n = p.n
-    colors = [(bin(p.up[i]).count("1"), bin(down[i]).count("1")) for i in range(n)]
+    colors = [(p.up[i].bit_count(), down[i].bit_count()) for i in range(n)]
     rank = {c: k for k, c in enumerate(sorted(set(colors)))}
     colors = [rank[c] for c in colors]
     above = [list(_bits(p.strict_up(i))) for i in range(n)]

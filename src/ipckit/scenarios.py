@@ -475,10 +475,13 @@ def scenario_params(name, params=None):
 
 
 def _run_check(check, inst, budget):
+    """(ok, poset, detail, spent, tripped) for one instance; the poset is
+    kept only for a failing instance, the one place the report reads it,
+    so pool workers send no passing poset back."""
     meter = WorkMeter(limit=budget)
     try:
         ok, poset, detail = check(inst, meter)
-        return ok, poset, detail, meter.spent, False
+        return ok, None if ok else poset, detail, meter.spent, False
     except BudgetExceeded:
         return True, None, None, meter.spent, True
 
@@ -514,22 +517,30 @@ def run_scenario(name, params=None, budget=None, jobs=1,
     if jobs and jobs > 1:
         import multiprocessing
 
+        # aggregated while the pool runs, so a budget trip leaves the with
+        # block, which terminates the workers and stops the dispatch
         with multiprocessing.Pool(
                 jobs, initializer=_worker_init, initargs=(name, merged)) as pool:
-            results = pool.map(
+            results = pool.imap(
                 _worker_run, [(inst, budget) for inst in instances],
                 chunksize=max(1, len(instances) // (jobs * 4) or 1))
+            _aggregate(report, results, budget, max_counterexamples)
     else:
         results = (_run_check(check, inst, budget) for inst in instances)
+        _aggregate(report, results, budget, max_counterexamples)
+    return report
 
+
+def _aggregate(report, results, budget, max_counterexamples):
+    """Add the results to report in instance order, up to the first one
+    that trips the budget or takes the cumulative work over it."""
     for ok, poset, detail, spent, tripped in results:
         report.work_units += spent
         if tripped or (budget is not None and report.work_units > budget):
             report.status = "budget"
-            break
+            return
         report.instances_checked += 1
         if not ok:
             report.status = "fail"
             if len(report.counterexamples) < max_counterexamples:
                 report.counterexamples.append(Counterexample(poset, detail))
-    return report

@@ -1,5 +1,9 @@
-"""Restrict-per-candidate image searches: the test oracle for the fused
-top-down search in ipckit.morphisms.
+"""Test oracles for the fused top-down search in ipckit.morphisms.
+
+search is the fused walk that reads the kept image above each point off
+all of strict_up, keeps a hit count per target point and charges the
+meter one node at a time; morphisms._search must visit the same nodes in
+the same order and return the same map.
 
 find_pmorphism is the backtracking search that ipckit.morphisms keeps as
 its no-skip case, with the same order, candidates and node charges.
@@ -10,8 +14,64 @@ subset with Poset.restrict and run a surjective find_pmorphism on each.
 from __future__ import annotations
 
 from ipckit.budget import WorkMeter
+from ipckit.errors import BudgetExceeded
 from ipckit.morphisms import PMorphism
 from ipckit.poset import Poset, _bits, upset_masks, width, _max_antichain
+
+
+def _charge(meter):
+    """One node, raising once the meter's limit is crossed."""
+    meter.spent += 1
+    if meter.limit is not None and meter.spent > meter.limit:
+        raise BudgetExceeded(spent=meter.spent)
+
+
+def search(host: Poset, target: Poset, domain, skip, surjective,
+           meter: WorkMeter | None):
+    """First map found from the points of domain to target that is a
+    p-morphism on the subposet it keeps; None if there is none.
+
+    domain lists host points top-down, so every host point above a point
+    comes before it or lies outside domain.  Each point is mapped to a
+    target point, or, when skip is set, left out; points outside domain
+    are left out.  One node is charged per step of the walk.  The result
+    is a list over the host points, -1 at those left out.
+    """
+    # kept images strictly above a point -> its candidates: the t with
+    # up(t) == above (t already hit), then those with up(t) == above + {t}
+    cands = {}
+    for t in range(target.n):
+        cands[target.up[t]] = [t]
+    for t in range(target.n):
+        cands.setdefault(target.strict_up(t), []).append(t)
+    above = [tuple(_bits(host.strict_up(i))) for i in domain]
+    last = len(domain)
+    image = [0] * host.n  # bit of the image of each kept point, else 0
+    hit = [0] * target.n
+
+    def rec(k, unhit):
+        if meter is not None:
+            _charge(meter)
+        if k == last:
+            return not surjective or unhit == 0
+        if surjective and unhit > last - k:
+            return False
+        s_mask = 0
+        for j in above[k]:
+            s_mask |= image[j]
+        i = domain[k]
+        for t in cands.get(s_mask, ()):
+            image[i] = 1 << t
+            hit[t] += 1
+            if rec(k + 1, unhit - (hit[t] == 1)):
+                return True
+            hit[t] -= 1
+        image[i] = 0
+        return skip and rec(k + 1, unhit)
+
+    if not rec(0, target.n):
+        return None
+    return [b.bit_length() - 1 for b in image]
 
 
 def _height_order(p):
@@ -35,7 +95,7 @@ def find_pmorphism(source: Poset, target: Poset, surjective=False,
 
     def rec(k, unhit):
         if meter is not None:
-            meter.charge()
+            _charge(meter)
         if k == len(order):
             return not surjective or unhit == 0
         i = order[k]

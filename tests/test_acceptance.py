@@ -123,3 +123,17 @@ def test_determinism_across_worker_counts():
         seq = render_report(run_scenario(name, params, jobs=1), "json")
         par = render_report(run_scenario(name, params, jobs=2), "json")
         assert seq == par, name
+
+
+def test_budget_trips_alike_across_worker_counts():
+    # jobs=2 aggregates while its pool runs and stops it at the trip; the
+    # report must be jobs=1's at budgets that trip in the first, a middle
+    # and the last of the pool's chunks (306 instances each, 2,451 in all)
+    params = {"size": 8}
+    chunk = 2451 // 8
+    for budget, where in ((1000, 0), (211000, 4), (555000, 8)):
+        seq = run_scenario("kg-structure", params, budget=budget, jobs=1)
+        assert seq.status == "budget"
+        assert seq.instances_checked // chunk == where, budget
+        par = run_scenario("kg-structure", params, budget=budget, jobs=2)
+        assert render_report(par, "json") == render_report(seq, "json"), budget

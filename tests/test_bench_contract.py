@@ -64,8 +64,27 @@ def test_traced_run_matches_untraced_run():
     assert traced.to_json() == plain.to_json()
     assert tracer.metered() == traced.work_units > 0
     stats = tracer.totals()
-    assert stats["poset.heights"]["calls"] > 0
+    assert stats["poset.width"]["calls"] > 0
     assert stats["morphisms.image_upset"]["calls"] > 0
+
+
+def test_traced_run_reconciles_when_a_search_trips():
+    # a search charges its nodes once, at its end or at the trip, so the
+    # units the tracer reads off the meter of a search that raised must
+    # still add up to the report's work_units; at budget 5 the fifth
+    # instance's one 8-node search trips at its sixth node
+    params = {"size": 5}
+    plain = run_scenario("kracht-bw2", params, budget=5)
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        traced = run_scenario("kracht-bw2", params, budget=5)
+    finally:
+        tracer.uninstall()
+    assert traced.to_json() == plain.to_json()
+    assert (traced.status, traced.instances_checked, traced.work_units) == ("budget", 4, 6)
+    assert tracer.metered() == traced.work_units
+    assert tracer.totals()["morphisms.pmorph"]["nodes"] == traced.work_units
 
 
 def test_traced_rn_closure_run_sees_the_quotient_layers():
@@ -82,6 +101,7 @@ def test_traced_rn_closure_run_sees_the_quotient_layers():
     stats = tracer.totals()
     assert stats["morphisms.quotient"]["calls"] > 0
     assert stats["morphisms.epart"]["calls"] > 0
+    assert stats["poset.restrict"]["calls"] > 0  # a wrapped Poset method
 
 
 def test_traced_scan_run_sees_every_scan_layer():

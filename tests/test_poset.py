@@ -34,8 +34,9 @@ from _oracle_poset import add_root, enumerate_rooted_by_code, max_antichain_brut
 from _oracle_upsets import upset_masks_dfs
 
 # the order data memoised on a Poset on first use
-MEMOS = ("_heights", "topdown", "upper_covers", "comparable", "root_index",
-         "full_width", "upset_widths", "by_upset_size")
+MEMOS = ("_heights", "height", "topdown", "upper_covers", "comparable",
+         "root_index", "full_width", "upset_widths", "by_upset_size",
+         "image_candidates")
 
 
 def chain(k):
@@ -152,6 +153,7 @@ def test_heights_memo_is_not_shared():
     h = p.heights()
     h[0] = 99
     assert p.heights() == [2, 1, 0]
+    assert p.height == 2 and build_poset([], []).height == -1
 
 
 def test_width_memos_against_direct_definitions():
@@ -173,8 +175,9 @@ def test_width_memos_against_direct_definitions():
 
 def test_pickles_carry_no_memo():
     p = build_poset(["a", "b", "c"], [("a", "b"), ("a", "c")], name="v")
-    p.heights(), p.topdown, p.upper_covers, p.comparable
+    p.heights(), p.height, p.topdown, p.upper_covers, p.comparable
     p.root_index, p.full_width, p.upset_widths, p.by_upset_size
+    p.image_candidates
     assert all(m in vars(p) for m in MEMOS)
     q = pickle.loads(pickle.dumps(p))
     assert q == p and q.name == "v"

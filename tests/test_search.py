@@ -1,5 +1,5 @@
-"""The fused top-down image search against the restrict-per-candidate
-oracle."""
+"""The fused top-down image search against its oracles: the walk it
+replaced, node for node, and the restrict-per-candidate searches."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from ipckit.budget import WorkMeter
 from ipckit.catalog import catalog_get
-from ipckit.morphisms import find_pmorphism, image_of_subposet, image_of_upset
+from ipckit.errors import BudgetExceeded
+from ipckit.morphisms import _search, find_pmorphism, image_of_subposet, image_of_upset
 from ipckit.poset import Poset, _bits, build_poset, enumerate_posets, enumerate_rooted
 import _oracle_search as oracle
 
@@ -54,6 +55,63 @@ def test_images_match_oracle_on_generated_hosts(host, name):
     target = catalog_get(name)
     for new, old in MODES:
         assert new(target, host) == old(target, host), new.__name__
+
+
+def _walks(host):
+    """The searches the three modes run on host, as _search arguments
+    after the target: every principal upset (image_of_upset), the whole
+    host with points left out (image_of_subposet), and the whole host
+    into and onto the target (find_pmorphism)."""
+    order = host.topdown
+    for x in range(host.n):
+        yield [i for i in order if host.up[x] >> i & 1], False, True
+    yield order, True, True
+    yield order, False, False
+    yield order, False, True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_hosts(), st.sampled_from(CATALOG_TARGETS))
+def test_search_walks_the_oracle_walk(host, name):
+    # the same result and the same node count, so every work unit and
+    # every budget trip point stays where the walk that read the kept
+    # images off all of strict_up put it
+    target = catalog_get(name)
+    for domain, skip, surjective in _walks(host):
+        m_new, m_old = WorkMeter(), WorkMeter()
+        new = _search(host, target, domain, skip, surjective, m_new)
+        old = oracle.search(host, target, domain, skip, surjective, m_old)
+        assert new == old, (host.up, domain, skip, surjective)
+        assert m_new.spent == m_old.spent, (host.up, domain, skip, surjective)
+
+
+# (host in POSETS67, target): pairs whose longest walk is one of the
+# longest for that target, 133 to 862 nodes
+LONG_WALKS = [(1032, "P2"), (573, "P(3)"), (383, "G(5)"), (1001, "BW2(7)")]
+
+
+@pytest.mark.parametrize("host_index, name", LONG_WALKS)
+def test_search_trips_at_every_limit(host_index, name):
+    # charged once per search, the walk still stops at the first node past
+    # what the meter has left, with spent == limit + 1, and a meter that
+    # arrives part spent keeps its earlier units
+    host, target = POSETS67[host_index], catalog_get(name)
+    longest = 0
+    for domain, skip, surjective in _walks(host):
+        full = WorkMeter()
+        answer = _search(host, target, domain, skip, surjective, full)
+        longest = max(longest, full.spent)
+        for limit in range(full.spent):
+            for before in (0, 3):
+                meter = WorkMeter(limit=limit + before)
+                meter.spent = before
+                with pytest.raises(BudgetExceeded) as trip:
+                    _search(host, target, domain, skip, surjective, meter)
+                assert meter.spent == trip.value.spent == limit + before + 1
+        meter = WorkMeter(limit=full.spent)
+        assert _search(host, target, domain, skip, surjective, meter) == answer
+        assert meter.spent == full.spent
+    assert longest > 100
 
 
 @pytest.mark.parametrize("surjective", [False, True])
