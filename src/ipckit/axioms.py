@@ -47,6 +47,9 @@ def jankov_syntactic(x: Poset) -> Formula:
     filter, and force every v above the current image to be realized
     higher up.  Refuting the conclusion q at the root therefore yields a
     p-morphism onto x, and conversely.
+
+    cache bound: one formula per target poset, and the targets are the
+    rooted posets up to the largest target size asked for.
     """
     r_name = root(x)
     if r_name is None:
@@ -122,7 +125,8 @@ def sum_blocks(p: Poset):
 @lru_cache(maxsize=None)
 def _ladder_block_codes(max_size):
     """Canonical codes of the indecomposable finite ladder upsets: the
-    point and the top segments of each size."""
+    point and the top segments of each size (cache bound: one set per
+    max_size, which is one more than a decomposed poset's size)."""
     from .catalog import ladder_top_segment, one_point
 
     codes = {canonical_code(one_point())}

@@ -139,6 +139,8 @@ _NAMED = {
 
 @lru_cache(maxsize=None)
 def _named(key):
+    """The named catalog poset key (cache bound: one poset per key of the
+    fixed _NAMED table)."""
     if key not in _NAMED:
         raise ParameterOutOfRange(key)
     elements, covers = _NAMED[key]
@@ -181,7 +183,8 @@ def fan(k):
 @lru_cache(maxsize=None)
 def ladder(depth):
     """Top part of the one-generated dual frame: points w0..w_{depth-1},
-    point w_n covered by w_{n-2} and w_{n-3}."""
+    point w_n covered by w_{n-2} and w_{n-3} (cache bound: one poset per
+    depth asked for)."""
     if depth < 1:
         raise ParameterOutOfRange("ladder depth must be >= 1")
     covers = []

@@ -104,7 +104,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (IpckitError, OSError, ValueError) as exc:
+    except (IpckitError, OSError, ValueError, RecursionError) as exc:  # too deep a formula
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

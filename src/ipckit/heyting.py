@@ -45,7 +45,11 @@ def upset_algebra(p: Poset) -> HeytingAlgebra:
     A point x lies outside U -> V exactly when some y >= x lies in U - V,
     so U -> V = X - down(U - V), where down(S) is the set of points below
     some point of S.  down(S) is computed once per mask S within a call.
-    The residuation law is checked against the finished tables."""
+    The residuation law is checked against the finished tables.
+
+    cache bound: one algebra per distinct poset (equal posets share an
+    entry), and the posets are those enumerated up to the sizes asked for.
+    """
     masks = upset_masks(p)
     if len(masks) > _budget.DEFAULT_ALGEBRA_CAP:
         raise BudgetExceeded(

@@ -64,15 +64,21 @@ def import_poset(path) -> Poset:
     return poset_from_obj(obj)
 
 
+def _dot_id(name):
+    """name as a quoted DOT identifier, with backslashes and quotes escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def poset_to_dot(p: Poset) -> str:
+    ids = [_dot_id(e) for e in p.elements]
     lines = ["digraph poset {", "  rankdir=BT;", "  node [shape=circle];"]
-    for e in p.elements:
-        lines.append(f'  "{e}";')
+    for e in ids:
+        lines.append(f"  {e};")
     for i, j in sorted(p.covers()):
-        lines.append(f'  "{p.elements[i]}" -> "{p.elements[j]}";')
+        lines.append(f"  {ids[i]} -> {ids[j]};")
     heights = p.heights()
     for h in sorted(set(heights)):
-        same = " ".join(f'"{p.elements[i]}"' for i in range(p.n) if heights[i] == h)
+        same = " ".join(ids[i] for i in range(p.n) if heights[i] == h)
         lines.append(f"  {{ rank=same; {same} }}")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -428,7 +428,12 @@ def _min_rows(p, colors, down):
 
 @lru_cache(maxsize=None)
 def canonical_code(p):
-    """Byte string equal for two posets iff they are order-isomorphic."""
+    """Byte string equal for two posets iff they are order-isomorphic.
+
+    cache bound: one code per distinct poset coded (equal posets share an
+    entry): the classes enumerated up to the largest size asked for, and
+    the instances and quotients the scenarios build at their parameters.
+    """
     if p.n == 0:
         return b"P0"
     down = p.down_masks()
@@ -487,7 +492,8 @@ def are_isomorphic(p, q):
 
 @lru_cache(maxsize=None)
 def enumerate_posets(n):
-    """One representative per isomorphism class, sorted by canonical code.
+    """One representative per isomorphism class, sorted by canonical code
+    (cache bound: one tuple per size asked for).
 
     Each poset of n - 1 points, q, gains a new maximal point above exactly
     D, for each downset D of q in mask order, and the first candidate of

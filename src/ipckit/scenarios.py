@@ -77,7 +77,9 @@ def _random_formula(rng, depth):
 
 @lru_cache(maxsize=None)
 def godel_suite(count):
-    """bw(1), bw(2), the weak excluded middle, then seeded random fills."""
+    """bw(1), bw(2), the weak excluded middle, then seeded random fills
+    (cache bound: one suite per formula count asked for, which the
+    scenario parameters fix)."""
     pinned = [bw(1), bw(2), kc_axiom()]
     seen = {pretty(f) for f in pinned}
     out = list(pinned)

@@ -12,13 +12,14 @@ domain and window patterns are built once.  These live in bounded caches
 keyed by the formula and by the order's up-masks, never on Poset
 instances, so relabelled copies share them.
 
-A plan lists the formula's distinct subformulas as DAG nodes, each the
-interned formula of its slot-renamed structure, so a node is one object
-across formulas.  While consecutive scans that fit in one window stay on
-one order, each distinct node is evaluated once and its value reused
-(_NodeValues); each formula is still scanned by its own call, in its own
-row order, under its own limit and charge, so statuses and work are
-those of scans that share nothing.
+A plan is the formula's own DAG: its distinct subformulas, interned, each
+with its variables renamed to their slots, so a node is one object across
+formulas, and evaluation dispatches on the node's type.  While
+consecutive scans that fit in one window stay on one order, each distinct
+node is evaluated once and its value reused (_NodeValues); each formula
+is still scanned by its own call, in its own row order, under its own
+limit and charge, so statuses and work are those of scans that share
+nothing.
 """
 
 from __future__ import annotations
@@ -29,79 +30,51 @@ from itertools import islice, product
 
 from .budget import WorkMeter
 from .errors import BudgetExceeded, NotIntuitionistic
-from .formulas import BOT, And, Bot, Box, Formula, Imp, Or, Var, variables
+from .formulas import And, Bot, Box, Formula, Imp, Or, Var, variables
 from .poset import Poset, _bits, iter_upset_masks
-
-OP_VAR, OP_BOT, OP_AND, OP_OR, OP_IMP, OP_BOX = range(6)
 
 # most valuation rows one bit-sliced evaluation covers
 WINDOW = 4096
 
 
 def compile_formula(f, slot_of):
-    """Postfix opcode/arg arrays; slot_of maps variable index to slot."""
-    ops, args = [], []
+    """The distinct subformulas of f, children first and f last, each with
+    every variable renamed to its slot (slot_of maps variable index to
+    slot): Var(slot), BOT, Box(child) or And/Or/Imp(left, right) over the
+    renamed children.
+
+    Formulas are interned, so equal subformulas of two formulas with the
+    same slots are one node object.  Renaming is injective, so distinct
+    subformulas of f give distinct nodes.
+    """
+    renamed = {}
 
     def walk(g):
-        if isinstance(g, Var):
-            ops.append(OP_VAR)
-            args.append(slot_of[g.index])
-        elif isinstance(g, Bot):
-            ops.append(OP_BOT)
-            args.append(0)
-        elif isinstance(g, Box):
-            walk(g.inner)
-            ops.append(OP_BOX)
-            args.append(0)
-        else:
-            walk(g.left)
-            walk(g.right)
-            ops.append({And: OP_AND, Or: OP_OR, Imp: OP_IMP}[type(g)])
-            args.append(0)
+        node = renamed.get(g)
+        if node is None:
+            kind = type(g)
+            if kind is Var:
+                node = Var(slot_of[g.index])
+            elif kind is Bot:
+                node = g
+            elif kind is Box:
+                node = Box(walk(g.inner))
+            else:
+                node = kind(walk(g.left), walk(g.right))
+            renamed[g] = node
+        return node
 
     walk(f)
-    return ops, args
-
-
-_BINARY = {OP_AND: And, OP_OR: Or, OP_IMP: Imp}
-
-
-def _dag(ops, args):
-    """The distinct subformulas of a compiled formula, children first, as
-    (node, op, a, b): a is the slot of a variable, the position of a
-    box's child, or with b the positions of a binary node's children.
-
-    The node is the formula's subformula with each variable renamed to
-    its slot: Var(slot), BOT, Box(child) or And/Or/Imp(left, right) over
-    child nodes.  Formulas are interned, so equal subformulas of two
-    formulas with the same slots are one node object.
-    """
-    nodes, pos, stack = [], {}, []
-    for op, arg in zip(ops, args):
-        if op == OP_VAR:
-            node, a, b = Var(arg), arg, 0
-        elif op == OP_BOT:
-            node, a, b = BOT, 0, 0
-        elif op == OP_BOX:
-            child = stack.pop()
-            node, a, b = Box(child), pos[child], 0
-        else:
-            right = stack.pop()
-            left = stack.pop()
-            node, a, b = _BINARY[op](left, right), pos[left], pos[right]
-        if node not in pos:
-            pos[node] = len(nodes)
-            nodes.append((node, op, a, b))
-        stack.append(node)
-    return tuple(nodes)
+    return tuple(renamed.values())
 
 
 @dataclass(frozen=True)
 class ScanPlan:
-    """A formula compiled for scanning: its distinct subformulas as DAG
-    nodes, children first and the formula last (see _dag), over one slot
-    per variable, slots numbered in the order of vars (the formula's
-    variable indices, sorted), and whether the formula has a box."""
+    """A formula compiled for scanning: its distinct slot-renamed
+    subformulas, children first and the formula last (see
+    compile_formula), over one slot per variable, slots numbered in the
+    order of vars (the formula's variable indices, sorted), and whether
+    the formula has a box."""
 
     nodes: tuple
     vars: tuple
@@ -117,8 +90,8 @@ def scan_plan(f):
     """The ScanPlan of formula f, compiled once per formula (cache bound:
     1024 formulas)."""
     vs = tuple(sorted(variables(f)))
-    ops, args = compile_formula(f, {v: i for i, v in enumerate(vs)})
-    return ScanPlan(_dag(ops, args), vs, OP_BOX in ops)
+    nodes = compile_formula(f, {v: i for i, v in enumerate(vs)})
+    return ScanPlan(nodes, vs, any(type(g) is Box for g in nodes))
 
 
 @lru_cache(maxsize=256)
@@ -163,36 +136,35 @@ def _evaluate(nodes, slots, p, ones, memo):
     in one top-down pass.
 
     memo maps nodes to values already computed over these same slots and
-    this same order; the nodes computed here are added to it.
+    this same order; the nodes computed here are added to it, and a node
+    reads its children's values there.
     """
     order, covers = p.topdown, p.upper_covers
-    vals = []
-    push = vals.append
-    for node, op, a, b in nodes:
-        v = memo.get(node)
-        if v is None:
-            if op == OP_VAR:
-                v = slots[a]
-            elif op == OP_BOT:
-                v = [0] * p.n
-            elif op == OP_AND:
-                v = [u & w for u, w in zip(vals[a], vals[b])]
-            elif op == OP_OR:
-                v = [u | w for u, w in zip(vals[a], vals[b])]
-            else:
-                if op == OP_IMP:
-                    miss = [u & ~w for u, w in zip(vals[a], vals[b])]
-                else:  # OP_BOX
-                    miss = [ones ^ u for u in vals[a]]
-                for x in order:
-                    m = miss[x]
-                    for y in covers[x]:
-                        m |= miss[y]
-                    miss[x] = m
-                v = [ones ^ m for m in miss]
-            memo[node] = v
-        push(v)
-    return vals[-1]
+    for node in nodes:
+        if node in memo:
+            continue
+        kind = type(node)
+        if kind is Var:
+            v = slots[node.index]
+        elif kind is Bot:
+            v = [0] * p.n
+        elif kind is And:
+            v = [u & w for u, w in zip(memo[node.left], memo[node.right])]
+        elif kind is Or:
+            v = [u | w for u, w in zip(memo[node.left], memo[node.right])]
+        else:
+            if kind is Imp:
+                miss = [u & ~w for u, w in zip(memo[node.left], memo[node.right])]
+            else:  # Box
+                miss = [ones ^ u for u in memo[node.inner]]
+            for x in order:
+                m = miss[x]
+                for y in covers[x]:
+                    m |= miss[y]
+                miss[x] = m
+            v = [ones ^ m for m in miss]
+        memo[node] = v
+    return memo[nodes[-1]]
 
 
 def _point_bits(n, masks, ones):
@@ -265,7 +237,7 @@ MEMO_BOUND = 4096
 
 
 class _NodeValues:
-    """The values of DAG nodes in the single-window scans of the last order
+    """The values of plan nodes in the single-window scans of the last order
     scanned, so that consecutive scans on one order compute each distinct
     subformula once.
 

@@ -36,6 +36,10 @@ def test_dot_export():
     dot = poset_to_dot(catalog_get("P2"))
     assert dot.count("->") == 4
     assert dot.count('"r"') >= 2  # node line plus rank group
+    # quotes and backslashes in names are escaped on every line
+    dot = poset_to_dot(build_poset(['a"b', "c\\"], [('a"b', "c\\")]))
+    assert dot.count('"a\\"b"') == 3 and dot.count('"c\\\\"') == 3
+    assert '  "a\\"b" -> "c\\\\";' in dot.splitlines()
 
 
 def test_import_rejects_cycles(tmp_path):
@@ -114,6 +118,18 @@ def test_cli_check(tmp_path, capsys):
     assert main(["check", str(path), "p0 -> p0"]) == 0
     assert main(["modal-check", str(path), "[]p0 -> p0"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("formula", ["p0&" * 3000 + "p0", "~" * 1200 + "p0"],
+                         ids=["and-3000", "not-1200"])
+def test_cli_too_deep_a_formula_is_a_usage_error(tmp_path, capsys, formula):
+    # a usage error, exit 2, not the exit 1 of a refuted formula
+    path = tmp_path / "f2.json"
+    export_poset(F2, "json", path)
+    assert main(["check", str(path), formula]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: RecursionError") and len(out.err.splitlines()) == 1
 
 
 def test_cli_jankov_subframe(tmp_path, capsys):

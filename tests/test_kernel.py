@@ -7,10 +7,15 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ipckit.axioms import jankov_syntactic
 from ipckit.catalog import fan
-from ipckit.formulas import BOT, And, Box, Imp, Or, Var, bw, grz_axiom, parse, variables
-from ipckit.poset import build_poset, enumerate_posets, upset_masks
-from ipckit.semantics import WINDOW, compile_formula, scan_plan, scan_validity
+from ipckit.formulas import (
+    BOT, And, Box, Imp, Or, Var, bw, godel_translate, grz_axiom, kc_axiom, parse, variables,
+)
+from ipckit.poset import build_poset, enumerate_posets, enumerate_rooted, upset_masks
+from ipckit.scenarios import godel_suite
+from ipckit.semantics import WINDOW, scan_plan, scan_validity
+from _pureval import _dag, compile_formula
 from _pureval import scan_validity as oracle_scan
 
 POSETS5 = enumerate_posets(5)
@@ -30,6 +35,20 @@ def _both(p, f, domain, limit=None):
             row = row * len(domain) + i
         assert row == work - 1
     return new, (status, work)
+
+
+def test_plans_match_the_opcode_dag():
+    # the plan walked off the interned formula lists the nodes the former
+    # opcode compiler and _dag built, in the same order
+    suite = godel_suite(200)
+    fs = [*suite, *map(godel_translate, suite), grz_axiom(), kc_axiom(),
+          *map(bw, range(6)),
+          *(jankov_syntactic(p) for n in range(1, 6) for p in enumerate_rooted(n))]
+    assert len(fs) == 433
+    for f in fs:
+        vs = sorted(variables(f))
+        ops, args = compile_formula(f, {v: i for i, v in enumerate(vs)})
+        assert scan_plan(f).nodes == tuple(n for n, *_ in _dag(ops, args)), f
 
 
 def _limits(m, nvars):

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import random
 import time
 import tracemalloc
 
 import pytest
 
+import ipckit
 from ipckit import scenarios, semantics
 from ipckit.budget import WorkMeter
 from ipckit.errors import BudgetExceeded
-from ipckit.formulas import BOT, bw, godel_translate, grz_axiom, parse
+from ipckit.formulas import BOT, Imp, Var, bw, godel_translate, grz_axiom, parse
 from ipckit.heyting import upset_algebra
 from ipckit.morphisms import image_of_subposet
 from ipckit.poset import Poset, build_poset, enumerate_posets, enumerate_rooted, upset_masks, width
@@ -177,9 +180,19 @@ def _clear_caches():
 def test_plan_caches_are_the_known_ones_and_bounded():
     assert sorted(_CACHES) == ["_fast_patterns", "_frame", "_upsets", "scan_plan"]
     for name, fn in _CACHES.items():
+        assert fn.cache_info().maxsize is not None, name
+    # every lru_cache in ipckit says what bounds it; a sized one says its size
+    caches = {}
+    for info in pkgutil.iter_modules(ipckit.__path__):
+        module = importlib.import_module(f"ipckit.{info.name}")
+        for name, fn in vars(module).items():
+            if hasattr(fn, "cache_info") and fn.__module__ == module.__name__:
+                caches[f"{info.name}.{name}"] = fn
+    assert len(caches) == 12
+    for name, fn in caches.items():
+        doc = " ".join((fn.__doc__ or "").split())
         bound = fn.cache_info().maxsize
-        assert bound is not None, name
-        assert f"cache bound: {bound} " in " ".join(fn.__doc__.split()), name
+        assert ("cache bound: " if bound is None else f"cache bound: {bound} ") in doc, name
 
 
 def test_plan_matches_formula():
@@ -316,14 +329,32 @@ def _scans_on(p, fs, share=True):
     return out
 
 
+def _check_plan(plan):
+    """Each node of a plan is distinct, reads a slot of the plan if it is a
+    variable, has its children earlier in the plan, and is the one node of
+    its structure (rebuilding it from its fields gives it back)."""
+    seen = set()
+    for node in plan.nodes:
+        fields = [getattr(node, name) for name in type(node).__slots__]
+        if isinstance(node, Var):
+            assert 0 <= node.index < plan.nvars
+        else:
+            assert all(child in seen for child in fields)
+        assert type(node)(*fields) is node
+        seen.add(node)
+    assert len(seen) == len(plan.nodes)
+
+
 def test_node_ids_name_slot_renamed_structures():
     # p0 -> p2 and p1 -> p3 both read slot 0 -> slot 1: one node
     a, b = scan_plan(parse("p0 -> p2")), scan_plan(parse("p1 -> p3"))
     assert a.nodes == b.nodes
+    assert a.nodes[-1] is Imp(Var(0), Var(1))
     f = scan_plan(parse("(p0 -> p1) | ~(p0 -> p1)"))
-    assert len(f.nodes) == 6  # nine postfix ops, with p0, p1 and p0 -> p1 once
-    assert f.nodes[2][0] == a.nodes[-1][0]  # the shared p0 -> p1
-    assert len({n[0] for n in f.nodes}) == len(f.nodes)
+    assert len(f.nodes) == 6  # nine subformula occurrences, with p0, p1 and p0 -> p1 once
+    assert f.nodes[2] is a.nodes[-1]  # the shared p0 -> p1
+    for plan in (a, b, f):
+        _check_plan(plan)
 
 
 def test_memo_holds_one_order_only():
@@ -344,7 +375,6 @@ def test_memo_and_node_table_stay_within_bounds(monkeypatch):
     want = _scans_on(p, fs, share=False)
     monkeypatch.setattr(semantics, "MEMO_BOUND", 20)
     _clear_caches()
-    names = {}  # node -> its structure, over its children's nodes
     largest = 0
     for i, f in enumerate(fs):
         assert _scans_on(p, [f]) == want[2 * i:2 * i + 2]
@@ -352,15 +382,7 @@ def test_memo_and_node_table_stay_within_bounds(monkeypatch):
         largest = max(largest, *(len(scan_plan(g).nodes) for g in (f, godel_translate(f))))
         assert sum(len(t) for _, t in semantics._memo.tables.values()) <= 20 + largest
         for g in (f, godel_translate(f)):
-            nodes = scan_plan(g).nodes
-            for node, op, a, b in nodes:
-                if op in (semantics.OP_VAR, semantics.OP_BOT):
-                    key = (op, a)
-                elif op == semantics.OP_BOX:
-                    key = (op, nodes[a][0])
-                else:
-                    key = (op, nodes[a][0], nodes[b][0])
-                assert names.setdefault(node, key) == key  # never another structure
+            _check_plan(scan_plan(g))  # each node names one structure
 
 
 def test_godel_transfer_budget_trip_points():
