@@ -25,6 +25,14 @@ from .semantics import is_valid, is_valid_modal
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
 
 
+def _count(text):
+    """argparse type of a budget, cap or counterexample limit."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="ipckit",
@@ -35,33 +43,33 @@ def _build_parser():
     c = sub.add_parser("check", help="intuitionistic validity on a poset")
     c.add_argument("poset")
     c.add_argument("formula")
-    c.add_argument("--budget", type=int, default=None)
+    c.add_argument("--budget", type=_count, default=None)
 
     c = sub.add_parser("modal-check", help="modal validity on a poset frame")
     c.add_argument("poset")
     c.add_argument("formula")
-    c.add_argument("--budget", type=int, default=None)
+    c.add_argument("--budget", type=_count, default=None)
 
     c = sub.add_parser("jankov", help="does host validate the splitting formula of target")
     c.add_argument("host")
     c.add_argument("target")
-    c.add_argument("--budget", type=int, default=None)
+    c.add_argument("--budget", type=_count, default=None)
 
     c = sub.add_parser("subframe", help="does host validate the subframe formula of target")
     c.add_argument("host")
     c.add_argument("target")
-    c.add_argument("--budget", type=int, default=None)
+    c.add_argument("--budget", type=_count, default=None)
 
     c = sub.add_parser("pmorphism", help="search for a p-morphism src -> dst")
     c.add_argument("src")
     c.add_argument("dst")
     c.add_argument("--surjective", action="store_true")
-    c.add_argument("--budget", type=int, default=None)
+    c.add_argument("--budget", type=_count, default=None)
 
     c = sub.add_parser("enumerate", help="rooted posets up to isomorphism")
     c.add_argument("--size", type=int, required=True)
     c.add_argument("--max-width", type=int, default=None)
-    c.add_argument("--cap", type=int, default=None,
+    c.add_argument("--cap", type=_count, default=None,
                    help="override the default enumeration size cap")
 
     c = sub.add_parser("catalog", help="print a named poset as JSON")
@@ -74,10 +82,10 @@ def _build_parser():
     c = sub.add_parser("verify", help="run a named verification scenario")
     c.add_argument("scenario", choices=scenario_names())
     c.add_argument("--size", type=int, default=None)
-    c.add_argument("--budget", type=int, default=None)
+    c.add_argument("--budget", type=_count, default=None)
     c.add_argument("--jobs", type=int, default=1)
     c.add_argument("--format", choices=("json", "text"), default="text")
-    c.add_argument("--max-counterexamples", type=int, default=10)
+    c.add_argument("--max-counterexamples", type=_count, default=10)
     c.add_argument(
         "--param", action="append", default=[],
         metavar="KEY=VALUE", help="extra scenario parameter (int value)")

@@ -227,7 +227,7 @@ def parse(text):
         if tok == "p":
             take("p")
             return Var(0)
-        if tok.startswith("p") and tok[1:].isdigit():
+        if tok.startswith("p") and tok[1:].isascii() and tok[1:].isdigit():
             take(tok)
             return Var(int(tok[1:]))
         raise FormulaSyntaxError(f"unknown identifier {tok!r}", where())

@@ -199,18 +199,12 @@ def build_poset(elements, pairs, name=None):
         if b not in idx:
             raise UnknownElement(b)
         up[idx[a]] |= 1 << idx[b]
-    # reflexive-transitive closure (small n; repeated squaring not needed)
-    changed = True
-    while changed:
-        changed = False
+    # Warshall: after step k, up[i] holds each j reached from i by a path
+    # whose inner points all have index <= k, so the last step closes up
+    for k in range(n):
         for i in range(n):
-            m = up[i]
-            acc = m
-            for j in _bits(m):
-                acc |= up[j]
-            if acc != m:
-                up[i] = acc
-                changed = True
+            if up[i] >> k & 1:
+                up[i] |= up[k]
     for i in range(n):
         for j in _bits(up[i]):
             if j != i and up[j] >> i & 1:
@@ -345,17 +339,21 @@ def _refined_colors(p, down):
     return colors
 
 
-class _Improved(Exception):
-    pass
-
-
 def _min_rows(p, colors, down):
     """The colour sequence and the least rows over the orders that list
     the points by colour: row k holds, per earlier point u, the bits
     (v <= u, u <= v) of the k-th point v.
 
     When every colour class is a single point there is one such order,
-    so the greedy rows are the least and no search runs.
+    and its rows are returned with no walk.  Otherwise one depth-first
+    walk keeps best, the least rows of the leaves so far; it starts with
+    none, so its first leaf, each place's first free point, sets it.  A
+    prefix is tight when its rows begin best, and a tight prefix is cut
+    at a row above best's.  rec returns True once its subtree has replaced
+    best; each prefix of the new best is then tight, so the caller's next
+    candidates are compared with it.  Each replacement is smaller, and no
+    cut leaf is (a twin's leaves are an automorphism's image of its
+    sibling's), so best ends as the least rows, which are unique.
     """
     n = p.n
     up = p.up
@@ -372,6 +370,10 @@ def _min_rows(p, colors, down):
             r = r << 2 | (uv >> u & 1) << 1 | dv >> u & 1
         return r
 
+    if len(by_color) == n:
+        order = [by_color[c][0] for c in color_seq]
+        return color_seq, tuple(row_for(v, order[:k]) for k, v in enumerate(order))
+
     def twins(u, v):
         # the transposition (u v) is an automorphism
         if colors[u] != colors[v] or up[u] >> v & 1 or up[v] >> u & 1:
@@ -379,51 +381,34 @@ def _min_rows(p, colors, down):
         pair = 1 << u | 1 << v
         return up[u] & ~pair == up[v] & ~pair and down[u] & ~pair == down[v] & ~pair
 
-    # greedy descent for the initial bound
-    order = []
-    used = 0
-    best = []
-    for k in range(n):
-        v = next(i for i in by_color[color_seq[k]] if not used >> i & 1)
-        best.append(row_for(v, order))
-        order.append(v)
-        used |= 1 << v
-    if len(by_color) == n:
-        return color_seq, tuple(best)
+    best = None
+    order, rows = [], []
 
-    def rec(k, used, order, rows, tight):
+    def rec(k, used, tight):
         nonlocal best
         if k == n:
             if not tight:
                 best = list(rows)
-                raise _Improved
-            return
+            return not tight
+        improved = False
         tried = []
         for v in by_color[color_seq[k]]:
-            if used >> v & 1:
-                continue
-            if any(twins(u, v) for u in tried):
+            if used >> v & 1 or any(twins(u, v) for u in tried):
                 continue
             tried.append(v)
             r = row_for(v, order)
-            if tight:
-                if r > best[k]:
-                    continue
-                nt = r == best[k]
-            else:
-                nt = False
+            if tight and r > best[k]:
+                continue
             order.append(v)
             rows.append(r)
-            rec(k + 1, used | 1 << v, order, rows, nt)
+            if rec(k + 1, used | 1 << v, tight and r == best[k]):
+                improved = tight = True
             order.pop()
             rows.pop()
+        return improved
 
-    while True:
-        try:
-            rec(0, 0, [], [], True)
-        except _Improved:
-            continue
-        return color_seq, tuple(best)
+    rec(0, 0, False)
+    return color_seq, tuple(best)
 
 
 @lru_cache(maxsize=None)

@@ -77,18 +77,16 @@ def _random_formula(rng, depth):
 
 @lru_cache(maxsize=None)
 def godel_suite(count):
-    """bw(1), bw(2), the weak excluded middle, then seeded random fills
-    (cache bound: one suite per formula count asked for, which the
-    scenario parameters fix)."""
-    pinned = [bw(1), bw(2), kc_axiom()]
-    seen = {pretty(f) for f in pinned}
-    out = list(pinned)
+    """The first count of bw(1), bw(2), the weak excluded middle, then
+    distinct seeded random fills (cache bound: one suite per formula
+    count asked for, which the scenario parameters fix)."""
+    out = [bw(1), bw(2), kc_axiom()][:count]
+    seen = set(out)
     rng = random.Random(0x1C0FFEE)
     while len(out) < count:
         f = _random_formula(rng, 4)
-        s = pretty(f)
-        if s not in seen:
-            seen.add(s)
+        if f not in seen:
+            seen.add(f)
             out.append(f)
     return tuple(out)
 

@@ -7,10 +7,13 @@
 - The rooted enumeration sorted by the code of each rooted poset, which
   enumerate_rooted replaced by codes derived from the unrooted parents.
 - Antichain sizes by trying every subset.
+- The transitive closure that build_poset took by repeating a sweep
+  until nothing changed, before its one Warshall sweep.
 """
 
 from functools import lru_cache
 
+from ipckit.errors import CycleDetected
 from ipckit.poset import EMPTY, Poset, _bits, upset_masks, width
 
 
@@ -179,3 +182,30 @@ def max_antichain_brute(p, mask):
                 for k, a in enumerate(chosen) for b in chosen[k + 1:]):
             best = len(chosen)
     return best
+
+
+# closure ----------------------------------------------------------------
+
+
+def closed_up(n, pairs):
+    """The up-masks of points 0..n-1 under the index pairs a < b, closed by
+    sweeping until nothing changes; CycleDetected on a cycle."""
+    up = [1 << i for i in range(n)]
+    for a, b in pairs:
+        up[a] |= 1 << b
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            m = up[i]
+            acc = m
+            for j in _bits(m):
+                acc |= up[j]
+            if acc != m:
+                up[i] = acc
+                changed = True
+    for i in range(n):
+        for j in _bits(up[i]):
+            if j != i and up[j] >> i & 1:
+                raise CycleDetected(f"{i} and {j}")
+    return tuple(up)

@@ -56,6 +56,10 @@ def test_parse_errors_carry_position():
         parse("q7")
     with pytest.raises(FormulaSyntaxError):
         parse("(p0 | p1")
+    for text in ("p\u00b2", "p\u0663"):  # superscript two, Arabic-Indic three
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse(text)
+        assert err.value.position == 0
 
 
 def test_precedence():

@@ -281,6 +281,11 @@ def test_benchmark_workload_params_are_accepted(monkeypatch):
     ["verify", "sobolev-width", "--size", "0"],
     ["verify", "rn-closure", "--size", "5", "--param", "n=-1"],
     ["enumerate", "--size", "0"],
+    ["enumerate", "--size", "3", "--cap", "-1"],
+    ["verify", "sobolev-width", "--budget", "-1"],
+    ["verify", "sobolev-width", "--max-counterexamples", "-1"],
+    ["check", "F2.json", "p0", "--budget", "-1"],
+    ["pmorphism", "F2.json", "F2.json", "--budget", "-1"],
 ])
 def test_cli_verify_rejects_bad_params(capsys, argv):
     assert main(argv) == 2

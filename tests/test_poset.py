@@ -68,6 +68,31 @@ def test_build_rejects_cycle():
         build_poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
 
 
+@st.composite
+def _pair_lists(draw):
+    """0-9 points and a list of index pairs over them, cycles allowed."""
+    n = draw(st.integers(0, 9))
+    if n == 0:
+        return 0, []
+    point = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(point, point), max_size=2 * n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_pair_lists())
+def test_closure_matches_fixpoint_oracle(case):
+    # one Warshall sweep against sweeping until nothing changes
+    n, pairs = case
+    names = [f"x{i}" for i in range(n)]
+    try:
+        want = oracle.closed_up(n, pairs)
+    except CycleDetected:
+        with pytest.raises(CycleDetected):
+            build_poset(names, [(names[a], names[b]) for a, b in pairs])
+        return
+    assert build_poset(names, [(names[a], names[b]) for a, b in pairs]).up == want
+
+
 def test_build_rejects_bad_names():
     with pytest.raises(DuplicateElement):
         build_poset(["a", "a"], [])

@@ -385,6 +385,14 @@ def test_memo_and_node_table_stay_within_bounds(monkeypatch):
             _check_plan(scan_plan(g))  # each node names one structure
 
 
+def test_godel_suite_is_a_prefix_of_the_longest():
+    # a count below the three pinned formulas truncates them too
+    longest = scenarios.godel_suite(200)
+    assert len(set(longest)) == 200
+    for k in range(6):
+        assert scenarios.godel_suite(k) == longest[:k]
+
+
 def test_godel_transfer_budget_trip_points():
     # measured before node values were shared; each scan still charges its
     # own rows in suite order, warm or cold
