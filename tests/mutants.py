@@ -8,8 +8,7 @@ applies one mutant there, runs its tests with pytest and prints killed
 its tests could not run.  Standard library only; pytest does not collect
 this file, and test_mutants.py checks the table against the sources.
 
-    python tests/mutants.py          # every mutant
-    python tests/mutants.py NAME...  # the named ones
+    python tests/mutants.py
 """
 
 from __future__ import annotations
@@ -71,9 +70,9 @@ def run(name):
     return {1: "killed", 0: "survived"}.get(done.returncode, "error")
 
 
-def main(names):
+def main():
     bad = 0
-    for name in names or MUTANTS:
+    for name in MUTANTS:
         outcome = run(name)
         print(f"{outcome:8} {name}", flush=True)
         bad += outcome != "killed"
@@ -81,4 +80,4 @@ def main(names):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -284,11 +284,19 @@ def test_benchmark_workload_params_are_accepted(monkeypatch):
     ["enumerate", "--size", "3", "--cap", "-1"],
     ["verify", "sobolev-width", "--budget", "-1"],
     ["verify", "sobolev-width", "--max-counterexamples", "-1"],
-    ["check", "F2.json", "p0", "--budget", "-1"],
-    ["pmorphism", "F2.json", "F2.json", "--budget", "-1"],
 ])
 def test_cli_verify_rejects_bad_params(capsys, argv):
     assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["check", "modal-check", "jankov", "subframe", "pmorphism"])
+def test_cli_file_commands_reject_negative_budget(tmp_path, capsys, command):
+    # the files load and the second argument is valid, so only the budget is at fault
+    path = tmp_path / "f2.json"
+    export_poset(F2, "json", path)
+    second = "p0" if command.endswith("check") else str(path)
+    assert main([command, str(path), second, "--budget", "-1"]) == 2
     assert capsys.readouterr().out == ""
 
 
