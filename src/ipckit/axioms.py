@@ -114,9 +114,10 @@ def sum_blocks(p: Poset):
         if all(p.up[b] & upper_mask == upper_mask
                for b in range(n) if not upper_mask >> b & 1):
             cuts.append(upper_mask)
+    # each cut's upper part has m points, so the cuts come smallest first
     blocks = []
     prev = 0
-    for mask in sorted(cuts, key=int.bit_count) + [p.full_mask]:
+    for mask in cuts + [p.full_mask]:
         blocks.append(p.restrict(mask & ~prev))
         prev = mask
     return blocks

@@ -31,6 +31,7 @@ class CatalogKey:
 
 
 # -- small named frames (element list, cover pairs) ------------------------
+# A key whose frame an earlier key already holds names that key instead.
 
 _NAMED = {
     # root below a three-point antichain
@@ -41,8 +42,7 @@ _NAMED = {
     # a point and a chain of three over the root
     "P3": (["r", "a", "d", "c", "b"],
            [("r", "a"), ("r", "d"), ("d", "c"), ("c", "b")]),
-    "K1": (["r", "c", "d", "a", "b"],
-           [("r", "c"), ("c", "a"), ("r", "d"), ("d", "b")]),
+    "K1": "P2",
     "K2": (["r", "u", "v", "a", "w", "b"],
            [("r", "u"), ("r", "v"), ("u", "a"), ("v", "a"),
             ("v", "w"), ("w", "b")]),
@@ -61,8 +61,7 @@ _NAMED = {
     "K7": (["r", "c", "y", "a", "d", "b", "t"],
            [("r", "c"), ("r", "y"), ("c", "a"), ("y", "a"), ("y", "d"),
             ("d", "b"), ("b", "t"), ("c", "t")]),
-    "G1": (["r", "a", "d", "c", "b"],
-           [("r", "a"), ("r", "d"), ("d", "c"), ("c", "b")]),
+    "G1": "P3",
     "G2": (["r", "x", "d", "a", "c", "b"],
            [("r", "x"), ("r", "d"), ("x", "a"), ("x", "c"), ("d", "c"),
             ("c", "b")]),
@@ -125,15 +124,9 @@ _NAMED = {
     "ZK4": (["r", "x", "y", "c", "d", "a", "b", "t"],
             [("r", "x"), ("r", "y"), ("x", "c"), ("x", "b"), ("y", "a"),
              ("y", "d"), ("c", "a"), ("c", "t"), ("d", "b"), ("b", "t")]),
-    "ZG1": (["r", "x", "d", "a", "c", "b"],
-            [("r", "x"), ("r", "d"), ("x", "a"), ("x", "c"), ("d", "c"),
-             ("c", "b")]),
-    "ZG2": (["r", "x", "d", "a", "c", "b", "t"],
-            [("r", "x"), ("r", "d"), ("x", "a"), ("x", "c"), ("d", "c"),
-             ("c", "b"), ("b", "t"), ("a", "t")]),
-    "ZG3": (["r", "x", "d", "c", "a", "t", "b"],
-            [("r", "x"), ("r", "d"), ("x", "c"), ("x", "a"), ("d", "c"),
-             ("a", "t"), ("c", "t"), ("c", "b")]),
+    "ZG1": "G2",
+    "ZG2": "G3",
+    "ZG3": "G6",
 }
 
 
@@ -143,7 +136,8 @@ def _named(key):
     fixed _NAMED table)."""
     if key not in _NAMED:
         raise ParameterOutOfRange(key)
-    elements, covers = _NAMED[key]
+    entry = _NAMED[key]
+    elements, covers = _NAMED[entry] if isinstance(entry, str) else entry
     return build_poset(elements, covers, name=key)
 
 

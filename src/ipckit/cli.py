@@ -25,12 +25,15 @@ from .semantics import is_valid, is_valid_modal
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
 
 
-def _count(text):
-    """argparse type of a budget, cap or counterexample limit."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{value} is negative")
-    return value
+def _at_least(low):
+    """argparse type of an int no less than low: 0 for a budget, cap or
+    counterexample limit, 1 for a job count or width bound."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is less than {low}")
+        return value
+    return integer
 
 
 def _build_parser():
@@ -43,33 +46,33 @@ def _build_parser():
     c = sub.add_parser("check", help="intuitionistic validity on a poset")
     c.add_argument("poset")
     c.add_argument("formula")
-    c.add_argument("--budget", type=_count, default=None)
+    c.add_argument("--budget", type=_at_least(0), default=None)
 
     c = sub.add_parser("modal-check", help="modal validity on a poset frame")
     c.add_argument("poset")
     c.add_argument("formula")
-    c.add_argument("--budget", type=_count, default=None)
+    c.add_argument("--budget", type=_at_least(0), default=None)
 
     c = sub.add_parser("jankov", help="does host validate the splitting formula of target")
     c.add_argument("host")
     c.add_argument("target")
-    c.add_argument("--budget", type=_count, default=None)
+    c.add_argument("--budget", type=_at_least(0), default=None)
 
     c = sub.add_parser("subframe", help="does host validate the subframe formula of target")
     c.add_argument("host")
     c.add_argument("target")
-    c.add_argument("--budget", type=_count, default=None)
+    c.add_argument("--budget", type=_at_least(0), default=None)
 
     c = sub.add_parser("pmorphism", help="search for a p-morphism src -> dst")
     c.add_argument("src")
     c.add_argument("dst")
     c.add_argument("--surjective", action="store_true")
-    c.add_argument("--budget", type=_count, default=None)
+    c.add_argument("--budget", type=_at_least(0), default=None)
 
     c = sub.add_parser("enumerate", help="rooted posets up to isomorphism")
     c.add_argument("--size", type=int, required=True)
-    c.add_argument("--max-width", type=int, default=None)
-    c.add_argument("--cap", type=_count, default=None,
+    c.add_argument("--max-width", type=_at_least(1), default=None)
+    c.add_argument("--cap", type=_at_least(0), default=None,
                    help="override the default enumeration size cap")
 
     c = sub.add_parser("catalog", help="print a named poset as JSON")
@@ -82,10 +85,10 @@ def _build_parser():
     c = sub.add_parser("verify", help="run a named verification scenario")
     c.add_argument("scenario", choices=scenario_names())
     c.add_argument("--size", type=int, default=None)
-    c.add_argument("--budget", type=_count, default=None)
-    c.add_argument("--jobs", type=int, default=1)
+    c.add_argument("--budget", type=_at_least(0), default=None)
+    c.add_argument("--jobs", type=_at_least(1), default=1)
     c.add_argument("--format", choices=("json", "text"), default="text")
-    c.add_argument("--max-counterexamples", type=_count, default=10)
+    c.add_argument("--max-counterexamples", type=_at_least(0), default=10)
     c.add_argument(
         "--param", action="append", default=[],
         metavar="KEY=VALUE", help="extra scenario parameter (int value)")

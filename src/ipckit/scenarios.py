@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import product
 
 from .axioms import decompose_kg, jankov_syntactic, validates_jankov, validates_subframe
 from .budget import WorkMeter
@@ -96,18 +97,8 @@ def godel_suite(count):
 
 def _words_upto(weight):
     """Compositions over {1, 2} with total at most weight, shortlex order."""
-    out = [()]
-    frontier = [()]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for k in (1, 2):
-                if sum(w) + k <= weight:
-                    nw = w + (k,)
-                    out.append(nw)
-                    nxt.append(nw)
-        frontier = nxt
-    return out
+    return [w for n in range(weight + 1) for w in product((1, 2), repeat=n)
+            if sum(w) <= weight]
 
 
 def rn_members(size, nmax):
@@ -126,15 +117,20 @@ def rn_members(size, nmax):
             found[code] = (member, param)
 
     add(one_point(), 0)
-    for word in _words_upto(size):
-        for k in range(0, size + 1):
+    # the top point and the tail take a point each.  A member only grows
+    # with k, since |L(k)| runs 1, 1, 2, 3, ..., and with m, so each loop
+    # stops at the first member that does not fit
+    for word in _words_upto(size - 2):
+        for k in range(size + 1):
             member = rn_member(word, k=k)
-            if member.n <= size:
-                add(member, 0)
-        for m in range(0, nmax + 1):
+            if member.n > size:
+                break
+            add(member, 0)
+        for m in range(nmax + 1):
             member = rn_member(word, m=m)
-            if member.n <= size:
-                add(member, m)
+            if member.n > size:
+                break
+            add(member, m)
     # degenerate top: collapsing the whole upper segment of a chain-type
     # member onto its maximum lands on these, so they belong to the family
     for m in range(0, nmax + 1):
@@ -145,8 +141,9 @@ def rn_members(size, nmax):
 
 
 # -- scenario bodies ---------------------------------------------------------
-# Each body returns (instances, check) where check(instance, meter) yields
-# (ok, poset_for_report, detail_or_None).
+# Each body returns (instances, check) where check(instance, meter) returns
+# (poset_for_report, detail): detail is None on a pass, and otherwise says
+# why the instance fails.
 
 
 def _sobolev_width(params):
@@ -158,8 +155,8 @@ def _sobolev_width(params):
         for n, ax in axioms:
             v = is_valid(p, ax, meter=meter)
             if v != (w <= n):
-                return False, p, f"width={w} but bw({n}) {'valid' if v else 'refuted'}"
-        return True, p, None
+                return p, f"width={w} but bw({n}) {'valid' if v else 'refuted'}"
+        return p, None
 
     return posets, check
 
@@ -175,8 +172,8 @@ def _bw_subframe_triangle(params):
             v = is_valid(p, ax, meter=meter)
             s = validates_subframe(p, fn, meter=meter)
             if v != s:
-                return False, p, f"bw({n})={v} but subframe(F({n+1}))={s}"
-        return True, p, None
+                return p, f"bw({n})={v} but subframe(F({n+1}))={s}"
+        return p, None
 
     return posets, check
 
@@ -189,8 +186,8 @@ def _kracht_bw2(params):
         w = width(p)
         ok = all(validates_jankov(p, fr, meter=meter) for fr in frames)
         if ok != (w <= 2):
-            return False, p, f"width={w} but splitting check gave {ok}"
-        return True, p, None
+            return p, f"width={w} but splitting check gave {ok}"
+        return p, None
 
     return posets, check
 
@@ -204,8 +201,8 @@ def _appendix_k(params):
         lhs = validates_subframe(p, p2, meter=meter)
         rhs = all(validates_jankov(p, fr, meter=meter) for fr in frames)
         if lhs != rhs:
-            return False, p, f"beta(P2)={lhs} but K-splittings={rhs}"
-        return True, p, None
+            return p, f"beta(P2)={lhs} but K-splittings={rhs}"
+        return p, None
 
     return posets, check
 
@@ -221,8 +218,8 @@ def _appendix_g(params):
         lhs = validates_subframe(p, p3, meter=meter)
         rhs = all(validates_jankov(p, fr, meter=meter) for fr in frames)
         if lhs != rhs:
-            return False, p, f"beta(P3)={lhs} but G-splittings={rhs}"
-        return True, p, None
+            return p, f"beta(P3)={lhs} but G-splittings={rhs}"
+        return p, None
 
     return posets, check
 
@@ -238,13 +235,13 @@ def _duality_counts(params):
         if kind == "counts":
             nup = len(upset_masks(p))
             if count_quotients(alg) != nup:
-                return False, p, "quotient count differs from upset count"
+                return p, "quotient count differs from upset count"
             if count_subalgebras(alg) != len(epartitions(p)):
-                return False, p, "subalgebra count differs from E-partition count"
-            return True, p, None
+                return p, "subalgebra count differs from E-partition count"
+            return p, None
         if not are_isomorphic(dual_poset(alg), p):
-            return False, p, "dual of the upset algebra is not the poset"
-        return True, p, None
+            return p, "dual of the upset algebra is not the poset"
+        return p, None
 
     return instances, check
 
@@ -256,13 +253,13 @@ def _godel_transfer(params):
 
     def check(p, meter):
         if not is_valid_modal(p, grz, meter=meter):
-            return False, p, "grz axiom refuted"
+            return p, "grz axiom refuted"
         for f, t in suite:
             ii = is_valid(p, f, meter=meter)
             mm = is_valid_modal(p, t, meter=meter)
             if ii != mm:
-                return False, p, f"transfer fails for {pretty(f)}"
-        return True, p, None
+                return p, f"transfer fails for {pretty(f)}"
+        return p, None
 
     return posets, check
 
@@ -277,20 +274,20 @@ def _jankov_oracle(params):
         syntactic = is_valid(host, jankov_syntactic(target), meter=meter)
         semantic = not image_of_upset(target, host, meter=meter)
         if syntactic != semantic:
-            return False, host, (
+            return host, (
                 f"syntactic={syntactic} semantic={semantic} "
                 f"for target {canonical_code(target).decode()}")
-        return True, host, None
+        return host, None
 
     return instances, check
 
 
 def _collapse(src, dst, image):
-    """The map sending each point e of src to dst's point named image(e),
-    as a PMorphism checked by validate()."""
+    """Whether the map sending each point e of src to dst's point named
+    image(e), a PMorphism checked by validate(), is onto."""
     pm = PMorphism(src, dst, tuple(dst.index(image(e)) for e in src.elements))
     pm.validate()
-    return pm
+    return pm.is_surjective()
 
 
 def _ym_rigidity(params):
@@ -306,15 +303,13 @@ def _ym_rigidity(params):
         if kind == "map":
             pm = find_pmorphism(ys[k], ys[m], surjective=True, meter=meter)
             if (pm is not None) != (k == m):
-                return False, ys[k], f"surjection Y({k})->Y({m}) {'found' if pm else 'missing'}"
-            return True, ys[k], None
+                return ys[k], f"surjection Y({k})->Y({m}) {'found' if pm else 'missing'}"
+            return ys[k], None
         x = xm_trunc(k, 3, trunc)
         y = ys[k]
         d = x.index("d")
-        pm = _collapse(x, y, lambda e: "d" if x.leq_idx(d, x.index(e)) else e)
-        if not pm.is_surjective():
-            return False, y, "collapse map not onto"
-        return True, y, None
+        onto = _collapse(x, y, lambda e: "d" if x.leq_idx(d, x.index(e)) else e)
+        return y, None if onto else "collapse map not onto"
 
     return instances, check
 
@@ -365,10 +360,9 @@ def _rn_closure(params):
         kind, member = inst
         if kind == "negative":
             if image_of_upset(negative, member, meter=meter):
-                return False, member, "chain-extended member arises as an image"
-            return True, member, None
-        detail = rn_closure_escape(member, member_codes)
-        return detail is None, member, detail
+                return member, "chain-extended member arises as an image"
+            return member, None
+        return member, rn_closure_escape(member, member_codes)
 
     return instances, check
 
@@ -381,8 +375,8 @@ def _kg_structure(params):
         dec = decompose_kg(p) is not None
         val = all(validates_subframe(p, a, meter=meter) for a in axioms)
         if dec != val:
-            return False, p, f"decomposition={dec} but subframe axioms={val}"
-        return True, p, None
+            return p, f"decomposition={dec} but subframe axioms={val}"
+        return p, None
 
     return posets, check
 
@@ -406,24 +400,23 @@ def _pm_constructions(params):
         if kind == "chain-collapse":
             n, m = a, b
             src = gn_trunc(n, nlv)
-            pm = _collapse(src, gn_trunc(m, nlv), lambda e: (
+            onto = _collapse(src, gn_trunc(m, nlv), lambda e: (
                 f"c.c{min(int(e[3:]), m - 1)}" if e.startswith("c.c") else e))
-            return pm.is_surjective(), src, None if pm.is_surjective() else "not onto"
-        if kind == "ladder-collapse":
+        elif kind == "ladder-collapse":
             n = a
             src = gn_trunc(n, nlv)
             dst = stack([("t", one_point()), ("f", ladder_upset(4)),
                          ("c", chain(n))])
-            pm = _collapse(src, dst, lambda e: "t.pt" if e.startswith(("t.", "l.")) else e)
-            return pm.is_surjective(), src, None if pm.is_surjective() else "not onto"
-        # middle-drop: send the middle summand to the truncation bottom
-        mid = mid_by_tag[a]
-        z = stack([("f", ladder_upset(4)), ("c", chain(1))])
-        src = stack([("x", one_point()), ("l", ladder_trunc(nlv)),
-                     ("y", mid), ("z", z)])
-        dst = stack([("x", one_point()), ("l", ladder_trunc(nlv)), ("z", z)])
-        pm = _collapse(src, dst, lambda e: "l.omega" if e.startswith("y.") else e)
-        return pm.is_surjective(), src, None if pm.is_surjective() else "not onto"
+            onto = _collapse(src, dst, lambda e: "t.pt" if e.startswith(("t.", "l.")) else e)
+        else:
+            # middle-drop: send the middle summand to the truncation bottom
+            mid = mid_by_tag[a]
+            z = stack([("f", ladder_upset(4)), ("c", chain(1))])
+            src = stack([("x", one_point()), ("l", ladder_trunc(nlv)),
+                         ("y", mid), ("z", z)])
+            dst = stack([("x", one_point()), ("l", ladder_trunc(nlv)), ("z", z)])
+            onto = _collapse(src, dst, lambda e: "l.omega" if e.startswith("y.") else e)
+        return src, None if onto else "not onto"
 
     return instances, check
 
@@ -475,15 +468,15 @@ def scenario_params(name, params=None):
 
 
 def _run_check(check, inst, budget):
-    """(ok, poset, detail, spent, tripped) for one instance; the poset is
-    kept only for a failing instance, the one place the report reads it,
-    so pool workers send no passing poset back."""
+    """(detail, poset, spent, tripped) for one instance; the poset is kept
+    only for a failing instance (detail not None), the one place the
+    report reads it, so pool workers send no passing poset back."""
     meter = WorkMeter(limit=budget)
     try:
-        ok, poset, detail = check(inst, meter)
-        return ok, None if ok else poset, detail, meter.spent, False
+        poset, detail = check(inst, meter)
+        return detail, None if detail is None else poset, meter.spent, False
     except BudgetExceeded:
-        return True, None, None, meter.spent, True
+        return None, None, meter.spent, True
 
 
 _WORKER = {}
@@ -534,13 +527,13 @@ def run_scenario(name, params=None, budget=None, jobs=1,
 def _aggregate(report, results, budget, max_counterexamples):
     """Add the results to report in instance order, up to the first one
     that trips the budget or takes the cumulative work over it."""
-    for ok, poset, detail, spent, tripped in results:
+    for detail, poset, spent, tripped in results:
         report.work_units += spent
         if tripped or (budget is not None and report.work_units > budget):
             report.status = "budget"
             return
         report.instances_checked += 1
-        if not ok:
+        if detail is not None:
             report.status = "fail"
             if len(report.counterexamples) < max_counterexamples:
                 report.counterexamples.append(Counterexample(poset, detail))

@@ -3,6 +3,9 @@
 - rn_members builds the closure family block by block with poset.stack,
   against scenarios.rn_members, which builds its word members with
   catalog.rn_member;
+- rn_members_filtered builds every word member up to the size with
+  catalog.rn_member and keeps those that fit, against scenarios.rn_members,
+  which stops each loop at the first member that does not fit;
 - rn_closure_escape checks every rooted quotient of every upset, against
   scenarios.rn_closure_escape, which checks the principal upsets and the
   member's own quotients.
@@ -10,7 +13,7 @@
 
 from __future__ import annotations
 
-from ipckit.catalog import chain, ladder_upset, one_point, simple_space
+from ipckit.catalog import chain, ladder_upset, one_point, rn_member, simple_space
 from ipckit.morphisms import epartitions, quotient
 from ipckit.poset import canonical_code, root, stack, upset_masks
 from ipckit.scenarios import _words_upto
@@ -52,6 +55,33 @@ def rn_members(size, nmax):
             code = canonical_code(member)
             if code not in found or found[code][1] > m:
                 found[code] = (member, m)
+    return [found[c] for c in sorted(found)]
+
+
+def rn_members_filtered(size, nmax):
+    """scenarios.rn_members by building every candidate and then keeping
+    those of at most size points: the same pairs, in the same order."""
+    found = {}
+
+    def add(member, param):
+        code = canonical_code(member)
+        if code not in found or found[code][1] > param:
+            found[code] = (member, param)
+
+    add(one_point(), 0)
+    for word in _words_upto(size):
+        for k in range(0, size + 1):
+            member = rn_member(word, k=k)
+            if member.n <= size:
+                add(member, 0)
+        for m in range(0, nmax + 1):
+            member = rn_member(word, m=m)
+            if member.n <= size:
+                add(member, m)
+    for m in range(0, nmax + 1):
+        if 1 + 4 + m <= size:
+            add(stack([("h", one_point()), ("f", ladder_upset(4)),
+                       ("c", chain(m))]), m)
     return [found[c] for c in sorted(found)]
 
 

@@ -47,6 +47,42 @@ MUTANTS = {
         "    out = [bw(1), bw(2), kc_axiom()]\n",
         ["tests/test_semantics.py::test_godel_suite_is_a_prefix_of_the_longest"],
     ),
+    "search-seen-image-bit": (
+        "src/ipckit/morphisms.py",
+        "            seen[i] = up_t\n",
+        "            seen[i] = bit\n",
+        ["tests/test_search.py::test_search_walks_the_oracle_walk"],
+    ),
+    "search-trip-charge-one-short": (
+        "src/ipckit/morphisms.py",
+        "            meter.spent += nodes\n            raise BudgetExceeded",
+        "            meter.spent += nodes - 1\n            raise BudgetExceeded",
+        ["tests/test_search.py::test_search_trips_at_every_limit"],
+    ),
+    "node-values-kept-across-orders": (
+        "src/ipckit/semantics.py",
+        "        if up != self.up or sum(",
+        "        if sum(",
+        ["tests/test_kernel.py::test_scan_sequences_match_oracle"],
+    ),
+    "residuation-check-iv-dropped": (
+        "src/ipckit/heyting.py",
+        "            if not (leq[f[g[x]]] >> x & 1 and leq[x] >> g[f[x]] & 1):\n",
+        "            if not leq[f[g[x]]] >> x & 1:\n",
+        ["tests/test_heyting.py::test_residuation_check_agrees_with_pointwise_oracle"],
+    ),
+    "rn-words-one-short": (
+        "src/ipckit/scenarios.py",
+        "    for word in _words_upto(size - 2):\n",
+        "    for word in _words_upto(size - 3):\n",
+        ["tests/test_catalog.py::test_rn_members_match_build_then_filter_oracle"],
+    ),
+    "failing-instance-poset-dropped": (
+        "src/ipckit/scenarios.py",
+        "        return detail, None if detail is None else poset, meter.spent, False\n",
+        "        return detail, None, meter.spent, False\n",
+        ["tests/test_io_cli.py::test_run_scenario_reports_failing_instances"],
+    ),
 }
 
 

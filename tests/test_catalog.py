@@ -169,6 +169,22 @@ def test_rn_members_match_stack_builder():
                 by_code(oracle.rn_members(size, n)), (size, n)
 
 
+def test_rn_members_match_build_then_filter_oracle():
+    # stopping each loop at the first member too big keeps every member,
+    # its representative and its parameter, in the same order
+    from ipckit.scenarios import rn_members
+
+    import _oracle_rn as oracle
+
+    def rows(members):
+        return [(p.elements, p.up, param) for p, param in members]
+
+    for size in range(1, 9):
+        for n in range(4):
+            assert rows(rn_members(size, n)) == \
+                rows(oracle.rn_members_filtered(size, n)), (size, n)
+
+
 class _Recorded(set):
     """A set that records every membership query."""
 
@@ -242,6 +258,13 @@ def _all_words(weight):
                     nxt.append(nw)
         frontier = nxt
     return out
+
+
+def test_words_upto_matches_breadth_first_words():
+    from ipckit.scenarios import _words_upto
+
+    for weight in range(11):
+        assert _words_upto(weight) == _all_words(weight), weight
 
 
 def test_rn_members_validate_subframe_axioms():

@@ -11,13 +11,16 @@ from pathlib import Path
 
 import pytest
 
+from ipckit import scenarios
 from ipckit.catalog import catalog_keys
 from ipckit.cli import main
 from ipckit.errors import ParameterOutOfRange, SchemaError, UnknownKey
+from ipckit.formulas import bw
 from ipckit.io import export_poset, import_poset, poset_from_obj, poset_to_dot, poset_to_obj
-from ipckit.poset import are_isomorphic, build_poset, canonical_code
+from ipckit.poset import are_isomorphic, build_poset, canonical_code, width
 from ipckit.report import render_report
 from ipckit.scenarios import run_scenario, scenario_params
+from ipckit.semantics import is_valid
 
 F2 = build_poset(["r", "a", "b"], [("r", "a"), ("r", "b")], name="F2")
 
@@ -191,6 +194,35 @@ def test_cli_translate(capsys):
     assert capsys.readouterr().out.strip() == "[]([]p0 -> []p1)"
 
 
+def _wide_fails(params):
+    # bw(1) is refuted exactly on the rooted posets of width 2 or more,
+    # and each of those instances fails
+    def check(p, meter):
+        return p, None if is_valid(p, bw(1), meter=meter) else f"width={width(p)}"
+
+    return scenarios._rooted_upto(params["size"]), check
+
+
+def test_run_scenario_reports_failing_instances(monkeypatch):
+    # forked pool workers see the patched table too
+    monkeypatch.setitem(scenarios._SCENARIOS, "wide-fails", ({"size": 5}, _wide_fails))
+    posets = scenarios._rooted_upto(5)
+    wide = [p for p in posets if width(p) >= 2]
+    assert len(wide) > 3
+    blobs = []
+    for jobs in (1, 2):
+        report = run_scenario("wide-fails", jobs=jobs, max_counterexamples=3)
+        assert report.status == "fail"
+        assert report.instances_checked == len(posets)
+        assert report.work_units > 0
+        assert [c.detail for c in report.counterexamples] == \
+            [f"width={width(p)}" for p in wide[:3]]
+        assert [canonical_code(c.poset) for c in report.counterexamples] == \
+            [canonical_code(p) for p in wide[:3]]
+        blobs.append(render_report(report, "json"))
+    assert blobs[0] == blobs[1]
+
+
 def test_cli_verify_exit_codes(capsys):
     assert main(["verify", "duality-counts", "--param", "size=2",
                  "--param", "dual_size=2"]) == 0
@@ -284,6 +316,10 @@ def test_benchmark_workload_params_are_accepted(monkeypatch):
     ["enumerate", "--size", "3", "--cap", "-1"],
     ["verify", "sobolev-width", "--budget", "-1"],
     ["verify", "sobolev-width", "--max-counterexamples", "-1"],
+    ["verify", "sobolev-width", "--jobs", "0"],
+    ["verify", "sobolev-width", "--jobs", "-1"],
+    ["enumerate", "--size", "3", "--max-width", "0"],
+    ["enumerate", "--size", "3", "--max-width", "-1"],
 ])
 def test_cli_verify_rejects_bad_params(capsys, argv):
     assert main(argv) == 2
