@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from . import budget as _budget
 from .errors import BudgetExceeded
-from .poset import Poset, upset_masks, _bits
+from .poset import Poset, upset_masks, _bits, _transpose
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,12 @@ def upset_algebra(p: Poset) -> HeytingAlgebra:
         raise BudgetExceeded(
             f"{len(masks)} upsets exceeds algebra cap {_budget.DEFAULT_ALGEBRA_CAP}")
     pos = {m: i for i, m in enumerate(masks)}
-    leq = tuple(sum(1 << j for j, mj in enumerate(masks) if mi & ~mj == 0)
-                for mi in masks)
+    # leq[i], the upsets containing masks[i]: the AND of holding[x] over x in it
+    holding = _transpose(masks, p.n)
+    leq = [(1 << len(masks)) - 1] * len(masks)
+    for i, m in enumerate(masks):
+        for x in _bits(m):
+            leq[i] &= holding[x]
     meet = tuple(tuple(pos[mi & mj] for mj in masks) for mi in masks)
     join = tuple(tuple(pos[mi | mj] for mj in masks) for mi in masks)
     full = p.full_mask
@@ -76,7 +80,7 @@ def upset_algebra(p: Poset) -> HeytingAlgebra:
             row.append(pos[full ^ d])
         imp.append(tuple(row))
     alg = HeytingAlgebra(
-        leq, meet, join, tuple(imp), pos[0], pos[full],
+        tuple(leq), meet, join, tuple(imp), pos[0], pos[full],
         name=f"Up({p.name})" if p.name else None,
     )
     _check_residuation(alg)
@@ -135,10 +139,7 @@ def dual_poset(a: HeytingAlgebra) -> Poset:
     elements strictly below it (distributivity holds here).
     """
     k = a.size
-    down = [0] * k
-    for x in range(k):
-        for y in _bits(a.leq[x]):
-            down[y] |= 1 << x
+    down = _transpose(a.leq, k)
     primes = []
     for x in range(k):
         if x == a.bottom:
@@ -170,7 +171,7 @@ def count_quotients(a: HeytingAlgebra) -> int:
     order = Poset(tuple(str(x) for x in range(a.size)), a.leq)
     count = 0
     for u in upset_masks(order):
-        xs = list(_bits(u))
+        xs = _bits(u)
         if xs and all(u >> a.meet[x][y] & 1 for x in xs for y in xs):
             count += 1
     return count
@@ -185,7 +186,7 @@ def count_subalgebras(a: HeytingAlgebra) -> int:
     def closure(mask):
         while True:
             new = mask
-            xs = list(_bits(mask))
+            xs = _bits(mask)
             for x in xs:
                 for y in xs:
                     new |= 1 << a.meet[x][y]

@@ -245,7 +245,7 @@ def epartitions(p: Poset, cap: int | None = None):
         return [()]
     n = p.n
     order = p.topdown
-    above = [tuple(_bits(p.strict_up(x))) for x in order]
+    above = [_bits(p.strict_up(x)) for x in order]
     block = [0] * n  # block of each placed point
     sees = []  # per block: the blocks meeting up(y) for its points y
     members = []  # per block: the mask of its points

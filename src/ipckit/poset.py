@@ -15,11 +15,31 @@ from . import budget as _budget
 from .errors import BudgetExceeded, CycleDetected, DuplicateElement, UnknownElement
 
 
+_BYTE = tuple(tuple(i for i in range(8) if m >> i & 1) for m in range(256))
+
+
 def _bits(mask):
+    """Set bits of mask, ascending, as a tuple: the byte table _BYTE below
+    256 (Knuth, TAOCP 4A, 7.1.3), else peeled top bit first (fewer int ops)."""
+    if 0 <= mask < 256:
+        return _BYTE[mask]
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
+    out = []
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        out.append(i := mask.bit_length() - 1)
+        mask ^= 1 << i
+    out.reverse()
+    return tuple(out)
+
+
+def _transpose(rows, n):
+    """Per i < n, the mask of the j with bit i set in rows[j]."""
+    cols = [0] * n
+    for j, row in enumerate(rows):
+        for i in _bits(row):
+            cols[i] |= 1 << j
+    return cols
 
 
 @dataclass(frozen=True)
@@ -60,12 +80,7 @@ class Poset:
     # sees during enumeration carry no memo.
 
     def down_masks(self):
-        d = [0] * self.n
-        for j in range(self.n):
-            uj = self.up[j]
-            for i in _bits(uj):
-                d[i] |= 1 << j
-        return d
+        return _transpose(self.up, self.n)
 
     def strict_up(self, i):
         return self.up[i] & ~(1 << i)
@@ -105,7 +120,7 @@ class Poset:
             over = 0
             for y in _bits(strict[x]):
                 over |= strict[y]
-            out.append(tuple(_bits(strict[x] & ~over)))
+            out.append(_bits(strict[x] & ~over))
         return tuple(out)
 
     @cached_property
@@ -326,8 +341,8 @@ def _refined_colors(p, down):
     colors = [(p.up[i].bit_count(), down[i].bit_count()) for i in range(n)]
     rank = {c: k for k, c in enumerate(sorted(set(colors)))}
     colors = [rank[c] for c in colors]
-    above = [list(_bits(p.strict_up(i))) for i in range(n)]
-    below = [list(_bits(down[i] & ~(1 << i))) for i in range(n)]
+    above = [_bits(p.strict_up(i)) for i in range(n)]
+    below = [_bits(down[i] & ~(1 << i)) for i in range(n)]
     while len(rank) < n:
         sigs = [(colors[i], tuple(sorted(colors[j] for j in above[i])),
                  tuple(sorted(colors[j] for j in below[i]))) for i in range(n)]
@@ -510,9 +525,8 @@ def enumerate_posets(n):
         for dmask in sorted(q.full_mask ^ u for u in upset_masks(q)):
             if dmask in skip:
                 continue
-            points = list(_bits(dmask))
             for a in images:
-                skip.add(sum([a[i] for i in points]))
+                skip.add(sum([a[i] for i in _bits(dmask)]))
             # adjoin a new maximal element above exactly dmask
             ups = [m | top if dmask >> i & 1 else m for i, m in enumerate(q.up)]
             ups.append(top)

@@ -11,13 +11,15 @@ for the dual constructions on posets in ipckit.
 - is_valid_algebra against semantics.is_valid (a formula is valid on a
   poset exactly when it is valid in the poset's upset algebra), with an
   evaluator of its own over the algebra tables.
+- upset_algebra_by_definition against heyting.upset_algebra: every table
+  read off the definitions, the order by testing inclusion pair by pair.
 """
 
 from __future__ import annotations
 
 from ipckit.formulas import And, Bot, Or, Var, variables
 from ipckit.heyting import HeytingAlgebra, dual_poset
-from ipckit.poset import _bits, canonical_code
+from ipckit.poset import _bits, canonical_code, upset_masks
 
 
 def check_residuation_pointwise(a):
@@ -94,6 +96,24 @@ def _tables_from_order(leq, name=None):
         top,
         name,
     )
+
+
+def upset_algebra_by_definition(p):
+    """The upset algebra of p with no cache and no residuation check:
+    U <= V when U & ~V == 0, tested for every pair (the comprehension that
+    upset_algebra replaced by an AND of the upsets holding each point),
+    meets and joins by intersection and union, and U -> V the points x
+    with up(x) & U inside V."""
+    masks = upset_masks(p)
+    pos = {m: i for i, m in enumerate(masks)}
+    leq = tuple(sum(1 << j for j, mj in enumerate(masks) if mi & ~mj == 0)
+                for mi in masks)
+    meet = tuple(tuple(pos[mi & mj] for mj in masks) for mi in masks)
+    join = tuple(tuple(pos[mi | mj] for mj in masks) for mi in masks)
+    imp = tuple(tuple(pos[sum(1 << x for x in range(p.n) if p.up[x] & u & ~v == 0)]
+                      for v in masks) for u in masks)
+    return HeytingAlgebra(leq, meet, join, imp, pos[0], pos[p.full_mask],
+                          name=f"Up({p.name})" if p.name else None)
 
 
 def boolean_two():

@@ -9,12 +9,22 @@
 - Antichain sizes by trying every subset.
 - The transitive closure that build_poset took by repeating a sweep
   until nothing changed, before its one Warshall sweep.
+- The generator that walked the set bits of a mask before _bits read a
+  byte table; the oracles here walk masks with it.
 """
 
 from functools import lru_cache
 
 from ipckit.errors import CycleDetected
-from ipckit.poset import EMPTY, Poset, _bits, upset_masks, width
+from ipckit.poset import EMPTY, Poset, upset_masks, width
+
+
+def _bits(mask):
+    """The set bits of mask, lowest first, one at a time."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # canonical form, every candidate coded ----------------------------------

@@ -77,6 +77,36 @@ MUTANTS = {
         "    for word in _words_upto(size - 3):\n",
         ["tests/test_catalog.py::test_rn_members_match_build_then_filter_oracle"],
     ),
+    "bits-table-over-seven-bits": (
+        "src/ipckit/poset.py",
+        "_BYTE = tuple(tuple(i for i in range(8) if m >> i & 1) for m in range(256))\n",
+        "_BYTE = tuple(tuple(i for i in range(7) if m >> i & 1) for m in range(256))\n",
+        ["tests/test_poset.py::test_bits_match_the_generator_oracle"],
+    ),
+    "bits-table-bound-512": (
+        "src/ipckit/poset.py",
+        "    if 0 <= mask < 256:\n",
+        "    if 0 <= mask < 512:\n",
+        ["tests/test_poset.py::test_bits_match_the_generator_oracle"],
+    ),
+    "algebra-leq-seeded-with-zero": (
+        "src/ipckit/heyting.py",
+        "    leq = [(1 << len(masks)) - 1] * len(masks)\n",
+        "    leq = [0] * len(masks)\n",
+        ["tests/test_heyting.py::test_upset_algebra_matches_its_definitions"],
+    ),
+    "enumeration-orbit-skip-dropped": (
+        "src/ipckit/poset.py",
+        "            if dmask in skip:\n                continue\n",
+        "",
+        ["tests/test_poset.py::test_enumeration_codes_one_candidate_per_orbit"],
+    ),
+    "residuation-check-ii-dropped": (
+        "src/ipckit/heyting.py",
+        "            if not (leq[f[x]] >> f[y] & 1 and leq[g[x]] >> g[y] & 1):\n",
+        "            if not leq[f[x]] >> f[y] & 1:\n",
+        ["tests/test_heyting.py::test_residuation_check_agrees_with_pointwise_oracle"],
+    ),
     "failing-instance-poset-dropped": (
         "src/ipckit/scenarios.py",
         "        return detail, None if detail is None else poset, meter.spent, False\n",

@@ -32,6 +32,7 @@ from _oracle_heyting import (
     boolean_two,
     check_residuation_pointwise,
     is_si,
+    upset_algebra_by_definition,
 )
 
 ONE = build_poset(["o"], [])
@@ -57,17 +58,16 @@ def test_residual_on_antichain():
     assert masks[alg.imp[a_only][empty]] == 0b10
 
 
-def test_implication_is_the_pointwise_definition():
-    # U -> V = {x : up(x) & U inside V}, evaluated point by point here, on
-    # every poset of at most 5 points
-    for n in range(6):
-        for p in enumerate_posets(n):
-            masks = upset_masks(p)
-            alg = upset_algebra(p)
-            for i, u in enumerate(masks):
-                for j, v in enumerate(masks):
-                    w = sum(1 << x for x in range(p.n) if p.up[x] & u & ~v == 0)
-                    assert masks[alg.imp[i][j]] == w, (p.up, u, v)
+def test_upset_algebra_matches_its_definitions():
+    # every table, the bottom, the top and the name, on every poset of at
+    # most 6 points and a named one: the order as an AND of the upsets
+    # holding each point against inclusion tested pair by pair, and
+    # U -> V through down(U - V) against {x : up(x) & U inside V}
+    named = build_poset(["r", "a", "b"], [("r", "a"), ("r", "b")], name="F2")
+    posets = [p for n in range(7) for p in enumerate_posets(n)] + [named]
+    for p in posets:
+        alg, ref = upset_algebra(p), upset_algebra_by_definition(p)
+        assert (alg, alg.name) == (ref, ref.name), p.up
 
 
 def _rejects(check, alg):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from ipckit.poset import (
     EMPTY,
     Poset,
     _automorphisms,
+    _bits,
     _max_antichain,
     _rooted_code,
     are_isomorphic,
@@ -48,6 +50,24 @@ ONE = build_poset(["o"], [])
 TWO = build_poset(["a", "b"], [])
 F2 = build_poset(["r", "a", "b"], [("r", "a"), ("r", "b")])
 F3 = build_poset(["r", "a", "b", "c"], [("r", "a"), ("r", "b"), ("r", "c")])
+
+
+def test_bits_match_the_generator_oracle():
+    # the byte table below 256 and the top-down walk above it give the
+    # generator's indices in its order, as a tuple; wide masks dense and
+    # sparse, drawn from a fixed seed
+    rng = random.Random(19)
+    wide = [m | 1 << (w - 1) for w in range(9, 301)
+            for m in (rng.getrandbits(w), 1 << rng.randrange(w) | 1 << rng.randrange(w))]
+    for mask in itertools.chain(range(1 << 12), wide):
+        bits = _bits(mask)
+        assert type(bits) is tuple and bits == tuple(oracle._bits(mask)), mask
+
+
+def test_bits_reject_negative_masks():
+    for mask in (-1, -2, -255, -256, -257, -(1 << 70)):
+        with pytest.raises(ValueError):
+            _bits(mask)
 
 
 def test_build_cover_closure():

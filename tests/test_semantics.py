@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import importlib
 import pkgutil
 import random
@@ -11,7 +12,7 @@ import tracemalloc
 import pytest
 
 import ipckit
-from ipckit import scenarios, semantics
+from ipckit import formulas, scenarios, semantics
 from ipckit.budget import WorkMeter
 from ipckit.errors import BudgetExceeded
 from ipckit.formulas import BOT, Imp, Var, bw, godel_translate, grz_axiom, parse
@@ -177,17 +178,23 @@ def _clear_caches():
     semantics._memo.clear()
 
 
-def test_plan_caches_are_the_known_ones_and_bounded():
-    assert sorted(_CACHES) == ["_fast_patterns", "_frame", "_upsets", "scan_plan"]
-    for name, fn in _CACHES.items():
-        assert fn.cache_info().maxsize is not None, name
-    # every lru_cache in ipckit says what bounds it; a sized one says its size
+def _ipckit_caches():
+    """Every lru_cache an ipckit module defines, keyed module.name."""
     caches = {}
     for info in pkgutil.iter_modules(ipckit.__path__):
         module = importlib.import_module(f"ipckit.{info.name}")
         for name, fn in vars(module).items():
             if hasattr(fn, "cache_info") and fn.__module__ == module.__name__:
                 caches[f"{info.name}.{name}"] = fn
+    return caches
+
+
+def test_plan_caches_are_the_known_ones_and_bounded():
+    assert sorted(_CACHES) == ["_fast_patterns", "_frame", "_upsets", "scan_plan"]
+    for name, fn in _CACHES.items():
+        assert fn.cache_info().maxsize is not None, name
+    # every lru_cache in ipckit says what bounds it; a sized one says its size
+    caches = _ipckit_caches()
     assert len(caches) == 12
     for name, fn in caches.items():
         doc = " ".join((fn.__doc__ or "").split())
@@ -225,15 +232,40 @@ def test_reports_with_warm_caches_equal_cold_ones():
     assert any('"status": "budget"' in r for r in cold)
 
 
+# a cheap run of every scenario, each layer's caches included
+_MIX = [
+    ("godel-transfer", {"size": 4, "formulas": 60}),
+    ("sobolev-width", {"size": 5}),
+    ("bw-subframe-triangle", {"size": 5}),
+    ("duality-counts", {"size": 4}),
+    ("rn-closure", {"size": 6, "n": 1}),
+    ("kg-structure", {"size": 5}),
+    ("appendix-K", {"size": 5}),
+    ("appendix-G", {"size": 5}),
+    ("jankov-oracle", {"target_size": 3, "host_size": 4}),
+    ("pm-constructions", {}),
+    ("ym-rigidity", {}),
+    ("kracht-bw2", {}),
+]
+
+
 def test_repeated_runs_keep_the_caches_bounded():
+    # a long-running process: once the first round of the mix is done, a
+    # rerun adds no entry to any cache in ipckit nor to the intern table,
+    # and the sized plan caches stay within their size
+    assert sorted(n for n, _ in _MIX) == scenarios.scenario_names()
     _clear_caches()
+    caches = _ipckit_caches()
     sizes = []
     for _ in range(3):
-        run_scenario("godel-transfer", {"size": 4, "formulas": 60})
+        for name, params in _MIX:
+            run_scenario(name, params)
+        gc.collect()
         info = {name: fn.cache_info() for name, fn in _CACHES.items()}
         assert all(i.currsize <= i.maxsize for i in info.values())
-        sizes.append({name: i.currsize for name, i in info.items()})
-    assert sizes[0] == sizes[1] == sizes[2]  # a rerun adds no entry
+        sizes.append(({name: fn.cache_info().currsize for name, fn in caches.items()},
+                      len(formulas._interned)))
+    assert sizes[0] == sizes[1] == sizes[2]
 
 
 def test_relabelled_orders_share_a_domain():
