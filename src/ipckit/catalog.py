@@ -202,11 +202,8 @@ def ladder_top_segment(m):
     """Points w0..wm of the ladder (the non-rooted indecomposable upsets)."""
     if m < 0:
         raise ParameterOutOfRange("segment size must be >= 0")
-    lad = ladder(max(m + 1, 4))
-    mask = 0
-    for i in range(m + 1):
-        mask |= 1 << lad.index(f"w{i}")
-    return lad.restrict(mask, name=f"T({m})")
+    lad = ladder(m + 1)
+    return Poset(lad.elements, lad.up, name=f"T({m})")
 
 
 def ladder_trunc(n_points):

@@ -100,10 +100,6 @@ def _build_parser():
     return ap
 
 
-def _load(path):
-    return pio.import_poset(path)
-
-
 def main(argv=None) -> int:
     ap = _build_parser()
     try:
@@ -124,25 +120,27 @@ def _dispatch(args) -> int:
     cmd = args.command
 
     if cmd == "check":
-        ok = is_valid(_load(args.poset), parse(args.formula),
+        ok = is_valid(pio.import_poset(args.poset), parse(args.formula),
                       meter=WorkMeter(limit=args.budget))
         print("valid" if ok else "refuted")
         return EXIT_PASS if ok else EXIT_FAIL
 
     if cmd == "modal-check":
-        ok = is_valid_modal(_load(args.poset), parse(args.formula),
+        ok = is_valid_modal(pio.import_poset(args.poset), parse(args.formula),
                             meter=WorkMeter(limit=args.budget))
         print("valid" if ok else "refuted")
         return EXIT_PASS if ok else EXIT_FAIL
 
     if cmd == "jankov":
-        ok = validates_jankov(_load(args.host), _load(args.target),
+        ok = validates_jankov(pio.import_poset(args.host),
+                              pio.import_poset(args.target),
                               meter=WorkMeter(limit=args.budget))
         print("validates" if ok else "refutes")
         return EXIT_PASS if ok else EXIT_FAIL
 
     if cmd == "subframe":
-        ok = validates_subframe(_load(args.host), _load(args.target),
+        ok = validates_subframe(pio.import_poset(args.host),
+                                pio.import_poset(args.target),
                                 meter=WorkMeter(limit=args.budget))
         print("validates" if ok else "refutes")
         return EXIT_PASS if ok else EXIT_FAIL
@@ -150,7 +148,7 @@ def _dispatch(args) -> int:
     if cmd == "pmorphism":
         meter = WorkMeter(limit=args.budget)
         pm = find_pmorphism(
-            _load(args.src), _load(args.dst),
+            pio.import_poset(args.src), pio.import_poset(args.dst),
             surjective=args.surjective, meter=meter)
         if pm is None:
             print("none")
@@ -172,8 +170,7 @@ def _dispatch(args) -> int:
         if args.key is None:
             print("usage: ipckit catalog (KEY | --list)", file=sys.stderr)
             return EXIT_USAGE
-        p = catalog_get(args.key)
-        print(json.dumps(pio.poset_to_obj(p), sort_keys=True, indent=2))
+        sys.stdout.write(pio.poset_text(catalog_get(args.key), "json"))
         return EXIT_PASS
 
     if cmd == "translate":
@@ -181,11 +178,9 @@ def _dispatch(args) -> int:
         return EXIT_PASS
 
     if cmd == "export":
-        p = _load(args.poset)
+        p = pio.import_poset(args.poset)
         if args.out == "-":
-            text = (pio.poset_to_dot(p) if args.format == "dot"
-                    else json.dumps(pio.poset_to_obj(p), sort_keys=True, indent=2) + "\n")
-            sys.stdout.write(text)
+            sys.stdout.write(pio.poset_text(p, args.format))
         else:
             pio.export_poset(p, args.format, args.out)
         return EXIT_PASS

@@ -18,9 +18,8 @@ class CycleDetected(IpckitError):
 
 
 class BudgetExceeded(IpckitError):
-    def __init__(self, message="work budget exceeded", spent=None):
+    def __init__(self, message="work budget exceeded"):
         super().__init__(message)
-        self.spent = spent
 
 
 class FormulaSyntaxError(IpckitError):

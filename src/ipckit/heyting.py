@@ -136,11 +136,13 @@ def dual_poset(a: HeytingAlgebra) -> Poset:
 
     Every filter of a finite lattice is principal, and the filter of a is
     prime exactly when a is join-prime, i.e. a is not the join of the
-    elements strictly below it (distributivity holds here).
+    elements strictly below it (distributivity holds here).  Filter
+    inclusion reverses the algebra order, so the dual is the reversed
+    order restricted to the join-primes.
     """
     k = a.size
     down = _transpose(a.leq, k)
-    primes = []
+    primes = 0
     for x in range(k):
         if x == a.bottom:
             continue
@@ -148,17 +150,8 @@ def dual_poset(a: HeytingAlgebra) -> Poset:
         for y in _bits(down[x] & ~(1 << x)):
             sup = a.join[sup][y]
         if sup != x:
-            primes.append(x)
-    # filter inclusion reverses the algebra order
-    els = tuple(f"f{x}" for x in primes)
-    ups = []
-    for x in primes:
-        m = 0
-        for j, y in enumerate(primes):
-            if a.leq[y] >> x & 1:
-                m |= 1 << j
-        ups.append(m)
-    return Poset(els, tuple(ups), name=None)
+            primes |= 1 << x
+    return Poset(tuple(f"f{x}" for x in range(k)), tuple(down)).restrict(primes)
 
 
 def count_quotients(a: HeytingAlgebra) -> int:

@@ -84,12 +84,16 @@ def poset_to_dot(p: Poset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_poset(p: Poset, fmt: str, path) -> None:
+def poset_text(p: Poset, fmt: str) -> str:
+    """The text of a poset file in fmt, "json" (indented) or "dot"."""
     if fmt == "json":
-        text = json.dumps(poset_to_obj(p), sort_keys=True, indent=2) + "\n"
-    elif fmt == "dot":
-        text = poset_to_dot(p)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+        return json.dumps(poset_to_obj(p), sort_keys=True, indent=2) + "\n"
+    if fmt == "dot":
+        return poset_to_dot(p)
+    raise ValueError(f"unknown format {fmt!r}")
+
+
+def export_poset(p: Poset, fmt: str, path) -> None:
+    text = poset_text(p, fmt)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

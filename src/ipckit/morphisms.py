@@ -124,7 +124,7 @@ def _search(host: Poset, target: Poset, domain, skip, surjective,
         nodes += 1
         if nodes > cap:
             meter.spent += nodes
-            raise BudgetExceeded(spent=meter.spent)
+            raise BudgetExceeded()
         if k == last:
             return not unhit
         if unhit > last - k:
@@ -218,8 +218,7 @@ def image_of_subposet(target: Poset, host: Poset, meter: WorkMeter | None = None
 
 def epartitions(p: Poset, cap: int | None = None):
     """All E-partitions of p: tuples of block masks sorted by least
-    point, in restricted-growth order of their labels (point i labelled
-    with the position of its block).
+    point, in the order the walk finds them.
 
     One walk places the points top-down, in the order p.topdown.  Let s
     be the set of blocks that meet strict_up(x).  x may join block b only
@@ -253,12 +252,7 @@ def epartitions(p: Poset, cap: int | None = None):
 
     def rec(k):
         if k == n:
-            masks = tuple(sorted(members, key=lambda m: m & -m))
-            label = [0] * n
-            for b, m in enumerate(masks):
-                for i in _bits(m):
-                    label[i] = b
-            leaves.append((label, masks))
+            leaves.append(tuple(sorted(members, key=lambda m: m & -m)))
             return
         s = 0
         for j in above[k]:
@@ -279,8 +273,7 @@ def epartitions(p: Poset, cap: int | None = None):
         members.pop()
 
     rec(0)
-    leaves.sort(key=lambda leaf: leaf[0])
-    return [masks for _, masks in leaves]
+    return leaves
 
 
 def quotient(p: Poset, blocks):

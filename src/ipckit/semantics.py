@@ -167,11 +167,6 @@ def _evaluate(nodes, slots, p, ones, memo):
     return memo[nodes[-1]]
 
 
-def _point_bits(n, masks, ones):
-    """Per slot, per point: ones where the mask holds the point, else 0."""
-    return [[ones if m >> x & 1 else 0 for x in range(n)] for m in masks]
-
-
 def _held(n, values, block):
     """Bit-sliced values of a slot that holds each of values in turn for
     block rows, for each point."""
@@ -226,7 +221,7 @@ def _windows(n, domain, nvars):
     repeat = ones // ((1 << block) - 1)
     fast = [[v * repeat for v in pat] for pat in fast]
     for slow in product(domain, repeat=nvars - k - 1):
-        fixed = _point_bits(n, slow, ones)
+        fixed = [_held(n, (v,), c * block) for v in slow]
         for a in range(0, m, c):
             values = domain[a:a + c]
             yield fixed + [_held(n, values, block)] + fast, len(values) * block, False
@@ -319,7 +314,7 @@ def _scan(p, plan, domain, limit, meter):
     if meter is not None:
         meter.spent += work
     if status == "budget":
-        raise BudgetExceeded(spent=None if meter is None else meter.spent)
+        raise BudgetExceeded()
     return status == "valid"
 
 

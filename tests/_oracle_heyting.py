@@ -13,13 +13,15 @@ for the dual constructions on posets in ipckit.
   evaluator of its own over the algebra tables.
 - upset_algebra_by_definition against heyting.upset_algebra: every table
   read off the definitions, the order by testing inclusion pair by pair.
+- dual_poset_by_filters against heyting.dual_poset: the prime filters
+  ordered by inclusion, each up-set built pair by pair over the primes.
 """
 
 from __future__ import annotations
 
 from ipckit.formulas import And, Bot, Or, Var, variables
 from ipckit.heyting import HeytingAlgebra, dual_poset
-from ipckit.poset import _bits, canonical_code, upset_masks
+from ipckit.poset import Poset, _bits, _transpose, canonical_code, upset_masks
 
 
 def check_residuation_pointwise(a):
@@ -114,6 +116,31 @@ def upset_algebra_by_definition(p):
                       for v in masks) for u in masks)
     return HeytingAlgebra(leq, meet, join, imp, pos[0], pos[p.full_mask],
                           name=f"Up({p.name})" if p.name else None)
+
+
+def dual_poset_by_filters(a):
+    """The dual poset as heyting.dual_poset built it before it restricted
+    the reversed order: the join-primes, then for each prime x the mask of
+    the primes y <= x (filter inclusion reverses the algebra order)."""
+    k = a.size
+    down = _transpose(a.leq, k)
+    primes = []
+    for x in range(k):
+        if x == a.bottom:
+            continue
+        sup = a.bottom
+        for y in _bits(down[x] & ~(1 << x)):
+            sup = a.join[sup][y]
+        if sup != x:
+            primes.append(x)
+    ups = []
+    for x in primes:
+        m = 0
+        for j, y in enumerate(primes):
+            if a.leq[y] >> x & 1:
+                m |= 1 << j
+        ups.append(m)
+    return Poset(tuple(f"f{x}" for x in primes), tuple(ups), name=None)
 
 
 def boolean_two():

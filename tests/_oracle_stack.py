@@ -1,9 +1,19 @@
 """Ordinal sums by cover pairs and transitive closure: the test oracle for
 ipckit.poset.stack and ipckit.catalog.ladder_trunc, which write the
-up-set masks directly."""
+up-set masks directly; and the ladder's top segment as a restriction of
+a deeper ladder, the oracle for ipckit.catalog.ladder_top_segment."""
 
-from ipckit.catalog import ladder_top_segment
+from ipckit.catalog import ladder
 from ipckit.poset import build_poset
+
+
+def ladder_top_segment_by_restriction(m):
+    """Points w0..wm restricted out of a ladder of at least four points."""
+    lad = ladder(max(m + 1, 4))
+    mask = 0
+    for i in range(m + 1):
+        mask |= 1 << lad.index(f"w{i}")
+    return lad.restrict(mask, name=f"T({m})")
 
 
 def stack_by_covers(blocks, name=None):
@@ -30,7 +40,7 @@ def stack_by_covers(blocks, name=None):
 
 def ladder_trunc_by_covers(n_points):
     """The segment's covers, plus omega below each of its minimal points."""
-    seg = ladder_top_segment(n_points - 1)
+    seg = ladder_top_segment_by_restriction(n_points - 1)
     els = list(seg.elements) + ["omega"]
     covers = [(seg.elements[i], seg.elements[j]) for i, j in seg.covers()]
     down = seg.down_masks()

@@ -113,6 +113,55 @@ MUTANTS = {
         "        return detail, None, meter.spent, False\n",
         ["tests/test_io_cli.py::test_run_scenario_reports_failing_instances"],
     ),
+    "dual-restricted-to-every-point": (
+        "src/ipckit/heyting.py",
+        "tuple(down)).restrict(primes)",
+        "tuple(down)).restrict((1 << k) - 1)",
+        ["tests/test_heyting.py::test_dual_poset_matches_the_filter_oracle"],
+    ),
+    "epart-new-block-blind-to-itself": (
+        "src/ipckit/morphisms.py",
+        "        sees.append(s | 1 << new)\n",
+        "        sees.append(s)\n",
+        ["tests/test_epartitions.py::test_epartitions_match_oracle_on_small_posets"],
+    ),
+    "epart-member-bit-not-restored": (
+        "src/ipckit/morphisms.py",
+        "                members[b] ^= 1 << x\n",
+        "",
+        ["tests/test_epartitions.py::test_epartitions_match_oracle_on_small_posets"],
+    ),
+    "epart-blocks-by-mask-value": (
+        "src/ipckit/morphisms.py",
+        "sorted(members, key=lambda m: m & -m)",
+        "sorted(members)",
+        ["tests/test_epartitions.py::test_epartitions_match_oracle_on_small_posets"],
+    ),
+    "poset-text-json-no-final-newline": (
+        "src/ipckit/io.py",
+        'sort_keys=True, indent=2) + "\\n"',
+        "sort_keys=True, indent=2)",
+        ["tests/test_io_cli.py::test_cli_catalog_prints_the_poset_text"],
+    ),
+    "windows-fixed-slots-over-block-rows": (
+        "src/ipckit/semantics.py",
+        "_held(n, (v,), c * block)",
+        "_held(n, (v,), block)",
+        ["tests/test_kernel.py::test_domains_wider_than_a_window"],
+    ),
+    "evaluate-box-miss-zeroed": (
+        "src/ipckit/semantics.py",
+        "                miss = [ones ^ u for u in memo[node.inner]]\n",
+        "                miss = [0 for u in memo[node.inner]]\n",
+        ["tests/test_kernel.py::test_variable_free_formulas",
+         "tests/test_kernel.py::test_scanner_matches_oracle_on_generated_scans"],
+    ),
+    "search-skip-branch-dropped": (
+        "src/ipckit/morphisms.py",
+        "        if skip:\n            seen[i] = s\n            return rec(k + 1, hit, unhit)\n",
+        "",
+        ["tests/test_search.py::test_search_walks_the_oracle_walk"],
+    ),
 }
 
 

@@ -13,6 +13,7 @@ from ipckit.catalog import (
     fan,
     gn_trunc,
     ladder,
+    ladder_top_segment,
     ladder_trunc,
     ladder_upset,
     one_point,
@@ -35,7 +36,11 @@ from ipckit.poset import (
     sum_posets,
     width,
 )
-from _oracle_stack import ladder_trunc_by_covers, stack_by_covers
+from _oracle_stack import (
+    ladder_top_segment_by_restriction,
+    ladder_trunc_by_covers,
+    stack_by_covers,
+)
 
 EXPECTED_SIZES = {
     "P(1)": 4, "P(2)": 5, "P(3)": 5,
@@ -132,6 +137,14 @@ def test_ladder_cover_pattern():
         if n >= 3:
             assert (f"w{n}", f"w{n-3}") in covers
     assert len(covers) == 8 + 7
+
+
+def test_ladder_top_segment_matches_the_restriction_oracle():
+    for m in range(31):
+        new, old = ladder_top_segment(m), ladder_top_segment_by_restriction(m)
+        assert (new.elements, new.up, new.name) == (old.elements, old.up, old.name), m
+    with pytest.raises(ParameterOutOfRange):
+        ladder_top_segment(-1)
 
 
 def test_simple_space():

@@ -14,12 +14,15 @@ import _oracle_epart as oracle
 
 
 def test_epartitions_match_oracle_on_small_posets():
-    # same list, order included, on every poset of at most 6 points; and
-    # every partition the walk yields passes the independent checks
+    # the same partitions, in whatever order the walk finds them, on every
+    # poset of at most 6 points (equal sorted lists of equal length rule
+    # out duplicates); every partition the walk yields passes the
+    # independent checks, and a second call returns the same list
     for n in range(7):
         for p in enumerate_posets(n):
             parts = epartitions(p)
-            assert parts == oracle.epartitions(p), p.up
+            assert sorted(parts) == sorted(oracle.epartitions(p)), p.up
+            assert epartitions(p) == parts, p.up
             for part in parts:
                 assert oracle.is_epartition(p, part)
                 quotient(p, part)
@@ -74,7 +77,7 @@ def _posets(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_posets())
 def test_epartitions_match_oracle_on_generated_posets(p):
-    assert epartitions(p) == oracle.epartitions(p), p.up
+    assert sorted(epartitions(p)) == sorted(oracle.epartitions(p)), p.up
 
 
 def test_rooted_images_of_upsets_are_images_of_principal_upsets():

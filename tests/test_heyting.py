@@ -31,6 +31,7 @@ from _oracle_heyting import (
     algebras_isomorphic,
     boolean_two,
     check_residuation_pointwise,
+    dual_poset_by_filters,
     is_si,
     upset_algebra_by_definition,
 )
@@ -153,6 +154,19 @@ def test_duality_roundtrip():
     for n in range(0, 6):
         for p in enumerate_posets(n):
             assert are_isomorphic(dual_poset(upset_algebra(p)), p)
+
+
+def test_dual_poset_matches_the_filter_oracle():
+    # the restricted reversed order against the up-sets built pair by
+    # pair over the primes, on all 406 posets of at most 6 points
+    count = 0
+    for n in range(7):
+        for p in enumerate_posets(n):
+            a = upset_algebra(p)
+            new, old = dual_poset(a), dual_poset_by_filters(a)
+            assert (new.elements, new.up, new.name) == (old.elements, old.up, old.name), p.up
+            count += 1
+    assert count == 406
 
 
 def test_count_subalgebras_examples():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,11 +13,18 @@ from pathlib import Path
 import pytest
 
 from ipckit import scenarios
-from ipckit.catalog import catalog_keys
+from ipckit.catalog import catalog_get, catalog_keys
 from ipckit.cli import main
 from ipckit.errors import ParameterOutOfRange, SchemaError, UnknownKey
 from ipckit.formulas import bw
-from ipckit.io import export_poset, import_poset, poset_from_obj, poset_to_dot, poset_to_obj
+from ipckit.io import (
+    export_poset,
+    import_poset,
+    poset_from_obj,
+    poset_text,
+    poset_to_dot,
+    poset_to_obj,
+)
 from ipckit.poset import are_isomorphic, build_poset, canonical_code, width
 from ipckit.report import render_report
 from ipckit.scenarios import run_scenario, scenario_params
@@ -187,6 +195,35 @@ def test_cli_enumerate_and_catalog(capsys):
     assert keys == catalog_keys()
     assert main(["catalog"]) == 2
     assert "catalog" in capsys.readouterr().err
+
+
+def test_cli_catalog_prints_the_poset_text(capsys):
+    # every named key; the F(n)-style placeholders name no poset
+    keys = [k for k in catalog_keys() if not re.search(r"\([^)]*[a-zA-Z]", k)]
+    assert len(keys) == len(catalog_keys()) - 6
+    for key in keys:
+        assert main(["catalog", key]) == 0
+        out = capsys.readouterr().out
+        assert out == poset_text(catalog_get(key), "json"), key
+        assert out.endswith("\n}\n") and json.loads(out)["elements"], key
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_cli_export_to_stdout_writes_the_file_bytes(tmp_path, capsysbinary, fmt):
+    for p in (F2, catalog_get("BW2(5)"), build_poset(['a"b', "c\\"], [('a"b', "c\\")])):
+        src, out = tmp_path / "p.json", tmp_path / f"p.{fmt}"
+        export_poset(p, "json", src)
+        export_poset(import_poset(src), fmt, out)
+        assert main(["export", str(src), "--format", fmt]) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+def test_poset_text_rejects_unknown_formats(tmp_path):
+    with pytest.raises(ValueError):
+        poset_text(F2, "xml")
+    with pytest.raises(ValueError):
+        export_poset(F2, "xml", tmp_path / "f2.xml")
+    assert not (tmp_path / "f2.xml").exists()
 
 
 def test_cli_translate(capsys):

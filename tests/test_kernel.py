@@ -112,6 +112,9 @@ def test_domains_wider_than_a_window():
         # refuted where p1 holds at the root and p0 is one top: in the
         # third window, which holds a single row
         (fan12, parse("p1 -> p0 | ~p0")),
+        # refuted at the root where p0 and p1 are two distinct tops: on
+        # the third row of the third window, which holds p0 fixed
+        (fan12, parse("(p0 -> p1) | (p1 -> p0)")),
     ]
     for p, f in cases:
         domain = upset_masks(p)

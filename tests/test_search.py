@@ -105,9 +105,9 @@ def test_search_trips_at_every_limit(host_index, name):
             for before in (0, 3):
                 meter = WorkMeter(limit=limit + before)
                 meter.spent = before
-                with pytest.raises(BudgetExceeded) as trip:
+                with pytest.raises(BudgetExceeded):
                     _search(host, target, domain, skip, surjective, meter)
-                assert meter.spent == trip.value.spent == limit + before + 1
+                assert meter.spent == limit + before + 1
         meter = WorkMeter(limit=full.spent)
         assert _search(host, target, domain, skip, surjective, meter) == answer
         assert meter.spent == full.spent

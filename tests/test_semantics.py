@@ -22,7 +22,7 @@ from ipckit.poset import Poset, build_poset, enumerate_posets, enumerate_rooted,
 from ipckit.scenarios import run_scenario
 from ipckit.semantics import (
     _evaluate,
-    _point_bits,
+    _held,
     is_valid,
     is_valid_modal,
     scan_plan,
@@ -41,7 +41,7 @@ def truth_set(p, valuation, f):
     variable index to a point mask, by the scans' own evaluator on a
     single valuation row."""
     plan = scan_plan(f)
-    slots = _point_bits(p.n, [valuation[v] for v in plan.vars], 1)
+    slots = [_held(p.n, (valuation[v],), 1) for v in plan.vars]
     truth = _evaluate(plan.nodes, slots, semantics._frame(p.up), 1, {})
     return sum(t << x for x, t in enumerate(truth))
 
