@@ -14,6 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .budget import WorkMeter
+from .catalog import ladder_top_segment
 from .errors import BudgetExceeded
 from .formulas import BOT, Formula, Imp, Var, conj, disj
 from .morphisms import image_of_subposet, image_of_upset
@@ -51,15 +52,14 @@ def jankov_syntactic(x: Poset) -> Formula:
     cache bound: one formula per target poset, and the targets are the
     rooted posets up to the largest target size asked for.
     """
-    r_name = root(x)
-    if r_name is None:
+    r = x.root_index
+    if r is None:
         raise ValueError("splitting frames must be rooted")
     n = x.n
     if n > 16:
         raise BudgetExceeded("too many variables for a splitting formula")
-    r = x.index(r_name)
     masks = upset_masks(x)
-    full = x.full_mask
+    down = x.down_masks()
 
     def q(mask):
         outside = [Var(w) for w in range(n) if not mask >> w & 1]
@@ -72,8 +72,7 @@ def jankov_syntactic(x: Poset) -> Formula:
     for mask in masks:
         if mask == 0:
             continue
-        mins = [w for w in _bits(mask)
-                if not any(x.leq_idx(u, w) for u in _bits(mask) if u != w)]
+        mins = [w for w in _bits(mask) if down[w] & mask == 1 << w]
         if len(mins) <= 1:
             continue
         axioms.append(Imp(q(mask), disj(q(x.up[m]) for m in mins)))
@@ -84,8 +83,7 @@ def jankov_syntactic(x: Poset) -> Formula:
             continue
         upv = x.up[v]
         body = Imp(q(upv), q(upv & ~(1 << v)) if upv != 1 << v else q(0))
-        down_v = [w for w in range(n) if x.leq_idx(w, v)]
-        axioms.append(Imp(body, conj(Var(w) for w in down_v)))
+        axioms.append(Imp(body, conj(Var(w) for w in _bits(down[v]))))
     return Imp(conj(axioms), Var(r))
 
 
@@ -97,59 +95,42 @@ def sum_blocks(p: Poset):
 
     A cut is a partition into an upper part A and lower part B with
     every element of B strictly below every element of A; blocks are the
-    intervals between consecutive cuts.
+    intervals between consecutive cuts.  A point of A has its up-set
+    inside A, so at most |A| points in it, and a point of B has A and
+    itself in its up-set, so more.  So with the points sorted by up-set
+    size, every A is a prefix.  A prefix P of m points is a cut exactly
+    when it lies inside up(z) for the next point z.  Else let w be the
+    first point after z not below all of P.  up(w) has at least
+    |up(z)| > m points, at most m - 1 of them in P, so it holds a point
+    y > w outside P.  up(y) is smaller than up(w), so y comes after P and
+    before w, and up(w) holds up(y), which holds P: a contradiction.
     """
-    n = p.n
-    if n == 0:
-        return []
-    above = [p.strict_up(i).bit_count() for i in range(n)]
-    cuts = []
-    for m in range(1, n):
-        upper = [i for i in range(n) if above[i] < m]
-        if len(upper) != m:
-            continue
-        upper_mask = 0
-        for i in upper:
-            upper_mask |= 1 << i
-        if all(p.up[b] & upper_mask == upper_mask
-               for b in range(n) if not upper_mask >> b & 1):
-            cuts.append(upper_mask)
-    # each cut's upper part has m points, so the cuts come smallest first
+    order = sorted(range(p.n), key=lambda i: p.up[i].bit_count())
+    nxt = [p.up[i] for i in order[1:]] + [p.full_mask]
     blocks = []
-    prev = 0
-    for mask in cuts + [p.full_mask]:
-        blocks.append(p.restrict(mask & ~prev))
-        prev = mask
+    upper = prev = 0
+    for i, u in zip(order, nxt):
+        upper |= 1 << i
+        if upper & ~u == 0:
+            blocks.append(p.restrict(upper & ~prev))
+            prev = upper
     return blocks
-
-
-@lru_cache(maxsize=None)
-def _ladder_block_codes(max_size):
-    """Canonical codes of the indecomposable finite ladder upsets: the
-    point and the top segments of each size (cache bound: one set per
-    max_size, which is one more than a decomposed poset's size)."""
-    from .catalog import ladder_top_segment, one_point
-
-    codes = {canonical_code(one_point())}
-    for m in range(1, max_size):
-        codes.add(canonical_code(ladder_top_segment(m)))
-    return codes
 
 
 def decompose_kg(x: Poset):
     """Factor x as a stack of finite ladder upsets over a final point.
 
     Returns the factor list (finest decomposition, top first, the final
-    point omitted), or None when x is not of that shape.
+    point omitted), or None when x is not of that shape.  A factor of
+    b.n points must be the ladder's top segment T(b.n - 1), which has
+    b.n points; the one point is T(0).
     """
     if root(x) is None:
         raise ValueError("decompose_kg expects a rooted poset")
-    blocks = sum_blocks(x)
-    if blocks[-1].n != 1:
-        return None
-    factors = blocks[:-1]
-    good = _ladder_block_codes(x.n + 1)
+    # the root lies below every other point, so the points above it form
+    # a cut and the last block is the root alone
+    factors = sum_blocks(x)[:-1]
     for b in factors:
-        if canonical_code(b) not in good:
+        if canonical_code(b) != canonical_code(ladder_top_segment(b.n - 1)):
             return None
     return factors

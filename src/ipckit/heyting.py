@@ -2,10 +2,8 @@
 
 Carriers are index ranges with a bitmask order relation; join, meet and
 the residual -> are tables.  Every upset_algebra call checks the
-residuation law a&b <= c iff a <= b->c against its tables, as a Galois
-connection: for each b, (- & b) and (b -> -) are monotone along the covers
-of the order and compose to a deflation and an inflation (proof in
-_check_residuation).
+residuation law a&b <= c iff a <= b->c against its tables, as stated: for
+each b and c, the a with a&b below c form the down-set of b->c.
 """
 
 from __future__ import annotations
@@ -91,23 +89,11 @@ def _check_residuation(a):
     """Raise ValueError unless x & b <= c iff x <= b -> c for all x, b, c,
     reading only the leq, meet and imp tables.
 
-    leq must be a partial order, and that is checked first.  Then fix b,
-    and let f(x) = x & b and g(c) = b -> c.  The law holds for all x and c
-    exactly when f and g form a Galois connection (Davey & Priestley,
-    Introduction to Lattices and Order, ch. 7), that is, when
-      (i) f is monotone,  (ii) g is monotone,
-      (iii) f(g(c)) <= c for all c,  (iv) x <= g(f(x)) for all x.
-    - The law gives (i)-(iv).  x = g(c) gives (iii), since g(c) <= g(c);
-      c = f(x) gives (iv).  If x <= y, then x <= y <= g(f(y)), so
-      f(x) <= f(y): (i).  If c <= d, then f(g(c)) <= c <= d, so
-      g(c) <= g(d): (ii).
-    - (i)-(iv) give the law.  If f(x) <= c, then x <= g(f(x)) <= g(c) by
-      (iv) and (ii).  If x <= g(c), then f(x) <= f(g(c)) <= c by (i) and
-      (iii).
-    In a finite partial order x <= y exactly when a chain of covers leads
-    from x to y, and leq is transitive, so (i) and (ii) are checked along
-    the covers only.  Each b then costs O(k + covers), not the O(k^2) of
-    the law pointwise.
+    leq must be a partial order, and that is checked first.  Then the law
+    is checked as stated: for fixed b and c, the x with x & b <= c are
+    the x with x & b in down(c), and they must be exactly down(b -> c).
+    For each b, pre[y] is the mask of the x with x & b == y, so the first
+    set is the OR of pre[y] over y in down(c).
     """
     k = a.size
     leq = a.leq
@@ -117,17 +103,17 @@ def _check_residuation(a):
         strict = ux & ~(1 << x)
         if not ux >> x & 1 or any(leq[y] & ~strict for y in _bits(strict)):
             raise ValueError("order is not a partial order")
-    order = Poset(tuple(map(str, range(k))), leq)
-    covers = [(x, y) for x in range(k) for y in order.upper_covers[x]]
-    meet = a.meet
+    down = _transpose(leq, k)
+    below = [_bits(d) for d in down]
     for b in range(k):
-        f = [row[b] for row in meet]
-        g = a.imp[b]
-        for x, y in covers:
-            if not (leq[f[x]] >> f[y] & 1 and leq[g[x]] >> g[y] & 1):
-                raise ValueError("residuation law fails")
-        for x in range(k):
-            if not (leq[f[g[x]]] >> x & 1 and leq[x] >> g[f[x]] & 1):
+        pre = [0] * k
+        for x, row in enumerate(a.meet):
+            pre[row[b]] |= 1 << x
+        for c, r in enumerate(a.imp[b]):
+            mask = 0
+            for y in below[c]:
+                mask |= pre[y]
+            if mask != down[r]:
                 raise ValueError("residuation law fails")
 
 

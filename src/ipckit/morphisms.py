@@ -240,8 +240,6 @@ def epartitions(p: Poset, cap: int | None = None):
     cap = _budget.DEFAULT_EPARTITION_CAP if cap is None else cap
     if p.n > cap:
         raise BudgetExceeded(f"{p.n} elements exceeds E-partition cap {cap}")
-    if p.n == 0:
-        return [()]
     n = p.n
     order = p.topdown
     above = [_bits(p.strict_up(x)) for x in order]

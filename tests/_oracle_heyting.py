@@ -8,6 +8,8 @@ for the dual constructions on posets in ipckit.
 - algebras_isomorphic against canonical_code through heyting.dual_poset;
 - check_residuation_pointwise against heyting._check_residuation (the law
   checked for every x, b and c, in O(k^3));
+- check_residuation_galois against heyting._check_residuation (the law as
+  a Galois connection, checked along the covers of the order);
 - is_valid_algebra against semantics.is_valid (a formula is valid on a
   poset exactly when it is valid in the poset's upset algebra), with an
   evaluator of its own over the algebra tables.
@@ -40,6 +42,48 @@ def check_residuation_pointwise(a):
                 if a.leq[a.meet[x][b]] >> c & 1:
                     mask |= 1 << x
             if mask != down[r]:
+                raise ValueError("residuation law fails")
+
+
+def check_residuation_galois(a):
+    """Raise ValueError unless x & b <= c iff x <= b -> c for all x, b, c,
+    reading only the leq, meet and imp tables: heyting._check_residuation
+    as it was before it checked the law as stated.
+
+    leq must be a partial order, and that is checked first.  Then fix b,
+    and let f(x) = x & b and g(c) = b -> c.  The law holds for all x and c
+    exactly when f and g form a Galois connection (Davey & Priestley,
+    Introduction to Lattices and Order, ch. 7), that is, when
+      (i) f is monotone,  (ii) g is monotone,
+      (iii) f(g(c)) <= c for all c,  (iv) x <= g(f(x)) for all x.
+    - The law gives (i)-(iv).  x = g(c) gives (iii), since g(c) <= g(c);
+      c = f(x) gives (iv).  If x <= y, then x <= y <= g(f(y)), so
+      f(x) <= f(y): (i).  If c <= d, then f(g(c)) <= c <= d, so
+      g(c) <= g(d): (ii).
+    - (i)-(iv) give the law.  If f(x) <= c, then x <= g(f(x)) <= g(c) by
+      (iv) and (ii).  If x <= g(c), then f(x) <= f(g(c)) <= c by (i) and
+      (iii).
+    In a finite partial order x <= y exactly when a chain of covers leads
+    from x to y, and leq is transitive, so (i) and (ii) are checked along
+    the covers only.
+    """
+    k = a.size
+    leq = a.leq
+    for x, ux in enumerate(leq):
+        strict = ux & ~(1 << x)
+        if not ux >> x & 1 or any(leq[y] & ~strict for y in _bits(strict)):
+            raise ValueError("order is not a partial order")
+    order = Poset(tuple(map(str, range(k))), leq)
+    covers = [(x, y) for x in range(k) for y in order.upper_covers[x]]
+    meet = a.meet
+    for b in range(k):
+        f = [row[b] for row in meet]
+        g = a.imp[b]
+        for x, y in covers:
+            if not (leq[f[x]] >> f[y] & 1 and leq[g[x]] >> g[y] & 1):
+                raise ValueError("residuation law fails")
+        for x in range(k):
+            if not (leq[f[g[x]]] >> x & 1 and leq[x] >> g[f[x]] & 1):
                 raise ValueError("residuation law fails")
 
 

@@ -1,10 +1,13 @@
 """Ordinal sums by cover pairs and transitive closure: the test oracle for
 ipckit.poset.stack and ipckit.catalog.ladder_trunc, which write the
-up-set masks directly; and the ladder's top segment as a restriction of
-a deeper ladder, the oracle for ipckit.catalog.ladder_top_segment."""
+up-set masks directly; the ladder's top segment as a restriction of
+a deeper ladder, the oracle for ipckit.catalog.ladder_top_segment; and
+the ordinal-sum cuts one size at a time with the KG factors matched
+against a set of ladder codes, the oracles for ipckit.axioms.sum_blocks
+and ipckit.axioms.decompose_kg."""
 
-from ipckit.catalog import ladder
-from ipckit.poset import build_poset
+from ipckit.catalog import ladder, ladder_top_segment, one_point
+from ipckit.poset import build_poset, canonical_code, root
 
 
 def ladder_top_segment_by_restriction(m):
@@ -47,3 +50,48 @@ def ladder_trunc_by_covers(n_points):
     covers += [("omega", seg.elements[i]) for i in range(seg.n)
                if down[i] == 1 << i]
     return build_poset(els, covers, name=f"Ltrunc({n_points})")
+
+
+def sum_blocks_by_cut_loop(p):
+    """Finest ordinal-sum decomposition, top block first: for each size m,
+    the m points with fewer than m points strictly above them, kept as a
+    cut when every other point lies below all of them."""
+    n = p.n
+    if n == 0:
+        return []
+    above = [p.strict_up(i).bit_count() for i in range(n)]
+    cuts = []
+    for m in range(1, n):
+        upper = [i for i in range(n) if above[i] < m]
+        if len(upper) != m:
+            continue
+        upper_mask = 0
+        for i in upper:
+            upper_mask |= 1 << i
+        if all(p.up[b] & upper_mask == upper_mask
+               for b in range(n) if not upper_mask >> b & 1):
+            cuts.append(upper_mask)
+    # each cut's upper part has m points, so the cuts come smallest first
+    blocks = []
+    prev = 0
+    for mask in cuts + [p.full_mask]:
+        blocks.append(p.restrict(mask & ~prev))
+        prev = mask
+    return blocks
+
+
+def decompose_kg_by_codes(x):
+    """The KG factors of rooted x, or None: the blocks above a final
+    one-point block, each with its code in the set of the point's code and
+    the codes of T(1) .. T(x.n)."""
+    if root(x) is None:
+        raise ValueError("decompose_kg expects a rooted poset")
+    blocks = sum_blocks_by_cut_loop(x)
+    if blocks[-1].n != 1:
+        return None
+    good = {canonical_code(one_point())}
+    good |= {canonical_code(ladder_top_segment(m)) for m in range(1, x.n + 1)}
+    factors = blocks[:-1]
+    if any(canonical_code(b) not in good for b in factors):
+        return None
+    return factors

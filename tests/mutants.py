@@ -65,10 +65,10 @@ MUTANTS = {
         "        if sum(",
         ["tests/test_kernel.py::test_scan_sequences_match_oracle"],
     ),
-    "residuation-check-iv-dropped": (
+    "residuation-down-set-without-least": (
         "src/ipckit/heyting.py",
-        "            if not (leq[f[g[x]]] >> x & 1 and leq[x] >> g[f[x]] & 1):\n",
-        "            if not leq[f[g[x]]] >> x & 1:\n",
+        "    below = [_bits(d) for d in down]\n",
+        "    below = [_bits(d)[1:] for d in down]\n",
         ["tests/test_heyting.py::test_residuation_check_agrees_with_pointwise_oracle"],
     ),
     "rn-words-one-short": (
@@ -101,10 +101,10 @@ MUTANTS = {
         "",
         ["tests/test_poset.py::test_enumeration_codes_one_candidate_per_orbit"],
     ),
-    "residuation-check-ii-dropped": (
+    "residuation-compared-with-down-c": (
         "src/ipckit/heyting.py",
-        "            if not (leq[f[x]] >> f[y] & 1 and leq[g[x]] >> g[y] & 1):\n",
-        "            if not leq[f[x]] >> f[y] & 1:\n",
+        "            if mask != down[r]:\n",
+        "            if mask != down[c]:\n",
         ["tests/test_heyting.py::test_residuation_check_agrees_with_pointwise_oracle"],
     ),
     "failing-instance-poset-dropped": (
@@ -155,6 +155,18 @@ MUTANTS = {
         "                miss = [0 for u in memo[node.inner]]\n",
         ["tests/test_kernel.py::test_variable_free_formulas",
          "tests/test_kernel.py::test_scanner_matches_oracle_on_generated_scans"],
+    ),
+    "sum-blocks-points-unsorted": (
+        "src/ipckit/axioms.py",
+        "    order = sorted(range(p.n), key=lambda i: p.up[i].bit_count())\n",
+        "    order = range(p.n)\n",
+        ["tests/test_axioms.py::test_sum_blocks_match_the_cut_loop_oracle"],
+    ),
+    "kg-factor-matched-one-segment-up": (
+        "src/ipckit/axioms.py",
+        "canonical_code(ladder_top_segment(b.n - 1))",
+        "canonical_code(ladder_top_segment(b.n))",
+        ["tests/test_axioms.py::test_decompose_kg_matches_the_code_set_oracle"],
     ),
     "search-skip-branch-dropped": (
         "src/ipckit/morphisms.py",

@@ -20,6 +20,7 @@ from ipckit.poset import (
     upset_masks,
 )
 from ipckit.semantics import is_valid
+from _oracle_stack import decompose_kg_by_codes, sum_blocks_by_cut_loop
 
 CH3 = build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
 CH4 = build_poset(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
@@ -101,6 +102,31 @@ def test_sum_blocks():
     blocks = sum_blocks(l4)
     assert [b.n for b in blocks] == [3, 1]
     assert are_isomorphic(blocks[0], ladder_top_segment(2))
+
+
+def test_sum_blocks_match_the_cut_loop_oracle():
+    # the elements and up-masks of every block, on every poset of at most
+    # 7 points
+    for n in range(8):
+        for p in enumerate_posets(n):
+            new, old = sum_blocks(p), sum_blocks_by_cut_loop(p)
+            assert [(b.elements, b.up) for b in new] == \
+                [(b.elements, b.up) for b in old], p.up
+
+
+def test_decompose_kg_matches_the_code_set_oracle():
+    # the same factors, or None for both, on every rooted poset of at most
+    # 7 points, of which some but not all decompose
+    shapes = set()
+    for n in range(1, 8):
+        for p in enumerate_rooted(n):
+            new, old = decompose_kg(p), decompose_kg_by_codes(p)
+            shapes.add(new is None)
+            assert (new is None) == (old is None), p.up
+            if new is not None:
+                assert [(b.elements, b.up) for b in new] == \
+                    [(b.elements, b.up) for b in old], p.up
+    assert shapes == {True, False}
 
 
 def test_decompose_examples():

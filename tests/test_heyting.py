@@ -30,6 +30,7 @@ from _oracle_heyting import (
     algebra_sum,
     algebras_isomorphic,
     boolean_two,
+    check_residuation_galois,
     check_residuation_pointwise,
     dual_poset_by_filters,
     is_si,
@@ -80,14 +81,15 @@ def _rejects(check, alg):
 
 
 def test_residuation_check_agrees_with_pointwise_oracle():
-    # every upset algebra of at most 6 points passes both checks; then each
-    # single-entry corruption of imp or meet, 20 per poset of at most 4
-    # points, is rejected by both checks or by neither
+    # every upset algebra of at most 6 points passes all three checks; then
+    # each single-entry corruption of imp or meet, 20 per poset of at most
+    # 4 points, is rejected by all three or by none
     for n in range(7):
         for p in enumerate_posets(n):
             alg = upset_algebra(p)
             _check_residuation(alg)
             check_residuation_pointwise(alg)
+            check_residuation_galois(alg)
     rng = random.Random(0x6A1015)
     rejected = 0
     for n in range(5):
@@ -101,6 +103,7 @@ def test_residuation_check_agrees_with_pointwise_oracle():
                 bad = dataclasses.replace(alg, **{table: tuple(map(tuple, rows))})
                 verdict = _rejects(_check_residuation, bad)
                 assert verdict == _rejects(check_residuation_pointwise, bad)
+                assert verdict == _rejects(check_residuation_galois, bad)
                 rejected += verdict
     assert 0 < rejected < 25 * 20
 
