@@ -582,28 +582,43 @@ def _rooted_code(q):
 
 def enumerate_rooted(size, max_width=None, cap=None):
     """Rooted posets of the given size, one per isomorphism class,
-    in canonical-code order.
+    in canonical-code order, as a new list.
 
-    Each is an enumerate_posets representative q with a root added, and
-    its code is _rooted_code(q), read off q's cached code: no rooted
-    poset is coded here.  The sort stays, since the derived codes need
-    not follow q's order once a colour rank has two digits.
+    The arguments are checked on every call; the posets come from one
+    cached tuple per (size, width bound), so every caller in the process
+    shares them and their memos.  A rooted poset of n points has width at
+    most max(1, n - 1), so a bound of size or more is stored as no bound.
+
+    cache bound: per size asked for, one tuple per width bound below the
+    size asked for, and one with no bound.
     """
     cap = _budget.DEFAULT_ENUM_CAP if cap is None else cap
     if size < 1:
         raise ValueError("size must be >= 1")
     if cap is not None and size > cap:
         raise BudgetExceeded(f"size {size} exceeds enumeration cap {cap}")
+    if max_width is not None and max_width >= size:
+        max_width = None
+    return list(_rooted(size, max_width))
+
+
+@lru_cache(maxsize=None)
+def _rooted(size, max_width):
+    """enumerate_rooted's posets, unchecked (cache bound: see there).
+
+    Each is an enumerate_posets representative q with a root added, and
+    its code is _rooted_code(q), read off q's cached code: no rooted
+    poset is coded here.  The sort stays, since the derived codes need
+    not follow q's order once a colour rank has two digits.
+    """
     keyed = []
     for q in enumerate_posets(size - 1):
         # the root is comparable with every point, so the rooted poset's
-        # width is q's (1 when q is empty); asking the cached q keeps the
-        # width memos off the new posets
+        # width is q's (1 when q is empty)
         if max_width is not None and max(1, q.full_width) > max_width:
             continue
         # the root goes below q's points, as the last point e{size-1}
         keyed.append((_rooted_code(q), Poset(tuple(f"e{i}" for i in range(size)),
                                              q.up + ((1 << size) - 1,))))
     keyed.sort(key=lambda kp: kp[0])
-    return [p for _, p in keyed]
-
+    return tuple(p for _, p in keyed)

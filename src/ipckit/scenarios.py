@@ -484,12 +484,12 @@ _WORKER = {}
 
 def _worker_init(name, params):
     _, body = _SCENARIOS[name]
-    _WORKER["check"] = body(params)[1]
+    _WORKER["instances"], _WORKER["check"] = body(params)
 
 
 def _worker_run(args):
-    inst, budget = args
-    return _run_check(_WORKER["check"], inst, budget)
+    index, budget = args
+    return _run_check(_WORKER["check"], _WORKER["instances"][index], budget)
 
 
 def run_scenario(name, params=None, budget=None, jobs=1,
@@ -510,12 +510,15 @@ def run_scenario(name, params=None, budget=None, jobs=1,
     if jobs and jobs > 1:
         import multiprocessing
 
-        # aggregated while the pool runs, so a budget trip leaves the with
-        # block, which terminates the workers and stops the dispatch
+        # each worker builds the instance list itself (a forked one reads
+        # the enumeration caches it inherits), so only indices go out and
+        # only failing posets come back.  Aggregated while the pool runs,
+        # so a budget trip leaves the with block, which terminates the
+        # workers and stops the dispatch
         with multiprocessing.Pool(
                 jobs, initializer=_worker_init, initargs=(name, merged)) as pool:
             results = pool.imap(
-                _worker_run, [(inst, budget) for inst in instances],
+                _worker_run, [(i, budget) for i in range(len(instances))],
                 chunksize=max(1, len(instances) // (jobs * 4) or 1))
             _aggregate(report, results, budget, max_counterexamples)
     else:

@@ -8,7 +8,10 @@ applies one mutant there, runs its tests with pytest and prints killed
 its tests could not run.  Standard library only; pytest does not collect
 this file, and test_mutants.py checks the table against the sources.
 
-    python tests/mutants.py
+    python tests/mutants.py [NAME ...]
+
+With names it runs only those mutants; an unknown name prints the known
+ones and exits 2.
 """
 
 from __future__ import annotations
@@ -174,6 +177,70 @@ MUTANTS = {
         "",
         ["tests/test_search.py::test_search_walks_the_oracle_walk"],
     ),
+    "rooted-cache-key-drops-width": (
+        "src/ipckit/poset.py",
+        "    if max_width is not None and max_width >= size:\n",
+        "    if max_width is not None and max_width >= 0:\n",
+        ["tests/test_poset.py::test_enumerate_rooted_width_filter"],
+    ),
+    "rooted-cache-hands-out-its-own-object": (
+        "src/ipckit/poset.py",
+        "    return list(_rooted(size, max_width))\n",
+        "    return _rooted(size, max_width)\n",
+        ["tests/test_poset.py::test_enumerate_rooted_width_filter"],
+    ),
+    "worker-runs-wrong-index": (
+        "src/ipckit/scenarios.py",
+        '_WORKER["instances"][index]',
+        '_WORKER["instances"][index - 1]',
+        ["tests/test_acceptance.py::test_budget_trips_alike_across_worker_counts"],
+    ),
+    # the paper's criteria, one side each: a named frame, a formula
+    # constructor or a count, broken so that its criterion must fail
+    "k5-cover-c-t-moved-to-a": (
+        "src/ipckit/catalog.py",
+        '[("r", "c"), ("c", "a"), ("r", "d"), ("d", "b"),\n            ("c", "t"), ("b", "t")]',
+        '[("r", "c"), ("c", "a"), ("r", "d"), ("d", "b"),\n            ("a", "t"), ("b", "t")]',
+        ["tests/test_acceptance.py::test_criterion_04_appendix_k"],
+    ),
+    "bw2-9-without-y-below-t": (
+        "src/ipckit/catalog.py",
+        '("n", "y"), ("n", "z"), ("x", "t"), ("y", "t")]),\n    "BW2_10"',
+        '("n", "y"), ("n", "z"), ("x", "t")]),\n    "BW2_10"',
+        ["tests/test_acceptance.py::test_criterion_03_kracht_bw2"],
+    ),
+    "g5-without-a-below-t": (
+        "src/ipckit/catalog.py",
+        '("c", "t"), ("c", "b"),\n            ("a", "t")]),\n    "G6"',
+        '("c", "t"), ("c", "b")]),\n    "G6"',
+        ["tests/test_acceptance.py::test_criterion_05_appendix_g"],
+    ),
+    "jankov-empty-image-axiom-dropped": (
+        "src/ipckit/axioms.py",
+        "    axioms.append(Imp(q(0), BOT))\n",
+        "",
+        ["tests/test_acceptance.py::test_criterion_08_jankov_oracle"],
+    ),
+    "subalgebra-closure-without-imp": (
+        "src/ipckit/heyting.py",
+        "                    new |= 1 << a.imp[x][y]\n",
+        "",
+        ["tests/test_acceptance.py::test_criterion_06_duality_counts"],
+    ),
+    "ym-two-legs": (
+        "src/ipckit/catalog.py",
+        '    for leg in ("e", "f", "g"):\n',
+        '    for leg in ("e", "f"):\n',
+        ["tests/test_acceptance.py::test_criterion_09_ym_rigidity"],
+    ),
+    # valid on every reflexive frame, like grz itself, so criterion 7
+    # cannot tell them apart; only the shape test sees it
+    "grz-inner-box-dropped": (
+        "src/ipckit/formulas.py",
+        "    return Imp(Box(Imp(Box(Imp(p, Box(p))), p)), Box(p))\n",
+        "    return Imp(Box(Imp(Imp(p, Box(p)), p)), Box(p))\n",
+        ["tests/test_formulas.py::test_grz_axiom_shape"],
+    ),
 }
 
 
@@ -197,9 +264,15 @@ def run(name):
     return {1: "killed", 0: "survived"}.get(done.returncode, "error")
 
 
-def main():
+def main(argv=None):
+    """Run the named mutants, or all of them; 2 on an unknown name."""
+    names = sys.argv[1:] if argv is None else argv
+    unknown = [name for name in names if name not in MUTANTS]
+    if unknown:
+        print(f"unknown mutant {', '.join(unknown)}; known:", *MUTANTS, sep="\n  ")
+        return 2
     bad = 0
-    for name in MUTANTS:
+    for name in names or MUTANTS:
         outcome = run(name)
         print(f"{outcome:8} {name}", flush=True)
         bad += outcome != "killed"

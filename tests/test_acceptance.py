@@ -7,6 +7,7 @@ result line per criterion, or -s to see the printed summary lines.
 
 from __future__ import annotations
 
+from ipckit import poset
 from ipckit.report import render_report
 from ipckit.scenarios import run_scenario, scenario_names
 
@@ -118,11 +119,26 @@ def test_criterion_13_determinism():
 
 def test_determinism_across_worker_counts():
     # parallel aggregation sorts by instance order, so jobs must not matter
-    for name in ("sobolev-width", "ym-rigidity", "kg-structure"):
+    for name in ("sobolev-width", "ym-rigidity", "kg-structure", "appendix-G"):
         params = _SMALL_PARAMS[name]
         seq = render_report(run_scenario(name, params, jobs=1), "json")
         par = render_report(run_scenario(name, params, jobs=2), "json")
         assert seq == par, name
+
+
+def test_search_reports_alike_with_the_rooted_cache_cold_or_warm():
+    # the rooted scenarios share the cached rooted posets and their memos
+    # within a process; which one builds them must not matter
+    names = ["kg-structure", "kracht-bw2", "appendix-K", "appendix-G"]
+    params = {"size": 6}
+    cold = {}
+    for name in names:
+        poset._rooted.cache_clear()
+        cold[name] = render_report(run_scenario(name, params), "json")
+    for order in (names, names[::-1]):
+        poset._rooted.cache_clear()
+        for name in order:
+            assert render_report(run_scenario(name, params), "json") == cold[name], name
 
 
 def test_budget_trips_alike_across_worker_counts():

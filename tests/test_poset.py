@@ -234,13 +234,44 @@ def test_pickles_carry_no_memo():
 
 
 def test_enumerate_rooted_width_filter():
-    # the filter reads the width off the unrooted representative
+    # the filter reads the width off the unrooted representative; each
+    # call hands out a new list of the same cached posets
     for size in range(1, 7):
         every = enumerate_rooted(size)
         for mw in (1, 2, 3):
             kept = enumerate_rooted(size, max_width=mw)
             assert kept == [p for p in every if width(p) <= mw]
-            assert not any(m in vars(p) for p in kept for m in MEMOS)
+            again = enumerate_rooted(size, max_width=mw)
+            assert type(again) is list and again is not kept
+            assert again == kept and all(a is b for a, b in zip(again, kept))
+
+
+def test_enumerate_rooted_checks_a_cached_size():
+    enumerate_rooted(8)
+    with pytest.raises(BudgetExceeded):
+        enumerate_rooted(8, cap=7)
+    with pytest.raises(ValueError):
+        enumerate_rooted(0)
+
+
+def test_enumerate_rooted_wide_bound_adds_no_cache_entry():
+    # a rooted poset of n points has width at most max(1, n - 1)
+    poset_mod._rooted.cache_clear()
+    every = enumerate_rooted(5)
+    for mw in (5, 6, 100):
+        assert enumerate_rooted(5, max_width=mw) == every
+    assert poset_mod._rooted.cache_info().currsize == 1
+    assert enumerate_rooted(5, max_width=4) == every
+    assert poset_mod._rooted.cache_info().currsize == 2
+
+
+def test_enumerate_rooted_list_is_the_callers():
+    first = enumerate_rooted(4)
+    expected = list(first)
+    first.append(first[0])
+    first.reverse()
+    del first[1]
+    assert enumerate_rooted(4) == expected
 
 
 def test_rooted_codes_derived_from_parents():
@@ -273,6 +304,8 @@ def test_rooted_codes_on_generated_posets(q):
 
 
 def test_enumerate_rooted_codes_no_rooted_poset(monkeypatch):
+    # cold, so that the rooted tuples are built here
+    poset_mod._rooted.cache_clear()
     reps = [q for n in range(8) for q in enumerate_posets(n)]
     for q in reps:
         canonical_code(q)

@@ -195,7 +195,7 @@ def test_plan_caches_are_the_known_ones_and_bounded():
         assert fn.cache_info().maxsize is not None, name
     # every lru_cache in ipckit says what bounds it; a sized one says its size
     caches = _ipckit_caches()
-    assert len(caches) == 11
+    assert len(caches) == 12
     for name, fn in caches.items():
         doc = " ".join((fn.__doc__ or "").split())
         bound = fn.cache_info().maxsize
