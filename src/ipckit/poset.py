@@ -490,51 +490,106 @@ def are_isomorphic(p, q):
 # enumeration ------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def enumerate_posets(n):
-    """One representative per isomorphism class, sorted by canonical code
-    (cache bound: one tuple per size asked for).
+    """One representative per isomorphism class, sorted by canonical code,
+    as _level(n) keeps them.
 
-    Each poset of n - 1 points, q, gains a new maximal point above exactly
-    D, for each downset D of q in mask order, and the first candidate of
-    each code is kept.  A downset that an automorphism of q maps to a
-    smaller mask is skipped before it is coded: the least mask of each
-    Aut(q) orbit comes first and marks the rest of its orbit.  This keeps
-    the same representatives:
+    Each poset of n - 1 points, q, gains a new maximal point t = e{n-1}
+    above exactly D, for each downset D of q in mask order, and the first
+    candidate of each code is kept.  The walk takes the q in order and,
+    per q, the D in mask order.  Two rules skip a candidate before it is
+    built or coded, and keep the same representatives.
+
+    Orbit: a downset that an automorphism of q maps to a smaller mask is
+    skipped.
 
     - An automorphism a of q, extended by the new point to itself, is an
       isomorphism from the candidate for D onto the candidate for a(D),
       since a point x lies below the new point in one iff a(x) does in
       the other.  So the candidates of an orbit of Aut(q) share one code.
     - The least mask of each orbit is never skipped, and it comes first
-      in the mask order, so each skipped candidate has a coded isomorphic
-      one before it from the same q, and was never the first of its code.
+      in the mask order, so each skipped candidate has an isomorphic one
+      before it from the same q.
+
+    Sibling: q is a representative, so it was built as p + s, its parent
+    p with a maximal point s = e{n-2} added; let K be the code of p's
+    candidate for D.  The candidate C = q + t for D is skipped when s lies
+    outside D and K sorts before canonical_code(q).
+
+    - s is maximal in C: q added it as a maximal point, and t is not
+      above it, since s lies outside D.
+    - C less s, with t renamed e{n-2}, is p's candidate for D: D is a
+      downset of q that misses s, so it is a downset of p, and t lies
+      above exactly D.
+    - The representatives of n - 1 points are sorted by code, so a code
+      K below q's code belongs to a representative r that comes before
+      q.  An isomorphism from C less s onto r maps the downset below s to
+      a downset E of r, and r's candidate for E is isomorphic to C, since
+      s is maximal in C.  So C has an isomorphic candidate from an earlier
+      parent.
+    - A K equal to q's code is coded: C less s is then isomorphic to q,
+      and C's class may first be met at q.  So is an unknown K (p's
+      candidate for D was itself skipped, or q has no s, when n = 1).
+
+    Every skip, by orbit or by sibling, points to an isomorphic candidate
+    strictly earlier in the walk, so the first candidate of each class is
+    never skipped: it is coded and kept, as with no skipping.  By
+    induction on n, the representatives and their parents are those of
+    the walk with no skipping at every size.
     """
     if n < 0:
         raise ValueError("size must be nonnegative")
+    return _level(n)[0]
+
+
+@lru_cache(maxsize=None)
+def _level(n):
+    """enumerate_posets(n)'s representatives, unchecked, their codes, and
+    per representative its parent's candidate codes by downset mask, which
+    the sibling rule reads at size n + 1.
+
+    The representatives from one parent share its dict, which is what
+    the rule reads as K (proof in enumerate_posets).  It holds every
+    downset of the parent, since a child may ask for any: an orbit image
+    has the code of its orbit's least mask, its candidate being
+    isomorphic, and a candidate the sibling rule skipped has None, its
+    code unknown without coding it, so its children's candidates for
+    that downset are coded.  The empty poset has an empty dict.
+
+    cache bound: one triple per size up to the largest asked for.
+    """
     if n == 0:
-        return (EMPTY,)
+        return (EMPTY,), (b"P0",), ({},)
     els = tuple(f"e{i}" for i in range(n))
     top = 1 << (n - 1)
+    last = top >> 1  # the bit of q's newest point s; 0 when n = 1, q empty
     seen = {}
-    for q in enumerate_posets(n - 1):
+    for q, own, sib in zip(*_level(n - 1)):
         # per automorphism other than the identity, the image bit of each point
         images = [[1 << j for j in a] for a in _automorphisms(q)[1:]]
         skip = set()
+        codes = {}  # q's candidate codes by downset mask
         # the downsets of q, complements of its upsets, in mask order
         for dmask in sorted(q.full_mask ^ u for u in upset_masks(q)):
             if dmask in skip:
                 continue
-            for a in images:
-                skip.add(sum([a[i] for i in _bits(dmask)]))
-            # adjoin a new maximal element above exactly dmask
-            ups = [m | top if dmask >> i & 1 else m for i, m in enumerate(q.up)]
-            ups.append(top)
-            cand = Poset(els, tuple(ups))
-            code = canonical_code(cand)
-            if code not in seen:
-                seen[code] = cand
-    return tuple(seen[c] for c in sorted(seen))
+            orbit = {sum([a[i] for i in _bits(dmask)]) for a in images}
+            skip |= orbit
+            known = None if dmask & last else sib.get(dmask)
+            if known is not None and known < own:
+                code = None
+            else:
+                # adjoin a new maximal element above exactly dmask
+                ups = [m | top if dmask >> i & 1 else m for i, m in enumerate(q.up)]
+                ups.append(top)
+                cand = Poset(els, tuple(ups))
+                code = canonical_code(cand)
+                if code not in seen:
+                    seen[code] = cand, codes
+            codes[dmask] = code
+            codes.update(dict.fromkeys(orbit, code))
+    order = tuple(sorted(seen))
+    return tuple(seen[c][0] for c in order), order, tuple(seen[c][1] for c in order)
 
 
 def _rooted_code(q):

@@ -482,11 +482,6 @@ def _run_check(check, inst, budget):
 _WORKER = {}
 
 
-def _worker_init(name, params):
-    _, body = _SCENARIOS[name]
-    _WORKER["instances"], _WORKER["check"] = body(params)
-
-
 def _worker_run(args):
     index, budget = args
     return _run_check(_WORKER["check"], _WORKER["instances"][index], budget)
@@ -510,17 +505,21 @@ def run_scenario(name, params=None, budget=None, jobs=1,
     if jobs and jobs > 1:
         import multiprocessing
 
-        # each worker builds the instance list itself (a forked one reads
-        # the enumeration caches it inherits), so only indices go out and
-        # only failing posets come back.  Aggregated while the pool runs,
-        # so a budget trip leaves the with block, which terminates the
-        # workers and stops the dispatch
-        with multiprocessing.Pool(
-                jobs, initializer=_worker_init, initargs=(name, merged)) as pool:
-            results = pool.imap(
-                _worker_run, [(i, budget) for i in range(len(instances))],
-                chunksize=max(1, len(instances) // (jobs * 4) or 1))
-            _aggregate(report, results, budget, max_counterexamples)
+        # the workers are forked (ipckit starts no thread) after _WORKER is
+        # set, so each inherits the parent's instances and check: the
+        # scenario body runs once, only indices go out and only failing
+        # posets come back.  Aggregated while the pool runs, so a budget
+        # trip leaves the with block, which terminates the workers and
+        # stops the dispatch
+        _WORKER["instances"], _WORKER["check"] = instances, check
+        try:
+            with multiprocessing.get_context("fork").Pool(jobs) as pool:
+                results = pool.imap(
+                    _worker_run, [(i, budget) for i in range(len(instances))],
+                    chunksize=max(1, len(instances) // (jobs * 4) or 1))
+                _aggregate(report, results, budget, max_counterexamples)
+        finally:
+            _WORKER.clear()
     else:
         results = (_run_check(check, inst, budget) for inst in instances)
         _aggregate(report, results, budget, max_counterexamples)

@@ -104,6 +104,18 @@ MUTANTS = {
         "",
         ["tests/test_poset.py::test_enumeration_codes_one_candidate_per_orbit"],
     ),
+    "enumeration-sibling-test-loosened": (
+        "src/ipckit/poset.py",
+        "            if known is not None and known < own:\n",
+        "            if known is not None and known <= own:\n",
+        ["tests/test_poset.py::test_enumeration_matches_every_candidate_oracle"],
+    ),
+    "enumeration-sibling-test-last-point-ignored": (
+        "src/ipckit/poset.py",
+        "            known = None if dmask & last else sib.get(dmask)\n",
+        "            known = sib.get(dmask & ~last)\n",
+        ["tests/test_poset.py::test_enumeration_matches_every_candidate_oracle"],
+    ),
     "residuation-compared-with-down-c": (
         "src/ipckit/heyting.py",
         "            if mask != down[r]:\n",

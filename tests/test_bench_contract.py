@@ -26,7 +26,6 @@ _WRAPPED = [
     ("morphisms", "image_of_subposet"),
     ("morphisms", "epartitions"),
     ("poset", "canonical_code"),
-    ("scenarios", "_worker_init"),
     ("scenarios", "_worker_run"),
 ]
 

@@ -260,6 +260,23 @@ def test_run_scenario_reports_failing_instances(monkeypatch):
     assert blobs[0] == blobs[1]
 
 
+def test_scenario_body_runs_once_across_the_pool(monkeypatch, tmp_path):
+    # every process that runs the body appends its pid; the workers are
+    # forked from the parent with its instances and run no body of their own
+    log = tmp_path / "bodies"
+
+    def logged(params):
+        with log.open("a") as f:
+            f.write(f"{os.getpid()}\n")
+        return _wide_fails(params)
+
+    monkeypatch.setitem(scenarios._SCENARIOS, "logged", ({"size": 5}, logged))
+    report = run_scenario("logged", jobs=2)
+    assert report.instances_checked == len(scenarios._rooted_upto(5))
+    assert log.read_text() == f"{os.getpid()}\n"
+    assert scenarios._WORKER == {}
+
+
 def test_cli_verify_exit_codes(capsys):
     assert main(["verify", "duality-counts", "--param", "size=2",
                  "--param", "dual_size=2"]) == 0

@@ -351,8 +351,9 @@ def test_canonical_code_matches_oracle_on_every_candidate():
 
 
 def test_enumeration_codes_one_candidate_per_orbit(monkeypatch):
-    # the candidates coded per size once each parent's downsets are
-    # pruned by its automorphisms (6,378 in all before, 4,870 after)
+    # the candidates coded per size: 6,378 in all with no pruning, 4,870
+    # once each parent's downsets are pruned by its automorphisms, 3,437
+    # once the sibling rule also skips a class met at an earlier parent
     for n in range(8):
         enumerate_posets(n)
     coded = []
@@ -365,9 +366,66 @@ def test_enumeration_codes_one_candidate_per_orbit(monkeypatch):
     counts = []
     for n in range(1, 8):
         coded.clear()
-        assert enumerate_posets.__wrapped__(n) == enumerate_posets(n)
+        assert poset_mod._level.__wrapped__(n)[0] == enumerate_posets(n)
         counts.append(len(coded))
-    assert counts == [1, 2, 6, 22, 101, 576, 4162]
+    assert counts == [1, 2, 5, 18, 78, 417, 2916]
+
+
+def test_sibling_skips_point_to_earlier_parents(monkeypatch):
+    # each candidate that neither the orbit rule nor the coding reached
+    # was skipped by the sibling rule; coded here, its class must have
+    # been first met at an earlier parent of the unpruned walk
+    for n in range(8):
+        enumerate_posets(n)
+    coded = set()
+
+    def recording(p):
+        coded.add(p.up)
+        return canonical_code(p)
+
+    skipped = []
+    for n in range(1, 8):
+        coded.clear()
+        monkeypatch.setattr(poset_mod, "canonical_code", recording)
+        poset_mod._level.__wrapped__(n)
+        monkeypatch.undo()
+        first = {}
+        count = 0
+        els = tuple(f"e{i}" for i in range(n))
+        top = 1 << (n - 1)
+        for k, q in enumerate(enumerate_posets(n - 1)):
+            orbits = set()
+            for dmask in sorted(q.full_mask ^ u for u in upset_masks(q)):
+                cand = Poset(els, tuple(m | top if dmask >> i & 1 else m
+                                        for i, m in enumerate(q.up)) + (top,))
+                code = canonical_code(cand)
+                first.setdefault(code, k)
+                if dmask in orbits:
+                    continue
+                orbits |= {sum(1 << a[i] for i in range(q.n) if dmask >> i & 1)
+                           for a in _automorphisms(q)}
+                if cand.up not in coded:
+                    count += 1
+                    assert first[code] < k, (n, k, dmask)
+        skipped.append(count)
+    assert skipped == [0, 0, 1, 4, 23, 159, 1246]
+
+
+def test_representatives_codes_are_cache_hits():
+    # a cold enumeration codes each representative as a candidate, so
+    # _rooted_code and the scenarios read every one off the cache; the
+    # empty poset is no candidate, and _rooted_code reads no code for it
+    poset_mod._level.cache_clear()
+    poset_mod._rooted.cache_clear()
+    canonical_code.cache_clear()
+    reps = [p for n in range(8) for p in enumerate_posets(n)]
+    misses = canonical_code.cache_info().misses
+    for p in reps:
+        if p.n:
+            canonical_code(p)
+    assert canonical_code.cache_info().misses == misses
+    assert [canonical_code(p) for p in reps] == [
+        c for n in range(8) for c in poset_mod._level(n)[1]]
 
 
 def test_automorphisms_against_brute_force():
