@@ -12,7 +12,8 @@ The walk never gathers S point by point.  For each point i it places it
 keeps seen[i], the image of the kept points of up(i), which is up(t)
 when i maps to t; S is then the union of seen[c] over the upper covers c
 of x (see _search for the proof).  It counts its nodes and charges them
-to the work meter once per search.
+to the work meter once per search; a child that an onto walk would cut
+at once is counted at its parent without being entered.
 
 The image criteria use the same walk.  With the skip option a point may
 also be left out: S is then the image of the kept points above x, and a
@@ -107,6 +108,28 @@ def _search(host: Poset, target: Poset, domain, skip, surjective,
     meter once, at the end; when it passes what meter has left, the walk
     stops at the first node beyond it, charges up to that node and
     raises BudgetExceeded, as charging node by node would.
+
+    An onto walk cuts a node at depth k when more targets are unhit
+    than points are left, unhit > last - k.  A child cut at once is
+    counted at its parent and never entered:
+
+    - Call a node at depth k tight when unhit == last - k: each point
+      left must hit a new target.  A child is at depth k + 1, with the
+      parent's unhit or one less, and the parent passed its own test,
+      unhit <= last - k.  So a child is cut exactly when its parent is
+      tight and it keeps unhit: it maps to a target already hit, or it
+      is the skip branch.
+    - A node that is not tight has unhit <= last - k - 1, so it cuts no
+      child, and every child it enters again passes the test.
+    - A tight node walks its candidates in the same order.  It counts an
+      already hit one, or the skip branch, as one node, with the same
+      cap check, and enters only those that hit a new target.  The root
+      has no parent: an onto walk over fewer points than targets counts
+      one node and finds nothing.
+
+    So the walk visits the same nodes in the same order as one that
+    enters every child, and the trip rule is unchanged: stop at the
+    first node past the cap and charge cap + 1.
     """
     cands = target.image_candidates
     covers = host.upper_covers
@@ -117,22 +140,41 @@ def _search(host: Poset, target: Poset, domain, skip, surjective,
     cap = sys.maxsize if left is None else left
     nodes = 0
 
+    def trip():
+        meter.spent += nodes
+        raise BudgetExceeded()
+
     # hit is the mask of target points hit so far and unhit the number
     # of the others; a search that need not be onto starts with all hit
     def rec(k, hit, unhit):
         nonlocal nodes
         nodes += 1
         if nodes > cap:
-            meter.spent += nodes
-            raise BudgetExceeded()
+            trip()
         if k == last:
             return not unhit
-        if unhit > last - k:
-            return False
         i = domain[k]
         s = 0
         for c in covers[i]:
             s |= seen[c]
+        if unhit == last - k:
+            # tight: a child that hits no new target is cut at once, so
+            # it is counted here and never entered
+            for t, bit, up_t in cands.get(s, ()):
+                if hit & bit:
+                    nodes += 1
+                    if nodes > cap:
+                        trip()
+                    continue
+                seen[i] = up_t
+                if rec(k + 1, hit | bit, unhit - 1):
+                    mapping[i] = t
+                    return True
+            if skip:
+                nodes += 1
+                if nodes > cap:
+                    trip()
+            return False
         for t, bit, up_t in cands.get(s, ()):
             seen[i] = up_t
             if rec(k + 1, hit | bit, unhit - (not hit & bit)):
@@ -143,10 +185,16 @@ def _search(host: Poset, target: Poset, domain, skip, surjective,
             return rec(k + 1, hit, unhit)
         return False
 
-    if surjective:
+    if not surjective:
+        found = rec(0, target.full_mask, 0)
+    elif target.n <= last:
         found = rec(0, 0, target.n)
     else:
-        found = rec(0, target.full_mask, 0)
+        # too few points to be onto: the root is cut at once
+        found = False
+        nodes = 1
+        if nodes > cap:
+            trip()
     if meter is not None:
         meter.spent += nodes
     return mapping if found else None

@@ -23,7 +23,7 @@ def _charge(meter):
     """One node, raising once the meter's limit is crossed."""
     meter.spent += 1
     if meter.limit is not None and meter.spent > meter.limit:
-        raise BudgetExceeded(spent=meter.spent)
+        raise BudgetExceeded()
 
 
 def search(host: Poset, target: Poset, domain, skip, surjective,

@@ -52,15 +52,27 @@ MUTANTS = {
     ),
     "search-seen-image-bit": (
         "src/ipckit/morphisms.py",
-        "            seen[i] = up_t\n",
-        "            seen[i] = bit\n",
+        "        for t, bit, up_t in cands.get(s, ()):\n            seen[i] = up_t\n",
+        "        for t, bit, up_t in cands.get(s, ()):\n            seen[i] = bit\n",
         ["tests/test_search.py::test_search_walks_the_oracle_walk"],
     ),
     "search-trip-charge-one-short": (
         "src/ipckit/morphisms.py",
-        "            meter.spent += nodes\n            raise BudgetExceeded",
-        "            meter.spent += nodes - 1\n            raise BudgetExceeded",
+        "        meter.spent += nodes\n        raise BudgetExceeded",
+        "        meter.spent += nodes - 1\n        raise BudgetExceeded",
         ["tests/test_search.py::test_search_trips_at_every_limit"],
+    ),
+    "search-cut-child-uncounted": (
+        "src/ipckit/morphisms.py",
+        "                if hit & bit:\n                    nodes += 1\n",
+        "                if hit & bit:\n",
+        ["tests/test_search.py::test_search_walks_the_oracle_walk"],
+    ),
+    "search-tight-test-loosened": (
+        "src/ipckit/morphisms.py",
+        "        if unhit == last - k:\n",
+        "        if unhit >= last - k - 1:\n",
+        ["tests/test_search.py::test_search_walks_the_oracle_walk"],
     ),
     "node-values-kept-across-orders": (
         "src/ipckit/semantics.py",

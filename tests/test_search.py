@@ -85,9 +85,13 @@ def test_search_walks_the_oracle_walk(host, name):
         assert m_new.spent == m_old.spent, (host.up, domain, skip, surjective)
 
 
-# (host in POSETS67, target): pairs whose longest walk is one of the
-# longest for that target, 133 to 862 nodes
-LONG_WALKS = [(1032, "P2"), (573, "P(3)"), (383, "G(5)"), (1001, "BW2(7)")]
+# (host in POSETS67, target): nodes of its longest walk, for pairs whose
+# longest walk is one of the longest for that target.  In the last the
+# host and the target both have 7 points, so every onto walk is tight
+# from its root and many limits fall on children cut at their parent,
+# both mapped and skipped.
+LONG_WALKS = {(1032, "P2"): 592, (573, "P(3)"): 405, (383, "G(5)"): 133,
+              (1001, "BW2(7)"): 862, (1001, "BW2(11)"): 83}
 
 
 @pytest.mark.parametrize("host_index, name", LONG_WALKS)
@@ -111,7 +115,31 @@ def test_search_trips_at_every_limit(host_index, name):
         meter = WorkMeter(limit=full.spent)
         assert _search(host, target, domain, skip, surjective, meter) == answer
         assert meter.spent == full.spent
-    assert longest > 100
+    assert longest == LONG_WALKS[host_index, name]
+
+
+def test_search_cuts_the_root_of_a_short_onto_walk():
+    # an onto walk over fewer points than its target is cut at the root,
+    # which counts as one node: over every principal upset and the whole
+    # of each small host, and the 6-point antichain's up(0) onto P(1),
+    # which a walk that cut only children counted as 4 nodes
+    cases = [(build_poset("abcdef", []), [0], catalog_get("P(1)"))]
+    for host in HOSTS5:
+        for name in CATALOG_TARGETS:
+            target = catalog_get(name)
+            for domain, skip, surjective in _walks(host):
+                if surjective and not skip and len(domain) < target.n:
+                    cases.append((host, domain, target))
+    assert len(cases) > 1000
+    for host, domain, target in cases:
+        for search in (_search, oracle.search):
+            meter = WorkMeter()
+            assert search(host, target, domain, False, True, meter) is None
+            assert meter.spent == 1
+            meter = WorkMeter(limit=0)
+            with pytest.raises(BudgetExceeded):
+                search(host, target, domain, False, True, meter)
+            assert meter.spent == 1
 
 
 @pytest.mark.parametrize("surjective", [False, True])
