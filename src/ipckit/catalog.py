@@ -132,10 +132,8 @@ _NAMED = {
 
 @lru_cache(maxsize=None)
 def _named(key):
-    """The named catalog poset key (cache bound: one poset per key of the
-    fixed _NAMED table)."""
-    if key not in _NAMED:
-        raise ParameterOutOfRange(key)
+    """The named catalog poset key, KeyError for a key outside the fixed
+    _NAMED table (cache bound: one poset per key of that table)."""
     entry = _NAMED[key]
     elements, covers = _NAMED[entry] if isinstance(entry, str) else entry
     return build_poset(elements, covers, name=key)
@@ -365,7 +363,9 @@ def parse_key(text):
 
 
 def catalog_get(key):
-    """Poset for a catalog key (a CatalogKey or its string form)."""
+    """Poset for a catalog key (a CatalogKey or its string form); a number
+    outside a named family raises ParameterOutOfRange naming the key, as
+    K(0), not the table entry it would have read."""
     if isinstance(key, str):
         key = parse_key(key)
     if key.family not in _FAMILIES:
@@ -373,7 +373,10 @@ def catalog_get(key):
     arity, fn = _FAMILIES[key.family]
     if len(key.params) != arity:
         raise UnknownKey(f"{key.family} takes {arity} parameter(s)")
-    return fn(*key.params)
+    try:
+        return fn(*key.params)
+    except KeyError:
+        raise ParameterOutOfRange(str(key)) from None
 
 
 def catalog_keys():

@@ -74,8 +74,8 @@ class Poset:
     # derived order data ------------------------------------------------
     #
     # The heights, height, topdown, upper_covers, comparable, root_index, the
-    # widths, by_upset_size and image_candidates are computed once per
-    # instance, on first use.
+    # widths, by_upset_size, image_candidates and upsets are computed once
+    # per instance, on first use.
     # down_masks is not kept, so the many candidates that canonical_code
     # sees during enumeration carry no memo.
 
@@ -159,6 +159,11 @@ class Poset:
         for t, u in enumerate(self.up):
             table.setdefault(u & ~(1 << t), []).append((t, 1 << t, u))
         return {s: tuple(entries) for s, entries in table.items()}
+
+    @cached_property
+    def upsets(self):
+        """Every upset as a mask, in (size, mask) order."""
+        return tuple(iter_upset_masks(self))
 
     def covers(self):
         """List of (i, j) index pairs with e_j covering e_i."""
@@ -288,8 +293,9 @@ def iter_upset_masks(p):
 
 
 def upset_masks(p):
-    """All upward-closed subsets as bitmasks, sorted by (size, mask)."""
-    return list(iter_upset_masks(p))
+    """All upward-closed subsets as bitmasks, sorted by (size, mask), as a
+    new list of p.upsets."""
+    return list(p.upsets)
 
 
 # width -----------------------------------------------------------------
@@ -592,52 +598,27 @@ def _level(n):
     return tuple(seen[c][0] for c in order), order, tuple(seen[c][1] for c in order)
 
 
-def _rooted_code(q):
-    """canonical_code of q with a new root added below all of q, as the
-    last point, read off canonical_code(q) with no refinement and no
-    search.
-
-    Let q have n > 0 points and code P{n}:seq|rows, and call the rooted
-    poset r.  Then r's code is P{n+1}:seq,d|rows,R with d = max(seq) + 1
-    and R the hex of "10" repeated n times:
-
-    - _refined_colors.  The root's start colour (n + 1, 1) is the unique
-      largest, since every other point has a smaller up-set.  Every point
-      of q gains one point below, which keeps the order of their start
-      colours, so their ranks are those in q and the root's is the next.
-      In each round a point of q keeps its up-set, and its below-tuple
-      gains the root's colour, the largest, at its end.  Two signatures
-      of equal colour have equal down-counts, since the start colour
-      holds the down-count and refinement only splits colours, so their
-      below-tuples have equal length and the appended colour keeps their
-      order; signatures of unequal colour are ordered by the colour.  The
-      root's signature leads with the largest colour.  So every round
-      ranks q's points as in q and the root last, and the refinement
-      stops in the same round, with the colours of q and d for the root.
-    - _min_rows.  The root is alone in the last colour class, so the
-      first n places of every order hold q's points, in the same classes.
-      Their rows compare them with q's points only, as in q, and the twin
-      test is unchanged: the root lies below both points of a pair, so
-      their down-sets gain the same bit.  The search over the first n
-      places is q's search, and the last place always holds the root,
-      whose row is fixed, because every point lies above it: each pair of
-      bits is 1 0 (root <= u, not u <= root).  So the least rows are q's
-      rows followed by R.
-
-    The one-point poset has code P1:0|0.
-    """
-    n = q.n
-    if n == 0:
-        return b"P1:0|0"
-    head, rows = canonical_code(q).split(b"|")
-    seq = head.split(b":")[1]
-    d = max(int(c) for c in seq.split(b",")) + 1
-    return b"P%d:%s,%d|%s,%s" % (n + 1, seq, d, rows, format(int("10" * n, 2), "x").encode())
-
-
 def enumerate_rooted(size, max_width=None, cap=None):
-    """Rooted posets of the given size, one per isomorphism class,
-    in canonical-code order, as a new list.
+    """Rooted posets of the given size, one per isomorphism class, as a
+    new list: each enumerate_posets(size - 1) representative q, in order,
+    with a root added below all of q as the last point e{size-1}.
+
+    Up to 11 points (the default cap is 8) this is canonical-code order.
+    Let q have n points and code P{n}:seq|rows.  The rooted poset's code
+    is P{n+1}:seq,d|rows,R, with d = max(seq) + 1 and R the hex of "10"
+    repeated n times, fixed per size (proof in tests/_oracle_poset.py).
+    The representatives are sorted by code, and while q has at most 10
+    points the suffixes keep every comparison:
+
+    - every colour rank is one digit, so all of the colour sequences
+      have one length, 2n - 1: two that differ do so before ",d", and
+      two equal ones have equal d;
+    - under equal sequences the row strings, each of n rows, decide.  Two
+      that differ at a place both reach still differ there; when one is a
+      proper prefix of the other, the longer holds every comma of the
+      shorter and no more, so it goes on with a hex digit, and the
+      shorter goes on with ",", which sorts below every hex digit, as its
+      end did.
 
     The arguments are checked on every call; the posets come from one
     cached tuple per (size, width bound), so every caller in the process
@@ -659,21 +640,11 @@ def enumerate_rooted(size, max_width=None, cap=None):
 
 @lru_cache(maxsize=None)
 def _rooted(size, max_width):
-    """enumerate_rooted's posets, unchecked (cache bound: see there).
-
-    Each is an enumerate_posets representative q with a root added, and
-    its code is _rooted_code(q), read off q's cached code: no rooted
-    poset is coded here.  The sort stays, since the derived codes need
-    not follow q's order once a colour rank has two digits.
-    """
-    keyed = []
-    for q in enumerate_posets(size - 1):
-        # the root is comparable with every point, so the rooted poset's
-        # width is q's (1 when q is empty)
-        if max_width is not None and max(1, q.full_width) > max_width:
-            continue
-        # the root goes below q's points, as the last point e{size-1}
-        keyed.append((_rooted_code(q), Poset(tuple(f"e{i}" for i in range(size)),
-                                             q.up + ((1 << size) - 1,))))
-    keyed.sort(key=lambda kp: kp[0])
-    return tuple(p for _, p in keyed)
+    """enumerate_rooted's posets, unchecked (cache bound: see there).  No
+    rooted poset is coded: they keep their parents' order."""
+    els = tuple(f"e{i}" for i in range(size))
+    full = (1 << size) - 1
+    # the root is comparable with every point, so the rooted poset's
+    # width is q's (1 when q is empty)
+    return tuple(Poset(els, q.up + (full,)) for q in enumerate_posets(size - 1)
+                 if max_width is None or max(1, q.full_width) <= max_width)

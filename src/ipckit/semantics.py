@@ -7,10 +7,10 @@ variable in the intuitionistic case, arbitrary subsets in the modal
 case) with a work meter charged one unit per valuation row.
 
 A scan reuses what does not depend on the valuation rows: each formula is
-compiled once into a ScanPlan, and each order's evaluation data, upset
-domain and window patterns are built once.  These live in bounded caches
-keyed by the formula and by the order's up-masks, never on Poset
-instances, so relabelled copies share them.
+compiled once into a ScanPlan, in a bounded cache keyed by the formula, and
+each domain's window patterns once, in a bounded cache keyed by the
+domain.  The order data a scan reads, its top-down order, covers and
+upsets, are the poset's own memos.
 
 A plan is the formula's own DAG: its distinct subformulas, interned, each
 with its variables renamed to their slots, so a node is one object across
@@ -94,35 +94,20 @@ def scan_plan(f):
     return ScanPlan(nodes, vs, any(type(g) is Box for g in nodes))
 
 
-@lru_cache(maxsize=256)
-def _frame(up):
-    """The order up as a Poset of its own, so the top-down order and covers
-    that evaluation reads are memoised here, not on the caller's posets
-    (cache bound: 256 orders)."""
-    return Poset(tuple(range(len(up))), up)
-
-
-@lru_cache(maxsize=256)
-def _upsets(up):
-    """Every upset of the order up, in (size, mask) order (cache bound: 256
-    orders)."""
-    return tuple(iter_upset_masks(_frame(up)))
-
-
-def _upset_domain(up, limit):
-    """The upsets of the order up in (size, mask) order, or under a row
-    limit enough of them to decide the scan.
+def _upset_domain(p, limit):
+    """The upsets of p in (size, mask) order, or under a row limit enough
+    of them to decide the scan.
 
     With slot 0 slowest, a row r below the limit has the digits
     (0, ..., 0, r) in any base above the limit, so it reads only domain
     values below the limit.  The first limit + 1 upsets therefore give the
     same first limit rows as the full domain, and at least limit + 1 rows
-    in all, so the scan ends as the full one does.  Only complete domains
-    are cached.
+    in all, so the scan ends as the full one does.  A complete domain is
+    p.upsets; a prefix is never kept.
     """
-    if limit is None or 1 << len(up) <= limit + 1:
-        return _upsets(up)
-    return tuple(islice(iter_upset_masks(_frame(up)), max(limit, 0) + 1))
+    if limit is None or 1 << p.n <= limit + 1:
+        return p.upsets
+    return tuple(islice(iter_upset_masks(p), max(limit, 0) + 1))
 
 
 def _evaluate(nodes, slots, p, ones, memo):
@@ -286,7 +271,6 @@ def scan_validity(p, plan, domain, limit):
         return ("valid", 0)
     if not isinstance(domain, (tuple, range)):
         domain = tuple(domain)  # hashable, for the pattern cache
-    q = _frame(p.up)
     start = 0
     for slots, rows, shared in _windows(p.n, domain, nvars):
         if limit is not None and start >= limit:
@@ -298,7 +282,7 @@ def scan_validity(p, plan, domain, limit):
             cut = (1 << (limit - start)) - 1  # rows inside the budget
         memo = _memo.table(p.up, slots) if shared else {}
         holds = ones
-        for t in _evaluate(plan.nodes, slots, q, ones, memo):
+        for t in _evaluate(plan.nodes, slots, p, ones, memo):
             holds &= t
         fail = (ones ^ holds) & cut
         if fail:
@@ -327,7 +311,7 @@ def is_valid(p: Poset, f: Formula, meter: WorkMeter | None = None) -> bool:
     if p.n == 0:
         return True
     limit = None if meter is None else meter.remaining()
-    return _scan(p, plan, _upset_domain(p.up, limit), limit, meter)
+    return _scan(p, plan, _upset_domain(p, limit), limit, meter)
 
 
 def is_valid_modal(p: Poset, f: Formula, meter: WorkMeter | None = None) -> bool:

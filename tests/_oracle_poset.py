@@ -5,7 +5,9 @@
   canonical_code took its shortcuts on discrete colourings: every
   candidate is coded, and each code refines and searches in full.
 - The rooted enumeration sorted by the code of each rooted poset, which
-  enumerate_rooted replaced by codes derived from the unrooted parents.
+  enumerate_rooted replaced by its parents' order, and _rooted_code, the
+  rooted code read off the parent's code, whose proof shows that the
+  order is the same.
 - Antichain sizes by trying every subset.
 - The transitive closure that build_poset took by repeating a sweep
   until nothing changed, before its one Warshall sweep.
@@ -167,6 +169,51 @@ def add_root(q):
     """q with a root below all of it, as the last point."""
     n = q.n + 1
     return Poset(tuple(f"e{i}" for i in range(n)), q.up + ((1 << n) - 1,))
+
+
+def _rooted_code(q):
+    """canonical_code of q with a new root added below all of q, as the
+    last point, read off canonical_code(q) with no refinement and no
+    search.
+
+    Let q have n > 0 points and code P{n}:seq|rows, and call the rooted
+    poset r.  Then r's code is P{n+1}:seq,d|rows,R with d = max(seq) + 1
+    and R the hex of "10" repeated n times:
+
+    - _refined_colors.  The root's start colour (n + 1, 1) is the unique
+      largest, since every other point has a smaller up-set.  Every point
+      of q gains one point below, which keeps the order of their start
+      colours, so their ranks are those in q and the root's is the next.
+      In each round a point of q keeps its up-set, and its below-tuple
+      gains the root's colour, the largest, at its end.  Two signatures
+      of equal colour have equal down-counts, since the start colour
+      holds the down-count and refinement only splits colours, so their
+      below-tuples have equal length and the appended colour keeps their
+      order; signatures of unequal colour are ordered by the colour.  The
+      root's signature leads with the largest colour.  So every round
+      ranks q's points as in q and the root last, and the refinement
+      stops in the same round, with the colours of q and d for the root.
+    - _min_rows.  The root is alone in the last colour class, so the
+      first n places of every order hold q's points, in the same classes.
+      Their rows compare them with q's points only, as in q, and the twin
+      test is unchanged: the root lies below both points of a pair, so
+      their down-sets gain the same bit.  The search over the first n
+      places is q's search, and the last place always holds the root,
+      whose row is fixed, because every point lies above it: each pair of
+      bits is 1 0 (root <= u, not u <= root).  So the least rows are q's
+      rows followed by R.
+
+    The one-point poset has code P1:0|0.  enumerate_rooted's docstring
+    shows that these suffixes keep the order of the codes up to 11
+    points.
+    """
+    n = q.n
+    if n == 0:
+        return b"P1:0|0"
+    head, rows = canonical_code(q).split(b"|")
+    seq = head.split(b":")[1]
+    d = max(int(c) for c in seq.split(b",")) + 1
+    return b"P%d:%s,%d|%s,%s" % (n + 1, seq, d, rows, format(int("10" * n, 2), "x").encode())
 
 
 def enumerate_rooted_by_code(size, max_width=None):

@@ -213,6 +213,24 @@ MUTANTS = {
         "    return _rooted(size, max_width)\n",
         ["tests/test_poset.py::test_enumerate_rooted_width_filter"],
     ),
+    "rooted-order-reversed": (
+        "src/ipckit/poset.py",
+        "for q in enumerate_posets(size - 1)\n",
+        "for q in reversed(enumerate_posets(size - 1))\n",
+        ["tests/test_poset.py::test_rooted_codes_derived_from_parents"],
+    ),
+    "rooted-width-filter-strict": (
+        "src/ipckit/poset.py",
+        "max(1, q.full_width) <= max_width",
+        "max(1, q.full_width) < max_width",
+        ["tests/test_poset.py::test_enumerate_rooted_width_filter"],
+    ),
+    "scan-prefix-one-short": (
+        "src/ipckit/semantics.py",
+        "max(limit, 0) + 1",
+        "max(limit, 0)",
+        ["tests/test_semantics.py::test_budgeted_scans_match_full_domain_scans"],
+    ),
     "worker-runs-wrong-index": (
         "src/ipckit/scenarios.py",
         '_WORKER["instances"][index]',

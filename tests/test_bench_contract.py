@@ -111,7 +111,7 @@ def test_traced_scan_run_sees_every_scan_layer():
 
     params = {"size": 3, "formulas": 10}
     plain = run_scenario("godel-transfer", params)
-    for name in ("scan_plan", "_frame", "_upsets", "_fast_patterns"):
+    for name in ("scan_plan", "_fast_patterns"):
         getattr(semantics, name).cache_clear()
     tracer = _load_tracer().Tracer()
     tracer.install()

@@ -24,6 +24,7 @@ from ipckit.catalog import (
     xm_trunc,
     y_poset,
 )
+from ipckit.cli import main
 from ipckit.errors import DuplicateElement, ParameterOutOfRange, UnknownKey
 from ipckit.morphisms import epartitions, quotient
 from ipckit.poset import (
@@ -384,6 +385,15 @@ def test_key_parsing():
         catalog_get("K(9)")
     with pytest.raises(ParameterOutOfRange):
         catalog_get("Y(0)")
+
+
+@pytest.mark.parametrize("key", ["K(0)", "BW2(12)"])
+def test_catalog_names_an_out_of_range_key_as_given(key, capsys):
+    # not the internal table entry (K0, BW2_12) the family would have read
+    assert main(["catalog", key]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ParameterOutOfRange: {key}\n"
 
 
 def test_codes_are_stable_across_calls():

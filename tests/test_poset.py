@@ -19,7 +19,6 @@ from ipckit.poset import (
     _automorphisms,
     _bits,
     _max_antichain,
-    _rooted_code,
     are_isomorphic,
     build_poset,
     canonical_code,
@@ -38,7 +37,7 @@ from _oracle_upsets import upset_masks_dfs
 # the order data memoised on a Poset on first use
 MEMOS = ("_heights", "height", "topdown", "upper_covers", "comparable",
          "root_index", "full_width", "upset_widths", "by_upset_size",
-         "image_candidates")
+         "image_candidates", "upsets")
 
 
 def chain(k):
@@ -155,9 +154,10 @@ def test_upsets_by_size_against_depth_first_search():
     wide = [build_poset([f"x{i}" for i in range(k)], []) for k in (8, 10)]
     posets = [p for n in range(8) for p in enumerate_posets(n)]
     for p in posets + wide + [chain(12), Poset(("c", "a", "b"), F2.up)]:
-        memo = dict(p.__dict__)
+        memo = {k: v for k, v in p.__dict__.items() if k != "upsets"}
         assert upset_masks(p) == upset_masks_dfs(p)
-        assert p.__dict__ == memo  # enumeration memoises nothing on p
+        # enumeration memoises only the upsets on p, as a tuple
+        assert p.__dict__ == dict(memo, upsets=tuple(upset_masks_dfs(p)))
 
 
 def test_upset_prefix_stops_early():
@@ -222,7 +222,7 @@ def test_pickles_carry_no_memo():
     p = build_poset(["a", "b", "c"], [("a", "b"), ("a", "c")], name="v")
     p.heights(), p.height, p.topdown, p.upper_covers, p.comparable
     p.root_index, p.full_width, p.upset_widths, p.by_upset_size
-    p.image_candidates
+    p.image_candidates, p.upsets
     assert all(m in vars(p) for m in MEMOS)
     q = pickle.loads(pickle.dumps(p))
     assert q == p and q.name == "v"
@@ -275,19 +275,19 @@ def test_enumerate_rooted_list_is_the_callers():
 
 
 def test_rooted_codes_derived_from_parents():
-    # every rooted poset of 1-8 points, and the old sort by its own code
-    for q in (q for n in range(8) for q in enumerate_posets(n)):
-        assert _rooted_code(q) == canonical_code(add_root(q))
+    # every rooted poset of 1-8 points comes in strictly increasing code
+    # order, as the old sort by its own code put it
     for mw in (None, 1, 2, 3):
         for size in range(1, 9):
+            codes = [canonical_code(p) for p in enumerate_rooted(size, max_width=mw)]
+            assert all(a < b for a, b in zip(codes, codes[1:])), (size, mw)
             assert enumerate_rooted(size, max_width=mw) == enumerate_rooted_by_code(size, mw)
 
 
 @st.composite
-def _renumbered_posets(draw):
-    """A poset of 9-12 points, its relations drawn along a random order of
+def _renumbered_posets(draw, n):
+    """A poset of n points, its relations drawn along a random order of
     its points, so that indices need not follow the order."""
-    n = draw(st.integers(9, 12))
     perm = draw(st.permutations(range(n)))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
@@ -296,11 +296,27 @@ def _renumbered_posets(draw):
                                for (i, j), pick in zip(pairs, picks) if pick])
 
 
+@st.composite
+def _same_size_pairs(draw):
+    n = draw(st.integers(9, 10))
+    return draw(_renumbered_posets(n)), draw(_renumbered_posets(n))
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(_renumbered_posets())
-def test_rooted_codes_on_generated_posets(q):
-    assert _rooted_code(q) == canonical_code(add_root(q))
-    assert canonical_code(q) == oracle.canonical_code(q)
+@given(_same_size_pairs())
+def test_rooted_codes_on_generated_posets(pair):
+    # beyond the enumerated sizes: adding a root keeps the order of two
+    # codes of 9 or 10 points, and the derived rooted code is the code
+    q1, q2 = pair
+    assert _sign(canonical_code(q1), canonical_code(q2)) == _sign(
+        canonical_code(add_root(q1)), canonical_code(add_root(q2)))
+    for q in pair:
+        assert oracle._rooted_code(q) == canonical_code(add_root(q))
+        assert canonical_code(q) == oracle.canonical_code(q)
 
 
 def test_enumerate_rooted_codes_no_rooted_poset(monkeypatch):
@@ -321,8 +337,7 @@ def test_enumerate_rooted_codes_no_rooted_poset(monkeypatch):
         for n in range(1, 9):
             enumerate_rooted(n, max_width=mw)
     assert canonical_code.cache_info().currsize == size
-    ids = {id(q) for q in reps}
-    assert coded and all(id(p) in ids for p in coded)
+    assert coded == []
 
 
 def _candidates(n):
@@ -413,8 +428,8 @@ def test_sibling_skips_point_to_earlier_parents(monkeypatch):
 
 def test_representatives_codes_are_cache_hits():
     # a cold enumeration codes each representative as a candidate, so
-    # _rooted_code and the scenarios read every one off the cache; the
-    # empty poset is no candidate, and _rooted_code reads no code for it
+    # the scenarios read every one off the cache; the empty poset is no
+    # candidate, and nothing codes it
     poset_mod._level.cache_clear()
     poset_mod._rooted.cache_clear()
     canonical_code.cache_clear()

@@ -42,7 +42,7 @@ def truth_set(p, valuation, f):
     single valuation row."""
     plan = scan_plan(f)
     slots = [_held(p.n, (valuation[v],), 1) for v in plan.vars]
-    truth = _evaluate(plan.nodes, slots, semantics._frame(p.up), 1, {})
+    truth = _evaluate(plan.nodes, slots, p, 1, {})
     return sum(t << x for x, t in enumerate(truth))
 
 
@@ -190,12 +190,12 @@ def _ipckit_caches():
 
 
 def test_plan_caches_are_the_known_ones_and_bounded():
-    assert sorted(_CACHES) == ["_fast_patterns", "_frame", "_upsets", "scan_plan"]
+    assert sorted(_CACHES) == ["_fast_patterns", "scan_plan"]
     for name, fn in _CACHES.items():
         assert fn.cache_info().maxsize is not None, name
     # every lru_cache in ipckit says what bounds it; a sized one says its size
     caches = _ipckit_caches()
-    assert len(caches) == 12
+    assert len(caches) == 10
     for name, fn in caches.items():
         doc = " ".join((fn.__doc__ or "").split())
         bound = fn.cache_info().maxsize
@@ -268,34 +268,31 @@ def test_repeated_runs_keep_the_caches_bounded():
     assert sizes[0] == sizes[1] == sizes[2]
 
 
-def test_relabelled_orders_share_a_domain():
-    _clear_caches()
-    f = parse("(p0 -> p1) | (p1 -> p0)")
-    assert not is_valid(F3, f)
-    assert not is_valid(Poset(("w", "x", "y", "z"), F3.up), f)
-    info = semantics._upsets.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    # one entry per order, each the order's own upsets
-    posets = [p for n in range(1, 5) for p in enumerate_posets(n)]
-    for p in posets:
-        is_valid(p, f)
-    assert semantics._upsets.cache_info().currsize == len({p.up for p in posets + [F3]})
-    for p in posets:
-        assert semantics._upsets(p.up) == tuple(upset_masks(p))
-        assert semantics._frame(p.up).up == p.up
+def _memos(p):
+    return set(vars(p)) - {"elements", "up", "name"}
 
 
-def test_scans_leave_no_memo_on_the_poset():
+def test_scans_leave_only_the_order_memos_on_the_poset():
+    # a scan reads the poset's own top-down order, covers and upsets
     p = build_poset(["r", "a", "b", "c"], [("r", "a"), ("r", "b"), ("a", "c")])
-    before = dict(p.__dict__)
+    assert _memos(p) == set()
     f = parse("(p0 -> p1) | ~p0")
     is_valid(p, f, meter=WorkMeter(5000))
     with pytest.raises(BudgetExceeded):  # a budgeted prefix of the upsets
         is_valid(p, parse("p0 -> p0"), meter=WorkMeter(3))
     is_valid_modal(p, godel_translate(f))
-    plan = scan_plan(f)
-    scan_validity(p, plan, upset_masks(p), None)
-    assert p.__dict__ == before
+    scan_validity(p, scan_plan(f), upset_masks(p), None)
+    assert _memos(p) == {"_heights", "topdown", "upper_covers", "upsets"}
+    # a budgeted prefix of a fresh poset's upsets is not kept on it
+    q = Poset(p.elements, p.up)
+    with pytest.raises(BudgetExceeded):
+        is_valid(q, parse("p0 -> p0"), meter=WorkMeter(3))
+    assert "upsets" not in _memos(q)
+    # each order's complete domain is its own upsets
+    g = parse("(p0 -> p1) | (p1 -> p0)")
+    for r in [p for n in range(1, 5) for p in enumerate_posets(n)] + [F3]:
+        is_valid(r, g)
+        assert semantics._upset_domain(r, None) is r.upsets == tuple(upset_masks(r))
 
 
 def test_budgeted_scans_match_full_domain_scans():
