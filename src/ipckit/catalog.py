@@ -17,8 +17,6 @@ from functools import lru_cache
 from .errors import ParameterOutOfRange, UnknownKey
 from .poset import Poset, build_poset, stack, sum_posets
 
-DEFAULT_LADDER_DEPTH = 24
-
 
 @dataclass(frozen=True)
 class CatalogKey:
@@ -187,13 +185,13 @@ def ladder(depth):
     return build_poset([f"w{i}" for i in range(depth)], covers, name="ladder")
 
 
-def ladder_upset(k, depth=DEFAULT_LADDER_DEPTH):
-    """The principal upset of w_k inside the ladder."""
-    if k < 0 or k >= depth:
+def ladder_upset(k):
+    """The principal upset of w_k inside the ladder, read off ladder(k + 1):
+    every point above w_k has a smaller index."""
+    if k < 0:
         raise ParameterOutOfRange(f"ladder upset index {k} out of range")
-    lad = ladder(depth)
-    i = lad.index(f"w{k}")
-    return lad.restrict(lad.up[i], name=f"L({k})")
+    lad = ladder(k + 1)
+    return lad.restrict(lad.up[k], name=f"L({k})")
 
 
 def ladder_top_segment(m):
@@ -238,7 +236,7 @@ def rn_member(word, k=None, m=None):
     if k is not None:
         if k < 0:
             raise ParameterOutOfRange("k must be >= 0")
-        tail = ladder_upset(k, depth=max(DEFAULT_LADDER_DEPTH, k + 1))
+        tail = ladder_upset(k)
     else:
         if m < 0:
             raise ParameterOutOfRange("m must be >= 0")

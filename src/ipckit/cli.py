@@ -36,6 +36,20 @@ def _at_least(low):
     return integer
 
 
+# the yes/no commands: help, the host poset's argument, the second
+# argument and its reader, the check, and the words for yes and no
+_CHECKS = {
+    "check": ("intuitionistic validity on a poset", "poset", "formula", parse,
+              is_valid, ("valid", "refuted")),
+    "modal-check": ("modal validity on a poset frame", "poset", "formula", parse,
+                    is_valid_modal, ("valid", "refuted")),
+    "jankov": ("does host validate the splitting formula of target", "host", "target",
+               pio.import_poset, validates_jankov, ("validates", "refutes")),
+    "subframe": ("does host validate the subframe formula of target", "host", "target",
+                 pio.import_poset, validates_subframe, ("validates", "refutes")),
+}
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="ipckit",
@@ -43,25 +57,11 @@ def _build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("check", help="intuitionistic validity on a poset")
-    c.add_argument("poset")
-    c.add_argument("formula")
-    c.add_argument("--budget", type=_at_least(0), default=None)
-
-    c = sub.add_parser("modal-check", help="modal validity on a poset frame")
-    c.add_argument("poset")
-    c.add_argument("formula")
-    c.add_argument("--budget", type=_at_least(0), default=None)
-
-    c = sub.add_parser("jankov", help="does host validate the splitting formula of target")
-    c.add_argument("host")
-    c.add_argument("target")
-    c.add_argument("--budget", type=_at_least(0), default=None)
-
-    c = sub.add_parser("subframe", help="does host validate the subframe formula of target")
-    c.add_argument("host")
-    c.add_argument("target")
-    c.add_argument("--budget", type=_at_least(0), default=None)
+    for name, (text, host, second, *_) in _CHECKS.items():
+        c = sub.add_parser(name, help=text)
+        c.add_argument(host)
+        c.add_argument(second)
+        c.add_argument("--budget", type=_at_least(0), default=None)
 
     c = sub.add_parser("pmorphism", help="search for a p-morphism src -> dst")
     c.add_argument("src")
@@ -119,30 +119,11 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     cmd = args.command
 
-    if cmd == "check":
-        ok = is_valid(pio.import_poset(args.poset), parse(args.formula),
-                      meter=WorkMeter(limit=args.budget))
-        print("valid" if ok else "refuted")
-        return EXIT_PASS if ok else EXIT_FAIL
-
-    if cmd == "modal-check":
-        ok = is_valid_modal(pio.import_poset(args.poset), parse(args.formula),
-                            meter=WorkMeter(limit=args.budget))
-        print("valid" if ok else "refuted")
-        return EXIT_PASS if ok else EXIT_FAIL
-
-    if cmd == "jankov":
-        ok = validates_jankov(pio.import_poset(args.host),
-                              pio.import_poset(args.target),
-                              meter=WorkMeter(limit=args.budget))
-        print("validates" if ok else "refutes")
-        return EXIT_PASS if ok else EXIT_FAIL
-
-    if cmd == "subframe":
-        ok = validates_subframe(pio.import_poset(args.host),
-                                pio.import_poset(args.target),
-                                meter=WorkMeter(limit=args.budget))
-        print("validates" if ok else "refutes")
+    if cmd in _CHECKS:
+        _, host, second, read, check, (yes, no) = _CHECKS[cmd]
+        ok = check(pio.import_poset(getattr(args, host)), read(getattr(args, second)),
+                   meter=WorkMeter(limit=args.budget))
+        print(yes if ok else no)
         return EXIT_PASS if ok else EXIT_FAIL
 
     if cmd == "pmorphism":

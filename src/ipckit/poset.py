@@ -360,6 +360,14 @@ def _refined_colors(p, down):
     return colors
 
 
+def _twin_keys(p, down):
+    """Per point x, its strict up-set and strict down-set.  Points with
+    equal keys are twins: neither lies above the other, and every other
+    point lies above (below) both or neither, so swapping them is an
+    automorphism of p."""
+    return [(p.strict_up(x), d & ~(1 << x)) for x, d in enumerate(down)]
+
+
 def _min_rows(p, colors, down):
     """The colour sequence and the least rows over the orders that list
     the points by colour: row k holds, per earlier point u, the bits
@@ -373,8 +381,9 @@ def _min_rows(p, colors, down):
     at a row above best's.  rec returns True once its subtree has replaced
     best; each prefix of the new best is then tight, so the caller's next
     candidates are compared with it.  Each replacement is smaller, and no
-    cut leaf is (a twin's leaves are an automorphism's image of its
-    sibling's), so best ends as the least rows, which are unique.
+    cut leaf is (a point whose twin was tried at the same place has the
+    swap's images of the twin's leaves), so best ends as the least rows,
+    which are unique.
     """
     n = p.n
     up = p.up
@@ -395,13 +404,7 @@ def _min_rows(p, colors, down):
         order = [by_color[c][0] for c in color_seq]
         return color_seq, tuple(row_for(v, order[:k]) for k, v in enumerate(order))
 
-    def twins(u, v):
-        # the transposition (u v) is an automorphism
-        if colors[u] != colors[v] or up[u] >> v & 1 or up[v] >> u & 1:
-            return False
-        pair = 1 << u | 1 << v
-        return up[u] & ~pair == up[v] & ~pair and down[u] & ~pair == down[v] & ~pair
-
+    twin = _twin_keys(p, down)
     best = None
     order, rows = [], []
 
@@ -412,11 +415,11 @@ def _min_rows(p, colors, down):
                 best = list(rows)
             return not tight
         improved = False
-        tried = []
+        tried = set()  # the twin keys of the points tried here
         for v in by_color[color_seq[k]]:
-            if used >> v & 1 or any(twins(u, v) for u in tried):
+            if used >> v & 1 or twin[v] in tried:
                 continue
-            tried.append(v)
+            tried.add(twin[v])
             r = row_for(v, order)
             if tight and r > best[k]:
                 continue
@@ -449,46 +452,6 @@ def canonical_code(p):
     return f"P{p.n}:{body}".encode()
 
 
-def _automorphisms(p):
-    """Every automorphism of p, as the tuple of the images of its points,
-    in lexicographic order, so the identity comes first.
-
-    A backtracking search maps the points in index order.  Each point's
-    image is tried only inside its own colour class, since an automorphism
-    keeps _refined_colors, and a partial map is extended only while it
-    keeps <= in both directions between the points mapped so far.  So
-    every leaf is an automorphism, and every automorphism is a leaf.
-    """
-    n = p.n
-    up = p.up
-    down = p.down_masks()
-    colors = _refined_colors(p, down)
-    same = {}
-    for j in range(n):
-        same.setdefault(colors[j], []).append(j)
-    out = []
-    img = [0] * n
-
-    def rec(i, used):
-        if i == n:
-            out.append(tuple(img))
-            return
-        done = (1 << i) - 1
-        want_up = want_down = 0
-        for k in _bits(up[i] & done):
-            want_up |= 1 << img[k]
-        for k in _bits(down[i] & done):
-            want_down |= 1 << img[k]
-        for j in same[colors[i]]:
-            if (not used >> j & 1
-                    and up[j] & used == want_up and down[j] & used == want_down):
-                img[i] = j
-                rec(i + 1, used | 1 << j)
-
-    rec(0, 0)
-    return out
-
-
 def are_isomorphic(p, q):
     return canonical_code(p) == canonical_code(q)
 
@@ -506,16 +469,20 @@ def enumerate_posets(n):
     per q, the D in mask order.  Two rules skip a candidate before it is
     built or coded, and keep the same representatives.
 
-    Orbit: a downset that an automorphism of q maps to a smaller mask is
-    skipped.
+    Orbit: D is skipped when it holds a point v of q but not u, the next
+    twin of v below it (_twin_keys).  Orbit pruning is sound under any
+    subgroup of Aut(q) (McKay 1998); this one is generated by the swaps
+    of twins, which _min_rows reads too.
 
     - An automorphism a of q, extended by the new point to itself, is an
       isomorphism from the candidate for D onto the candidate for a(D),
       since a point x lies below the new point in one iff a(x) does in
-      the other.  So the candidates of an orbit of Aut(q) share one code.
-    - The least mask of each orbit is never skipped, and it comes first
-      in the mask order, so each skipped candidate has an isomorphic one
-      before it from the same q.
+      the other.
+    - The swap a of u and v is one, and a(D) = D - {v} + {u} is a
+      downset with a smaller mask, so the skipped candidate has an
+      isomorphic one before it from the same q.
+    - The downsets kept are those holding, in each twin class, its lowest
+      points: one per orbit of the group the swaps generate.
 
     Sibling: q is a representative, so it was built as p + s, its parent
     p with a maximal point s = e{n-2} added; let K be the code of p's
@@ -556,11 +523,12 @@ def _level(n):
 
     The representatives from one parent share its dict, which is what
     the rule reads as K (proof in enumerate_posets).  It holds every
-    downset of the parent, since a child may ask for any: an orbit image
-    has the code of its orbit's least mask, its candidate being
-    isomorphic, and a candidate the sibling rule skipped has None, its
-    code unknown without coding it, so its children's candidates for
-    that downset are coded.  The empty poset has an empty dict.
+    downset of the parent, since a child may ask for any: a downset the
+    orbit rule skipped has the code of its swap's image, met before it,
+    whose candidate is isomorphic, and a candidate the sibling rule
+    skipped has None, its code unknown without coding it, so its
+    children's candidates for that downset are coded.  The empty poset
+    has an empty dict.
 
     cache bound: one triple per size up to the largest asked for.
     """
@@ -571,16 +539,19 @@ def _level(n):
     last = top >> 1  # the bit of q's newest point s; 0 when n = 1, q empty
     seen = {}
     for q, own, sib in zip(*_level(n - 1)):
-        # per automorphism other than the identity, the image bit of each point
-        images = [[1 << j for j in a] for a in _automorphisms(q)[1:]]
-        skip = set()
+        # (u + v, v) as masks, per point v of q and u its next twin below
+        lower, swaps = {}, []
+        for v, key in enumerate(_twin_keys(q, q.down_masks())):
+            if key in lower:
+                swaps.append((1 << lower[key] | 1 << v, 1 << v))
+            lower[key] = v
         codes = {}  # q's candidate codes by downset mask
         # the downsets of q, complements of its upsets, in mask order
         for dmask in sorted(q.full_mask ^ u for u in upset_masks(q)):
-            if dmask in skip:
+            swap = next((pair for pair, v in swaps if dmask & pair == v), 0)
+            if swap:
+                codes[dmask] = codes[dmask ^ swap]
                 continue
-            orbit = {sum([a[i] for i in _bits(dmask)]) for a in images}
-            skip |= orbit
             known = None if dmask & last else sib.get(dmask)
             if known is not None and known < own:
                 code = None
@@ -593,7 +564,6 @@ def _level(n):
                 if code not in seen:
                     seen[code] = cand, codes
             codes[dmask] = code
-            codes.update(dict.fromkeys(orbit, code))
     order = tuple(sorted(seen))
     return tuple(seen[c][0] for c in order), order, tuple(seen[c][1] for c in order)
 

@@ -1,9 +1,14 @@
 """Test oracles for ipckit.poset.
 
 - The canonical code and the enumeration as they were before the
-  enumeration pruned each parent's downsets by its automorphisms and
-  canonical_code took its shortcuts on discrete colourings: every
-  candidate is coded, and each code refines and searches in full.
+  enumeration pruned each parent's downsets and canonical_code took its
+  shortcuts on discrete colourings: every candidate is coded, and each
+  code refines and searches in full.
+- The automorphism search by which the enumeration once pruned each
+  parent's downsets, keeping one per Aut(q)-orbit, before it kept one per
+  orbit of the twin swaps: 3,636 candidates coded for sizes 1-7 instead
+  of 3,437, with the same representatives.  The tests check the twin
+  swaps and their orbits against it.
 - The rooted enumeration sorted by the code of each rooted poset, which
   enumerate_rooted replaced by its parents' order, and _rooted_code, the
   rooted code read off the parent's code, whose proof shows that the
@@ -133,6 +138,46 @@ def canonical_code(p):
     seq, rows = _min_rows(p, colors)
     body = ",".join(str(c) for c in seq) + "|" + ",".join(format(r, "x") for r in rows)
     return f"P{p.n}:{body}".encode()
+
+
+def _automorphisms(p):
+    """Every automorphism of p, as the tuple of the images of its points,
+    in lexicographic order, so the identity comes first.
+
+    A backtracking search maps the points in index order.  Each point's
+    image is tried only inside its own colour class, since an automorphism
+    keeps _refined_colors, and a partial map is extended only while it
+    keeps <= in both directions between the points mapped so far.  So
+    every leaf is an automorphism, and every automorphism is a leaf.
+    """
+    n = p.n
+    up = p.up
+    down = p.down_masks()
+    colors = _refined_colors(p)
+    same = {}
+    for j in range(n):
+        same.setdefault(colors[j], []).append(j)
+    out = []
+    img = [0] * n
+
+    def rec(i, used):
+        if i == n:
+            out.append(tuple(img))
+            return
+        done = (1 << i) - 1
+        want_up = want_down = 0
+        for k in _bits(up[i] & done):
+            want_up |= 1 << img[k]
+        for k in _bits(down[i] & done):
+            want_down |= 1 << img[k]
+        for j in same[colors[i]]:
+            if (not used >> j & 1
+                    and up[j] & used == want_up and down[j] & used == want_down):
+                img[i] = j
+                rec(i + 1, used | 1 << j)
+
+    rec(0, 0)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,9 @@
 """Ordinal sums by cover pairs and transitive closure: the test oracle for
 ipckit.poset.stack and ipckit.catalog.ladder_trunc, which write the
 up-set masks directly; the ladder's top segment as a restriction of
-a deeper ladder, the oracle for ipckit.catalog.ladder_top_segment; and
+a deeper ladder, the oracle for ipckit.catalog.ladder_top_segment; the
+ladder upset L(k) restricted out of a ladder of depth 24, as
+ipckit.catalog.ladder_upset built it before it read ladder(k + 1); and
 the ordinal-sum cuts one size at a time with the KG factors matched
 against a set of ladder codes, the oracles for ipckit.axioms.sum_blocks
 and ipckit.axioms.decompose_kg."""
@@ -17,6 +19,13 @@ def ladder_top_segment_by_restriction(m):
     for i in range(m + 1):
         mask |= 1 << lad.index(f"w{i}")
     return lad.restrict(mask, name=f"T({m})")
+
+
+def ladder_upset_at_depth_24(k):
+    """The principal upset of w_k inside the ladder of depth 24."""
+    lad = ladder(24)
+    i = lad.index(f"w{k}")
+    return lad.restrict(lad.up[i], name=f"L({k})")
 
 
 def stack_by_covers(blocks, name=None):

@@ -112,9 +112,16 @@ MUTANTS = {
     ),
     "enumeration-orbit-skip-dropped": (
         "src/ipckit/poset.py",
-        "            if dmask in skip:\n                continue\n",
+        "            if swap:\n                codes[dmask] = codes[dmask ^ swap]\n                continue\n",
         "",
         ["tests/test_poset.py::test_enumeration_codes_one_candidate_per_orbit"],
+    ),
+    "twin-key-drops-down-set": (
+        "src/ipckit/poset.py",
+        "    return [(p.strict_up(x), d & ~(1 << x)) for x, d in enumerate(down)]\n",
+        "    return [(p.strict_up(x), 0) for x, d in enumerate(down)]\n",
+        ["tests/test_poset.py::test_enumeration_matches_every_candidate_oracle",
+         "tests/test_poset.py::test_canonical_code_matches_oracle_on_every_candidate"],
     ),
     "enumeration-sibling-test-loosened": (
         "src/ipckit/poset.py",

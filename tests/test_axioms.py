@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from ipckit.axioms import (
@@ -11,10 +13,18 @@ from ipckit.axioms import (
     validates_jankov,
     validates_subframe,
 )
-from ipckit.catalog import catalog_get, ladder_top_segment, ladder_upset, one_point
+from ipckit.catalog import (
+    catalog_get,
+    catalog_keys,
+    ladder_top_segment,
+    ladder_upset,
+    one_point,
+)
+from ipckit.morphisms import epartitions, quotient
 from ipckit.poset import (
     are_isomorphic,
     build_poset,
+    canonical_code,
     enumerate_posets,
     enumerate_rooted,
     upset_masks,
@@ -31,6 +41,35 @@ def test_validates_jankov_examples():
     assert not validates_jankov(F2, F2)
     assert validates_jankov(CH4, F2)
     assert validates_jankov(F2, CH3)
+
+
+def test_jankov_matches_the_quotient_route_without_search():
+    """validates_jankov against a route that runs no image search.  The
+    rooted images of a host's upsets are the quotients of its principal
+    upsets up(x) by their E-partitions (image_of_upset's docstring, then
+    quotient's), so the host validates the splitting formula of F exactly
+    when F's code is not among the codes of those quotients.  Every poset
+    of 1-6 points meets each K, G, BW1, BW2 and P frame of the catalog.
+
+    The subframe side is not covered: its images come from every subset
+    of the host, not only from the principal upsets, and no such route
+    is built here."""
+    frames = [catalog_get(k) for k in catalog_keys()
+              if re.fullmatch(r"(K|G|BW1|BW2|P)\(\d+\)", k)]
+    assert len(frames) == 29
+    hosts = [p for n in range(1, 7) for p in enumerate_posets(n)]
+    assert len(hosts) == 405
+    refuted = 0
+    for host in hosts:
+        images = set()
+        for up in host.up:
+            sub = host.restrict(up)
+            images |= {canonical_code(quotient(sub, part)[0]) for part in epartitions(sub)}
+        for f in frames:
+            ok = validates_jankov(host, f)
+            assert ok == (canonical_code(f) not in images), (host.up, f.name)
+            refuted += not ok
+    assert refuted == 628  # of 11,745 pairs: both answers occur
 
 
 def test_validates_subframe_examples():

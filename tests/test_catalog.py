@@ -40,6 +40,7 @@ from ipckit.poset import (
 from _oracle_stack import (
     ladder_top_segment_by_restriction,
     ladder_trunc_by_covers,
+    ladder_upset_at_depth_24,
     stack_by_covers,
 )
 
@@ -127,7 +128,16 @@ def test_ladder_upsets():
     for k in range(2, 12):
         assert ladder_upset(k).n == k
     with pytest.raises(ParameterOutOfRange):
-        ladder_upset(40)
+        ladder_upset(-1)
+
+
+def test_ladder_upsets_match_the_depth_24_oracle():
+    for k in range(24):
+        new, old = ladder_upset(k), ladder_upset_at_depth_24(k)
+        assert (new.elements, new.up, new.name) == (old.elements, old.up, old.name), k
+    # no depth bounds k: L(k) is listed for every k
+    assert ladder_upset(30).n == 30
+    assert main(["catalog", "L(30)"]) == 0
 
 
 def test_ladder_cover_pattern():

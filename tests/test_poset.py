@@ -16,9 +16,9 @@ from ipckit.errors import BudgetExceeded, CycleDetected, DuplicateElement, Unkno
 from ipckit.poset import (
     EMPTY,
     Poset,
-    _automorphisms,
     _bits,
     _max_antichain,
+    _twin_keys,
     are_isomorphic,
     build_poset,
     canonical_code,
@@ -31,7 +31,12 @@ from ipckit.poset import (
     width,
 )
 import _oracle_poset as oracle
-from _oracle_poset import add_root, enumerate_rooted_by_code, max_antichain_brute
+from _oracle_poset import (
+    _automorphisms,
+    add_root,
+    enumerate_rooted_by_code,
+    max_antichain_brute,
+)
 from _oracle_upsets import upset_masks_dfs
 
 # the order data memoised on a Poset on first use
@@ -366,9 +371,10 @@ def test_canonical_code_matches_oracle_on_every_candidate():
 
 
 def test_enumeration_codes_one_candidate_per_orbit(monkeypatch):
-    # the candidates coded per size: 6,378 in all with no pruning, 4,870
-    # once each parent's downsets are pruned by its automorphisms, 3,437
-    # once the sibling rule also skips a class met at an earlier parent
+    # the candidates coded per size: 6,378 in all with no pruning, 3,636
+    # with each parent's downsets pruned by its twin swaps and the sibling
+    # rule skipping a class met at an earlier parent (3,437 when the
+    # pruning used every automorphism of the parent)
     for n in range(8):
         enumerate_posets(n)
     coded = []
@@ -383,13 +389,14 @@ def test_enumeration_codes_one_candidate_per_orbit(monkeypatch):
         coded.clear()
         assert poset_mod._level.__wrapped__(n)[0] == enumerate_posets(n)
         counts.append(len(coded))
-    assert counts == [1, 2, 5, 18, 78, 417, 2916]
+    assert counts == [1, 2, 5, 18, 81, 437, 3092]
 
 
 def test_sibling_skips_point_to_earlier_parents(monkeypatch):
-    # each candidate that neither the orbit rule nor the coding reached
-    # was skipped by the sibling rule; coded here, its class must have
-    # been first met at an earlier parent of the unpruned walk
+    # the least downset of each Aut(q)-orbit is the least of its twin
+    # orbit too, so the orbit rule keeps it; if it was not coded, the
+    # sibling rule skipped it, and, coded here, its class must have been
+    # first met at an earlier parent of the unpruned walk
     for n in range(8):
         enumerate_posets(n)
     coded = set()
@@ -454,6 +461,33 @@ def test_automorphisms_against_brute_force():
                 assert sorted(a) == list(range(n))
                 assert all(p.leq_idx(i, j) == p.leq_idx(a[i], a[j])
                            for i in range(n) for j in range(n))
+
+
+def test_twin_swaps_are_automorphisms_and_their_orbits_lie_in_aut_orbits():
+    # the twin orbit of a downset D, by its definition: the downsets that
+    # agree with D outside the twin classes of two or more points and
+    # meet each such class in as many points as D does
+    for n in range(7):
+        for q in enumerate_posets(n):
+            keys = _twin_keys(q, q.down_masks())
+            auts = _automorphisms(q)
+            classes = {}
+            for i, key in enumerate(keys):
+                classes[key] = classes.get(key, 0) | 1 << i
+            classes = [c for c in classes.values() if c & c - 1]
+            for u, v in itertools.combinations(range(n), 2):
+                if keys[u] == keys[v]:
+                    swap = list(range(n))
+                    swap[u], swap[v] = v, u
+                    assert tuple(swap) in auts
+            twins = sum(classes)
+            downs = [q.full_mask ^ u for u in upset_masks(q)]
+            for d in downs:
+                aut_orbit = {sum(1 << a[i] for i in _bits(d)) for a in auts}
+                twin_orbit = {e for e in downs if e & ~twins == d & ~twins
+                              and all((e & c).bit_count() == (d & c).bit_count()
+                                      for c in classes)}
+                assert d in twin_orbit <= aut_orbit
 
 
 def test_canonical_relabel_invariance():
