@@ -3,13 +3,15 @@
 Carriers are index ranges with a bitmask order relation; join, meet and
 the residual -> are tables.  Every upset_algebra call checks the
 residuation law a&b <= c iff a <= b->c against its tables, as stated: for
-each b and c, the a with a&b below c form the down-set of b->c.
+each b and c, the a with a&b below c form the down-set of b->c.  That set
+is gathered up the covers of the order, one linear extension per b, and
+each algebra transposes its order into down-sets once (``down``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import budget as _budget
 from .errors import BudgetExceeded
@@ -29,6 +31,11 @@ class HeytingAlgebra:
     @property
     def size(self):
         return len(self.leq)
+
+    @cached_property
+    def down(self):
+        """down[a] = bitmask of b with b <= a: leq transposed, once."""
+        return tuple(_transpose(self.leq, self.size))
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
@@ -59,8 +66,8 @@ def upset_algebra(p: Poset) -> HeytingAlgebra:
     for i, m in enumerate(masks):
         for x in _bits(m):
             leq[i] &= holding[x]
-    meet = tuple(tuple(pos[mi & mj] for mj in masks) for mi in masks)
-    join = tuple(tuple(pos[mi | mj] for mj in masks) for mi in masks)
+    meet = tuple(tuple([pos[mi & mj] for mj in masks]) for mi in masks)
+    join = tuple(tuple([pos[mi | mj] for mj in masks]) for mi in masks)
     full = p.full_mask
     down = p.down_masks()
     below = {}
@@ -87,34 +94,48 @@ def upset_algebra(p: Poset) -> HeytingAlgebra:
 
 def _check_residuation(a):
     """Raise ValueError unless x & b <= c iff x <= b -> c for all x, b, c,
-    reading only the leq, meet and imp tables.
+    reading only the leq, meet and imp tables and the down-sets of leq.
 
-    leq must be a partial order, and that is checked first.  Then the law
-    is checked as stated: for fixed b and c, the x with x & b <= c are
-    the x with x & b in down(c), and they must be exactly down(b -> c).
-    For each b, pre[y] is the mask of the x with x & b == y, so the first
-    set is the OR of pre[y] over y in down(c).
+    leq must be a partial order, and that is checked first; the same pass
+    finds the upper covers of each x: its strict up-set less the strict
+    up-sets of the points in it.  Then the law is checked as stated: for
+    fixed b and c, the x with x & b <= c are the x with x & b in down(c),
+    and they must be exactly down(b -> c).  Per b, acc[y] starts as the
+    mask of the x with x & b == y, and the first set is the OR of those
+    masks over down(c).  In a finite poset down(c) is {c} together with
+    down(y) for each lower cover y of c, since a chain of covers leads
+    from any y < c up to c.  So the elements are visited in a linear
+    extension, by decreasing |leq[x]| (x < y makes leq[y] a proper subset
+    of leq[x]), and each c, once reached, ORs its acc into each upper
+    cover: every lower cover of c comes before c, so by induction along
+    the extension acc[c] is then the OR over down(c).
     """
     k = a.size
     leq = a.leq
+    covers = []
     for x, ux in enumerate(leq):
-        # reflexive, and each y strictly above x has its up-set inside
-        # that of x (transitive) without x (antisymmetric)
+        # reflexive, and each y strictly above x has its strict up-set
+        # inside that of x (transitive) without x (antisymmetric)
         strict = ux & ~(1 << x)
-        if not ux >> x & 1 or any(leq[y] & ~strict for y in _bits(strict)):
+        above = 0
+        for y in _bits(strict):
+            above |= leq[y] & ~(1 << y)
+        if not ux >> x & 1 or above & ~strict:
             raise ValueError("order is not a partial order")
-    down = _transpose(leq, k)
-    below = [_bits(d) for d in down]
+        covers.append(_bits(strict & ~above))
+    order = sorted(range(k), key=lambda x: -leq[x].bit_count())
+    down = a.down
     for b in range(k):
-        pre = [0] * k
+        acc = [0] * k
         for x, row in enumerate(a.meet):
-            pre[row[b]] |= 1 << x
-        for c, r in enumerate(a.imp[b]):
-            mask = 0
-            for y in below[c]:
-                mask |= pre[y]
-            if mask != down[r]:
+            acc[row[b]] |= 1 << x
+        imp = a.imp[b]
+        for c in order:
+            mask = acc[c]
+            if mask != down[imp[c]]:
                 raise ValueError("residuation law fails")
+            for d in covers[c]:
+                acc[d] |= mask
 
 
 def dual_poset(a: HeytingAlgebra) -> Poset:
@@ -127,7 +148,7 @@ def dual_poset(a: HeytingAlgebra) -> Poset:
     order restricted to the join-primes.
     """
     k = a.size
-    down = _transpose(a.leq, k)
+    down = a.down
     primes = 0
     for x in range(k):
         if x == a.bottom:
@@ -137,7 +158,7 @@ def dual_poset(a: HeytingAlgebra) -> Poset:
             sup = a.join[sup][y]
         if sup != x:
             primes |= 1 << x
-    return Poset(tuple(f"f{x}" for x in range(k)), tuple(down)).restrict(primes)
+    return Poset(tuple(f"f{x}" for x in range(k)), down).restrict(primes)
 
 
 def count_quotients(a: HeytingAlgebra) -> int:
@@ -162,20 +183,29 @@ def count_subalgebras(a: HeytingAlgebra) -> int:
         raise BudgetExceeded(
             f"carrier {a.size} exceeds subalgebra cap {_budget.DEFAULT_SUBALG_CAP}")
 
-    def closure(mask):
-        while True:
-            new = mask
-            xs = _bits(mask)
-            for x in xs:
-                for y in xs:
-                    new |= 1 << a.meet[x][y]
-                    new |= 1 << a.join[x][y]
-                    new |= 1 << a.imp[x][y]
-            if new == mask:
-                return mask
-            mask = new
+    meet, join, imp = a.meet, a.join, a.imp
 
-    base = closure(1 << a.bottom | 1 << a.top)
+    def closure(mask, x):
+        """The least closed superset of mask | {x}, for a closed mask.
+        Each element taken from work is paired with every member present
+        then, itself included, both ways round (the tables need not be
+        commutative), so each pair of members not both in mask is met
+        when the later of the two is taken."""
+        mask |= 1 << x
+        work = [x]
+        while work:
+            x = work.pop()
+            mx, jx, ix = meet[x], join[x], imp[x]
+            new = 0
+            for y in _bits(mask):
+                new |= (1 << mx[y] | 1 << meet[y][x] | 1 << jx[y] | 1 << join[y][x]
+                        | 1 << ix[y] | 1 << imp[y][x])
+            new &= ~mask
+            mask |= new
+            work.extend(_bits(new))
+        return mask
+
+    base = closure(closure(0, a.bottom), a.top)
     found = {base}
     queue = [base]
     while queue:
@@ -183,7 +213,7 @@ def count_subalgebras(a: HeytingAlgebra) -> int:
         for x in range(a.size):
             if cur >> x & 1:
                 continue
-            nxt = closure(cur | 1 << x)
+            nxt = closure(cur, x)
             if nxt not in found:
                 found.add(nxt)
                 queue.append(nxt)

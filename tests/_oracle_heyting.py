@@ -8,6 +8,8 @@ for the dual constructions on posets in ipckit.
 - algebras_isomorphic against canonical_code through heyting.dual_poset;
 - check_residuation_pointwise against heyting._check_residuation (the law
   checked for every x, b and c, in O(k^3));
+- check_residuation_by_downsets against heyting._check_residuation (the
+  law as stated, each set an OR over the whole down-set of c);
 - check_residuation_galois against heyting._check_residuation (the law as
   a Galois connection, checked along the covers of the order);
 - is_valid_algebra against semantics.is_valid (a formula is valid on a
@@ -17,6 +19,9 @@ for the dual constructions on posets in ipckit.
   read off the definitions, the order by testing inclusion pair by pair.
 - dual_poset_by_filters against heyting.dual_poset: the prime filters
   ordered by inclusion, each up-set built pair by pair over the primes.
+- count_subalgebras_by_rounds against heyting.count_subalgebras: each
+  closure recomputes every product of every pair until a round adds
+  nothing.
 """
 
 from __future__ import annotations
@@ -41,6 +46,37 @@ def check_residuation_pointwise(a):
             for x in range(k):
                 if a.leq[a.meet[x][b]] >> c & 1:
                     mask |= 1 << x
+            if mask != down[r]:
+                raise ValueError("residuation law fails")
+
+
+def check_residuation_by_downsets(a):
+    """Raise ValueError unless x & b <= c iff x <= b -> c for all x, b, c,
+    reading only the leq, meet and imp tables: heyting._check_residuation
+    as it was before it pushed the sets up the covers of the order.
+
+    leq must be a partial order, and that is checked first.  Then the law
+    is checked as stated: for fixed b and c, the x with x & b <= c are
+    the x with x & b in down(c), and they must be exactly down(b -> c).
+    For each b, pre[y] is the mask of the x with x & b == y, so the first
+    set is the OR of pre[y] over y in down(c).
+    """
+    k = a.size
+    leq = a.leq
+    for x, ux in enumerate(leq):
+        strict = ux & ~(1 << x)
+        if not ux >> x & 1 or any(leq[y] & ~strict for y in _bits(strict)):
+            raise ValueError("order is not a partial order")
+    down = _transpose(leq, k)
+    below = [_bits(d) for d in down]
+    for b in range(k):
+        pre = [0] * k
+        for x, row in enumerate(a.meet):
+            pre[row[b]] |= 1 << x
+        for c, r in enumerate(a.imp[b]):
+            mask = 0
+            for y in below[c]:
+                mask |= pre[y]
             if mask != down[r]:
                 raise ValueError("residuation law fails")
 
@@ -85,6 +121,40 @@ def check_residuation_galois(a):
         for x in range(k):
             if not (leq[f[g[x]]] >> x & 1 and leq[x] >> g[f[x]] & 1):
                 raise ValueError("residuation law fails")
+
+
+def count_subalgebras_by_rounds(a):
+    """heyting.count_subalgebras before its closure went incremental: the
+    closed sets containing bottom and top, found by adding one element at
+    a time to a closed set, each closure taken in rounds over all ordered
+    pairs of members until a round adds nothing.  No cap."""
+
+    def closure(mask):
+        while True:
+            new = mask
+            xs = _bits(mask)
+            for x in xs:
+                for y in xs:
+                    new |= 1 << a.meet[x][y]
+                    new |= 1 << a.join[x][y]
+                    new |= 1 << a.imp[x][y]
+            if new == mask:
+                return mask
+            mask = new
+
+    base = closure(1 << a.bottom | 1 << a.top)
+    found = {base}
+    queue = [base]
+    while queue:
+        cur = queue.pop()
+        for x in range(a.size):
+            if cur >> x & 1:
+                continue
+            nxt = closure(cur | 1 << x)
+            if nxt not in found:
+                found.add(nxt)
+                queue.append(nxt)
+    return len(found)
 
 
 def _tables_from_order(leq, name=None):

@@ -82,8 +82,14 @@ MUTANTS = {
     ),
     "residuation-down-set-without-least": (
         "src/ipckit/heyting.py",
-        "    below = [_bits(d) for d in down]\n",
-        "    below = [_bits(d)[1:] for d in down]\n",
+        "        for c in order:\n",
+        "        for c in order[1:]:\n",
+        ["tests/test_heyting.py::test_residuation_check_agrees_with_pointwise_oracle"],
+    ),
+    "residuation-cover-push-dropped": (
+        "src/ipckit/heyting.py",
+        "            for d in covers[c]:\n",
+        "            for d in covers[c][1:]:\n",
         ["tests/test_heyting.py::test_residuation_check_agrees_with_pointwise_oracle"],
     ),
     "rn-words-one-short": (
@@ -137,9 +143,16 @@ MUTANTS = {
     ),
     "residuation-compared-with-down-c": (
         "src/ipckit/heyting.py",
-        "            if mask != down[r]:\n",
+        "            if mask != down[imp[c]]:\n",
         "            if mask != down[c]:\n",
         ["tests/test_heyting.py::test_residuation_check_agrees_with_pointwise_oracle"],
+    ),
+    # the chain-extended shape shrinks to a member, so it is an image
+    "rn-negative-chain-one-short": (
+        "src/ipckit/scenarios.py",
+        '                      ("c", chain(nmax + 1))])\n',
+        '                      ("c", chain(nmax))])\n',
+        ["tests/test_acceptance.py::test_criterion_10_rn_closure"],
     ),
     "failing-instance-poset-dropped": (
         "src/ipckit/scenarios.py",
@@ -149,8 +162,8 @@ MUTANTS = {
     ),
     "dual-restricted-to-every-point": (
         "src/ipckit/heyting.py",
-        "tuple(down)).restrict(primes)",
-        "tuple(down)).restrict((1 << k) - 1)",
+        "down).restrict(primes)",
+        "down).restrict((1 << k) - 1)",
         ["tests/test_heyting.py::test_dual_poset_matches_the_filter_oracle"],
     ),
     "epart-new-block-blind-to-itself": (
@@ -272,8 +285,8 @@ MUTANTS = {
     ),
     "subalgebra-closure-without-imp": (
         "src/ipckit/heyting.py",
-        "                    new |= 1 << a.imp[x][y]\n",
-        "",
+        "1 << join[y][x]\n                        | 1 << ix[y] | 1 << imp[y][x])\n",
+        "1 << join[y][x])\n",
         ["tests/test_acceptance.py::test_criterion_06_duality_counts"],
     ),
     "ym-two-legs": (

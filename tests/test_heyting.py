@@ -18,6 +18,7 @@ from ipckit.heyting import (
 from ipckit.morphisms import epartitions
 from ipckit.poset import (
     _bits,
+    _transpose,
     are_isomorphic,
     build_poset,
     enumerate_posets,
@@ -30,8 +31,10 @@ from _oracle_heyting import (
     algebra_sum,
     algebras_isomorphic,
     boolean_two,
+    check_residuation_by_downsets,
     check_residuation_galois,
     check_residuation_pointwise,
+    count_subalgebras_by_rounds,
     dual_poset_by_filters,
     is_si,
     upset_algebra_by_definition,
@@ -80,29 +83,38 @@ def _rejects(check, alg):
     return False
 
 
+def _corruptions(alg, tables, rng, count=20):
+    """count copies of alg, each with one random entry of one of the
+    named tables set to a random element."""
+    k = alg.size
+    for _ in range(count):
+        table = rng.choice(tables)
+        rows = [list(r) for r in getattr(alg, table)]
+        rows[rng.randrange(k)][rng.randrange(k)] = rng.randrange(k)
+        yield dataclasses.replace(alg, **{table: tuple(map(tuple, rows))})
+
+
 def test_residuation_check_agrees_with_pointwise_oracle():
-    # every upset algebra of at most 6 points passes all three checks; then
-    # each single-entry corruption of imp or meet, 20 per poset of at most
-    # 4 points, is rejected by all three or by none
+    # every upset algebra of at most 6 points passes all four checks, and
+    # its down-set table is its order transposed; then each single-entry
+    # corruption of imp or meet, 20 per poset of at most 4 points, is
+    # rejected by all four or by none
     for n in range(7):
         for p in enumerate_posets(n):
             alg = upset_algebra(p)
+            assert alg.down == tuple(_transpose(alg.leq, alg.size))
             _check_residuation(alg)
             check_residuation_pointwise(alg)
+            check_residuation_by_downsets(alg)
             check_residuation_galois(alg)
     rng = random.Random(0x6A1015)
     rejected = 0
     for n in range(5):
         for p in enumerate_posets(n):
-            alg = upset_algebra(p)
-            k = alg.size
-            for _ in range(20):
-                table = rng.choice(["imp", "meet"])
-                rows = [list(r) for r in getattr(alg, table)]
-                rows[rng.randrange(k)][rng.randrange(k)] = rng.randrange(k)
-                bad = dataclasses.replace(alg, **{table: tuple(map(tuple, rows))})
+            for bad in _corruptions(upset_algebra(p), ["imp", "meet"], rng):
                 verdict = _rejects(_check_residuation, bad)
                 assert verdict == _rejects(check_residuation_pointwise, bad)
+                assert verdict == _rejects(check_residuation_by_downsets, bad)
                 assert verdict == _rejects(check_residuation_galois, bad)
                 rejected += verdict
     assert 0 < rejected < 25 * 20
@@ -176,6 +188,24 @@ def test_count_subalgebras_examples():
     assert count_subalgebras(upset_algebra(CH2)) == 2
     assert count_subalgebras(upset_algebra(TWO)) == 2
     assert count_subalgebras(boolean_two()) == 1
+
+
+def test_count_subalgebras_matches_the_rounds_oracle():
+    # both closures give the least closed superset for any tables, so the
+    # counts agree on every upset algebra of at most 4 points, on B2, and
+    # on 20 single-entry corruptions of meet, join or imp of each
+    rng = random.Random(0x5AB)
+    algebras = [upset_algebra(p) for n in range(5) for p in enumerate_posets(n)]
+    algebras.append(boolean_two())
+    moved = 0
+    for alg in algebras:
+        count = count_subalgebras(alg)
+        assert count == count_subalgebras_by_rounds(alg)
+        for bad in _corruptions(alg, ["meet", "join", "imp"], rng):
+            bad_count = count_subalgebras(bad)
+            assert bad_count == count_subalgebras_by_rounds(bad)
+            moved += bad_count != count
+    assert moved
 
 
 def test_count_subalgebras_budget():
