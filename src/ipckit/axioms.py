@@ -62,8 +62,7 @@ def jankov_syntactic(x: Poset) -> Formula:
     down = x.down_masks()
 
     def q(mask):
-        outside = [Var(w) for w in range(n) if not mask >> w & 1]
-        return conj(outside) if outside else None  # None encodes "top"
+        return conj(Var(w) for w in range(n) if not mask >> w & 1)
 
     axioms = []
     # the empty image is impossible
@@ -82,7 +81,7 @@ def jankov_syntactic(x: Poset) -> Formula:
         if v == r:
             continue
         upv = x.up[v]
-        body = Imp(q(upv), q(upv & ~(1 << v)) if upv != 1 << v else q(0))
+        body = Imp(q(upv), q(upv & ~(1 << v)))
         axioms.append(Imp(body, conj(Var(w) for w in _bits(down[v]))))
     return Imp(conj(axioms), Var(r))
 

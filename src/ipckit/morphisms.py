@@ -279,6 +279,10 @@ def epartitions(p: Poset, cap: int | None = None):
       final when x is placed.
     - Condition (a) says exactly that all points of a block have the same
       such set, and the walk checks it for each point as it is placed.
+    - So s is the OR of sees[block[c]] over the upper covers c of x:
+      strict_up(x) is the union of up(c) over those covers (as in
+      _search), and sees[block[c]] is the set of blocks meeting up(c),
+      since (a) was checked when c was placed.
     - Antisymmetry of the block order follows, so it needs no check.
       Let blocks b != c see each other, and let m be a maximal point of
       b + c, say in b.  All points of b see c, so some point of c lies in
@@ -290,7 +294,7 @@ def epartitions(p: Poset, cap: int | None = None):
         raise BudgetExceeded(f"{p.n} elements exceeds E-partition cap {cap}")
     n = p.n
     order = p.topdown
-    above = [_bits(p.strict_up(x)) for x in order]
+    covers = p.upper_covers
     block = [0] * n  # block of each placed point
     sees = []  # per block: the blocks meeting up(y) for its points y
     members = []  # per block: the mask of its points
@@ -300,10 +304,10 @@ def epartitions(p: Poset, cap: int | None = None):
         if k == n:
             leaves.append(tuple(sorted(members, key=lambda m: m & -m)))
             return
-        s = 0
-        for j in above[k]:
-            s |= 1 << block[j]
         x = order[k]
+        s = 0
+        for c in covers[x]:
+            s |= sees[block[c]]
         for b in range(len(sees)):
             if s | 1 << b == sees[b]:
                 block[x] = b

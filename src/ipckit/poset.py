@@ -323,11 +323,7 @@ def _max_antichain(p, mask):
 
 def width(p):
     """Width per principal upsets; the empty poset has width 0."""
-    if p.n == 0:
-        return 0
-    if p.root_index is not None:
-        return p.full_width
-    return max(p.upset_widths)
+    return max(p.upset_widths, default=0)
 
 
 # canonical form ---------------------------------------------------------
@@ -601,7 +597,7 @@ def enumerate_rooted(size, max_width=None, cap=None):
     cap = _budget.DEFAULT_ENUM_CAP if cap is None else cap
     if size < 1:
         raise ValueError("size must be >= 1")
-    if cap is not None and size > cap:
+    if size > cap:
         raise BudgetExceeded(f"size {size} exceeds enumeration cap {cap}")
     if max_width is not None and max_width >= size:
         max_width = None

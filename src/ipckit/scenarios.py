@@ -46,18 +46,9 @@ from .report import Counterexample, VerificationReport
 from .semantics import is_valid, is_valid_modal
 
 
-def _rooted_upto(size, max_width=None):
-    out = []
-    for n in range(1, size + 1):
-        out.extend(enumerate_rooted(n, max_width=max_width))
-    return out
-
-
-def _posets_upto(size, include_empty=False):
-    out = []
-    for n in range(0 if include_empty else 1, size + 1):
-        out.extend(enumerate_posets(n))
-    return out
+def _upto(enum, size, first=1, **kw):
+    """The posets enum(n, **kw) lists for n from first to size, in turn."""
+    return [p for n in range(first, size + 1) for p in enum(n, **kw)]
 
 
 # -- fixed formula suite for the translation scenario -----------------------
@@ -103,20 +94,18 @@ def _words_upto(weight):
 
 def rn_members(size, nmax):
     """All closure-family members of at most the given size with chain
-    parameter at most nmax, deduplicated; returns (poset, param) pairs in
-    canonical-code order.
+    parameter at most nmax, deduplicated: the first member built for each
+    canonical code, in canonical-code order.
 
     The single point is included as the degenerate member: it is the
     image of any principal upset, while the sum shapes all have two or
     more points."""
     found = {}
 
-    def add(member, param):
-        code = canonical_code(member)
-        if code not in found or found[code][1] > param:
-            found[code] = (member, param)
+    def add(member):
+        found.setdefault(canonical_code(member), member)
 
-    add(one_point(), 0)
+    add(one_point())
     # the top point and the tail take a point each.  A member only grows
     # with k, since |L(k)| runs 1, 1, 2, 3, ..., and with m, so each loop
     # stops at the first member that does not fit
@@ -125,18 +114,18 @@ def rn_members(size, nmax):
             member = rn_member(word, k=k)
             if member.n > size:
                 break
-            add(member, 0)
+            add(member)
         for m in range(nmax + 1):
             member = rn_member(word, m=m)
             if member.n > size:
                 break
-            add(member, m)
+            add(member)
     # degenerate top: collapsing the whole upper segment of a chain-type
     # member onto its maximum lands on these, so they belong to the family
     for m in range(0, nmax + 1):
         if 1 + 4 + m <= size:
             add(stack([("h", one_point()), ("f", ladder_upset(4)),
-                       ("c", chain(m))]), m)
+                       ("c", chain(m))]))
     return [found[c] for c in sorted(found)]
 
 
@@ -147,7 +136,7 @@ def rn_members(size, nmax):
 
 
 def _sobolev_width(params):
-    posets = _rooted_upto(params["size"])
+    posets = _upto(enumerate_rooted, params["size"])
     axioms = [(n, bw(n)) for n in params["ns"]]
 
     def check(p, meter):
@@ -164,7 +153,7 @@ def _sobolev_width(params):
 def _bw_subframe_triangle(params):
     if any(n < 1 for n in params["ns"]):
         raise ParameterOutOfRange("bw-subframe-triangle is stated for n >= 1")
-    posets = _rooted_upto(params["size"])
+    posets = _upto(enumerate_rooted, params["size"])
     axioms = [(n, bw(n), fan(n + 1)) for n in params["ns"]]
 
     def check(p, meter):
@@ -179,7 +168,7 @@ def _bw_subframe_triangle(params):
 
 
 def _kracht_bw2(params):
-    posets = _rooted_upto(params["size"])
+    posets = _upto(enumerate_rooted, params["size"])
     frames = [catalog_get(f"BW2({i})") for i in range(1, 12)]
 
     def check(p, meter):
@@ -192,41 +181,35 @@ def _kracht_bw2(params):
     return posets, check
 
 
-def _appendix_k(params):
-    posets = _rooted_upto(params["size"], max_width=2)
-    p2 = catalog_get("P2")
-    frames = [catalog_get(f"K({i})") for i in range(1, 8)]
+def _appendix(beta, family, count, among=None):
+    """The body of an appendix theorem: on the rooted posets of width at
+    most 2, those validating the subframe formula of among when it is
+    given, the subframe formula of beta holds exactly when the splitting
+    formulas of family(1..count) all hold."""
 
-    def check(p, meter):
-        lhs = validates_subframe(p, p2, meter=meter)
-        rhs = all(validates_jankov(p, fr, meter=meter) for fr in frames)
-        if lhs != rhs:
-            return p, f"beta(P2)={lhs} but K-splittings={rhs}"
-        return p, None
+    def body(params):
+        posets = _upto(enumerate_rooted, params["size"], max_width=2)
+        if among is not None:
+            kept = catalog_get(among)
+            posets = [p for p in posets if validates_subframe(p, kept)]
+        target = catalog_get(beta)
+        frames = [catalog_get(f"{family}({i})") for i in range(1, count + 1)]
 
-    return posets, check
+        def check(p, meter):
+            lhs = validates_subframe(p, target, meter=meter)
+            rhs = all(validates_jankov(p, fr, meter=meter) for fr in frames)
+            if lhs != rhs:
+                return p, f"beta({beta})={lhs} but {family}-splittings={rhs}"
+            return p, None
 
+        return posets, check
 
-def _appendix_g(params):
-    p2 = catalog_get("P2")
-    p3 = catalog_get("P3")
-    frames = [catalog_get(f"G({i})") for i in range(1, 7)]
-    posets = [p for p in _rooted_upto(params["size"], max_width=2)
-              if validates_subframe(p, p2)]
-
-    def check(p, meter):
-        lhs = validates_subframe(p, p3, meter=meter)
-        rhs = all(validates_jankov(p, fr, meter=meter) for fr in frames)
-        if lhs != rhs:
-            return p, f"beta(P3)={lhs} but G-splittings={rhs}"
-        return p, None
-
-    return posets, check
+    return body
 
 
 def _duality_counts(params):
-    small = _posets_upto(params["size"], include_empty=True)
-    mid = _posets_upto(params["dual_size"], include_empty=True)
+    small = _upto(enumerate_posets, params["size"], first=0)
+    mid = _upto(enumerate_posets, params["dual_size"], first=0)
     instances = [("counts", p) for p in small] + [("dual", p) for p in mid]
 
     def check(inst, meter):
@@ -247,7 +230,7 @@ def _duality_counts(params):
 
 
 def _godel_transfer(params):
-    posets = _posets_upto(params["size"])
+    posets = _upto(enumerate_posets, params["size"])
     suite = [(f, godel_translate(f)) for f in godel_suite(params["formulas"])]
     grz = grz_axiom()
 
@@ -265,8 +248,8 @@ def _godel_transfer(params):
 
 
 def _jankov_oracle(params):
-    targets = _rooted_upto(params["target_size"])
-    hosts = _posets_upto(params["host_size"])
+    targets = _upto(enumerate_rooted, params["target_size"])
+    hosts = _upto(enumerate_posets, params["host_size"])
     instances = [(h, t) for h in hosts for t in targets]
 
     def check(inst, meter):
@@ -350,11 +333,11 @@ def _rn_closure(params):
     nmax = params["n"]
     size = params["size"]
     members = rn_members(size, nmax)
-    member_codes = {canonical_code(p) for p, _ in members}
+    member_codes = {canonical_code(p) for p in members}
     negative = stack([("h", one_point()), ("f", ladder_upset(4)),
                       ("c", chain(nmax + 1))])
-    instances = [("closure", p) for p, _ in members]
-    instances += [("negative", p) for p, _ in members]
+    instances = [("closure", p) for p in members]
+    instances += [("negative", p) for p in members]
 
     def check(inst, meter):
         kind, member = inst
@@ -368,7 +351,7 @@ def _rn_closure(params):
 
 
 def _kg_structure(params):
-    posets = _rooted_upto(params["size"])
+    posets = _upto(enumerate_rooted, params["size"])
     axioms = [catalog_get(f"P({i})") for i in (1, 2, 3)]
 
     def check(p, meter):
@@ -425,8 +408,8 @@ _SCENARIOS = {
     "sobolev-width": ({"size": 6, "ns": (1, 2, 3)}, _sobolev_width),
     "bw-subframe-triangle": ({"size": 6, "ns": (1, 2)}, _bw_subframe_triangle),
     "kracht-bw2": ({"size": 7}, _kracht_bw2),
-    "appendix-K": ({"size": 8}, _appendix_k),
-    "appendix-G": ({"size": 8}, _appendix_g),
+    "appendix-K": ({"size": 8}, _appendix("P2", "K", 7)),
+    "appendix-G": ({"size": 8}, _appendix("P3", "G", 6, among="P2")),
     "duality-counts": ({"size": 4, "dual_size": 6}, _duality_counts),
     "godel-transfer": ({"size": 5, "formulas": 200}, _godel_transfer),
     "jankov-oracle": ({"target_size": 4, "host_size": 5}, _jankov_oracle),
@@ -516,7 +499,7 @@ def run_scenario(name, params=None, budget=None, jobs=1,
             with multiprocessing.get_context("fork").Pool(jobs) as pool:
                 results = pool.imap(
                     _worker_run, [(i, budget) for i in range(len(instances))],
-                    chunksize=max(1, len(instances) // (jobs * 4) or 1))
+                    chunksize=max(1, len(instances) // (jobs * 4)))
                 _aggregate(report, results, budget, max_counterexamples)
         finally:
             _WORKER.clear()

@@ -2,15 +2,16 @@
 
 Intuitionistic truth sets are upsets and evaluation is the standard
 recursion; a poset read as a reflexive-transitive frame interprets box
-as truth everywhere above.  Validity scans every valuation (upsets per
-variable in the intuitionistic case, arbitrary subsets in the modal
-case) with a work meter charged one unit per valuation row.
+as truth everywhere above and implication as material.  Validity scans
+every valuation (upsets per variable in the intuitionistic case,
+arbitrary subsets in the modal case) with a work meter charged one unit
+per valuation row.
 
 A scan reuses what does not depend on the valuation rows: each formula is
 compiled once into a ScanPlan, in a bounded cache keyed by the formula, and
 each domain's window patterns once, in a bounded cache keyed by the
-domain.  The order data a scan reads, its top-down order, covers and
-upsets, are the poset's own memos.
+domain and the window.  The order data a scan reads, its top-down order,
+covers and upsets, are the poset's own memos.
 
 A plan is the formula's own DAG: its distinct subformulas, interned, each
 with its variables renamed to their slots, so a node is one object across
@@ -110,15 +111,16 @@ def _upset_domain(p, limit):
     return tuple(islice(iter_upset_masks(p), max(limit, 0) + 1))
 
 
-def _evaluate(nodes, slots, p, ones, memo):
+def _evaluate(nodes, slots, p, ones, memo, modal):
     """Bit-sliced truth of a plan's nodes at every point.
 
     slots[s][x] is the truth of slot s at point x over a window of
     valuation rows, one bit per row, and ones has every row's bit set.
     Returns the last node's truth at each point in the same form.  The
-    ``->`` and ``[]`` cases hold at x in the rows where a local test holds
-    everywhere in up(x): the local misses are ORed down the covers of p
-    in one top-down pass.
+    ``[]`` case, and the ``->`` case of an intuitionistic scan, hold at x
+    in the rows where a local test holds everywhere in up(x): the local
+    misses are ORed down the covers of p in one top-down pass.  In a
+    modal scan (modal set) ``->`` is material, read point by point.
 
     memo maps nodes to values already computed over these same slots and
     this same order; the nodes computed here are added to it, and a node
@@ -137,6 +139,8 @@ def _evaluate(nodes, slots, p, ones, memo):
             v = [u & w for u, w in zip(memo[node.left], memo[node.right])]
         elif kind is Or:
             v = [u | w for u, w in zip(memo[node.left], memo[node.right])]
+        elif kind is Imp and modal:
+            v = [ones ^ (u & ~w) for u, w in zip(memo[node.left], memo[node.right])]
         else:
             if kind is Imp:
                 miss = [u & ~w for u, w in zip(memo[node.left], memo[node.right])]
@@ -164,16 +168,17 @@ def _held(n, values, block):
 
 
 @lru_cache(maxsize=512)
-def _fast_patterns(n, domain, k):
-    """Bit-sliced values of the last k slots over one block of m**k rows
-    (last slot fastest), for each of the k slots and each point.  Built
-    once per domain (a tuple or range) and k (cache bound: 512 entries)."""
+def _fast_patterns(n, domain, k, rows):
+    """Bit-sliced values of the last k slots over a window of rows rows, a
+    whole number of blocks of m**k rows (last slot fastest), for each of
+    the k slots and each point.  Built once per domain (a tuple or range),
+    k and rows (cache bound: 512 entries)."""
     m = len(domain)
-    ones = (1 << m ** k) - 1
+    ones = (1 << rows) - 1
     pats = []
     for i in range(k):
         stride = m ** (k - 1 - i)  # rows one domain value is held for
-        # the run of m*stride rows repeats over the block
+        # the run of m*stride rows repeats over the window
         repeat = ones // ((1 << (m * stride)) - 1)
         pats.append(tuple(v * repeat for v in _held(n, domain, stride)))
     return tuple(pats)
@@ -195,21 +200,18 @@ def _windows(n, domain, nvars):
     while k < nvars and m ** (k + 1) <= WINDOW:
         k += 1
     block = m ** k
+    c = WINDOW // block if k < nvars else 1  # chunked-slot values per window
     # k = 0 needs no patterns, and skipping it keeps a domain of more than
     # WINDOW values out of the cache
-    fast = _fast_patterns(n, domain, k) if k else ()
+    fast = _fast_patterns(n, domain, k, c * block) if k else ()
     if k == nvars:  # one window holds every row
         yield fast, block, k > 0
         return
-    c = WINDOW // block  # values of the chunked slot per window
-    ones = (1 << c * block) - 1
-    repeat = ones // ((1 << block) - 1)
-    fast = [[v * repeat for v in pat] for pat in fast]
     for slow in product(domain, repeat=nvars - k - 1):
         fixed = [_held(n, (v,), c * block) for v in slow]
         for a in range(0, m, c):
             values = domain[a:a + c]
-            yield fixed + [_held(n, values, block)] + fast, len(values) * block, False
+            yield [*fixed, _held(n, values, block), *fast], len(values) * block, False
 
 
 # most node values the memo holds, checked before each scan
@@ -224,11 +226,10 @@ class _NodeValues:
     A node's value depends on its structure, the order and the window's
     slots.  One table serves each pattern tuple (see _windows), which
     fixes the domain's contents and order, nvars and the window; the memo
-    keeps each pattern alive, so its id names it.  A scan on another order
-    drops every table, as does one that finds more than MEMO_BOUND values
-    held.  The intuitionistic domain is a tuple of upsets and the modal
-    one a range of subsets, never equal, so the two kinds of scan never
-    share a value.
+    keeps each pattern alive, so its id names it.  ``->`` reads
+    differently in the two modes, and one domain may be scanned in both,
+    so a table also serves one mode only.  A scan on another order drops
+    every table, as does one that finds more than MEMO_BOUND values held.
     """
 
     def __init__(self):
@@ -236,24 +237,24 @@ class _NodeValues:
 
     def clear(self):
         self.up = None
-        self.tables = {}  # id(pattern) -> (pattern, {node: values})
+        self.tables = {}  # (id(pattern), modal) -> (pattern, {node: values})
 
-    def table(self, up, pattern):
-        """The node values held for the order up and this pattern."""
+    def table(self, up, pattern, modal):
+        """The node values held for the order up, this pattern and mode."""
         if up != self.up or sum(len(t) for _, t in self.tables.values()) > MEMO_BOUND:
             self.up, self.tables = up, {}
-        entry = self.tables.get(id(pattern))
+        entry = self.tables.get((id(pattern), modal))
         if entry is None:
-            entry = self.tables[id(pattern)] = (pattern, {})
+            entry = self.tables[id(pattern), modal] = (pattern, {})
         return entry[1]
 
 
 _memo = _NodeValues()
 
 
-def scan_validity(p, plan, domain, limit):
+def scan_validity(p, plan, domain, limit, modal=False):
     """Check a ScanPlan under every assignment of domain values to its
-    slots.
+    slots, reading ``->`` materially when modal is set.
 
     Rows are ordered with slot 0 slowest; one work unit is one row, and a
     refuted scan counts every row up to and including the first refuting
@@ -280,9 +281,9 @@ def scan_validity(p, plan, domain, limit):
         cut = ones
         if limit is not None and start + rows > limit:
             cut = (1 << (limit - start)) - 1  # rows inside the budget
-        memo = _memo.table(p.up, slots) if shared else {}
+        memo = _memo.table(p.up, slots, modal) if shared else {}
         holds = ones
-        for t in _evaluate(plan.nodes, slots, p, ones, memo):
+        for t in _evaluate(plan.nodes, slots, p, ones, memo, modal):
             holds &= t
         fail = (ones ^ holds) & cut
         if fail:
@@ -293,8 +294,8 @@ def scan_validity(p, plan, domain, limit):
     return ("valid", start)
 
 
-def _scan(p, plan, domain, limit, meter):
-    status, work = scan_validity(p, plan, domain, limit)
+def _scan(p, plan, domain, limit, meter, modal):
+    status, work = scan_validity(p, plan, domain, limit, modal)
     if meter is not None:
         meter.spent += work
     if status == "budget":
@@ -311,15 +312,15 @@ def is_valid(p: Poset, f: Formula, meter: WorkMeter | None = None) -> bool:
     if p.n == 0:
         return True
     limit = None if meter is None else meter.remaining()
-    return _scan(p, plan, _upset_domain(p, limit), limit, meter)
+    return _scan(p, plan, _upset_domain(p, limit), limit, meter, False)
 
 
 def is_valid_modal(p: Poset, f: Formula, meter: WorkMeter | None = None) -> bool:
     """Validity over the poset read as a reflexive-transitive frame;
-    valuations range over arbitrary subsets."""
+    valuations range over arbitrary subsets, and ``->`` is material."""
     if p.n == 0:
         return True
     if p.n > 22:
         raise BudgetExceeded(f"2^{p.n} modal valuations per variable")
     limit = None if meter is None else meter.remaining()
-    return _scan(p, scan_plan(f), range(1 << p.n), limit, meter)
+    return _scan(p, scan_plan(f), range(1 << p.n), limit, meter, True)

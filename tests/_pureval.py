@@ -3,7 +3,8 @@ scanner in ipckit.semantics.
 
 It evaluates one valuation row at a time, in the same order (last
 variable slot fastest) and with the same work accounting (one unit per
-valuation row).  Truth sets are bitmasks over the poset's points.
+valuation row); implication is intuitionistic, or material when modal is
+set.  Truth sets are bitmasks over the poset's points.
 Formulas are compiled to postfix opcodes here, independently of the
 scanner, which walks the interned formula itself.  _dag is the scanner's
 former plan builder, which rebuilt the formula's nodes from the opcodes:
@@ -72,7 +73,7 @@ def _dag(ops, args):
     return tuple(nodes)
 
 
-def eval_program(n, up, ops, args, vals):
+def eval_program(n, up, ops, args, vals, modal=False):
     """Truth-set bitmask of the compiled formula under one valuation."""
     stack = []
     push = stack.append
@@ -94,7 +95,7 @@ def eval_program(n, up, ops, args, vals):
             miss = a & ~b
             res = 0
             for x in range(n):
-                if up[x] & miss == 0:
+                if (miss >> x & 1 if modal else up[x] & miss) == 0:
                     res |= 1 << x
             push(res)
         else:  # OP_BOX
@@ -108,7 +109,7 @@ def eval_program(n, up, ops, args, vals):
     return stack[-1]
 
 
-def scan_validity(n, up, full, ops, args, nvars, domain, limit):
+def scan_validity(n, up, full, ops, args, nvars, domain, limit, modal=False):
     """Check the formula under every assignment of domain values to slots.
 
     Returns (status, witness, work) with status one of "valid", "refuted",
@@ -120,7 +121,7 @@ def scan_validity(n, up, full, ops, args, nvars, domain, limit):
         work = 1
         if limit is not None and work > limit:
             return ("budget", None, 0)
-        ok = eval_program(n, up, ops, args, ()) == full
+        ok = eval_program(n, up, ops, args, (), modal) == full
         return ("valid" if ok else "refuted", None if ok else (), work)
     if m == 0:
         return ("valid", None, 0)
@@ -131,7 +132,7 @@ def scan_validity(n, up, full, ops, args, nvars, domain, limit):
         work += 1
         if limit is not None and work > limit:
             return ("budget", None, work - 1)
-        if eval_program(n, up, ops, args, vals) != full:
+        if eval_program(n, up, ops, args, vals, modal) != full:
             return ("refuted", tuple(idx), work)
         v = nvars - 1
         while v >= 0:

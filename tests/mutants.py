@@ -178,6 +178,12 @@ MUTANTS = {
         "",
         ["tests/test_epartitions.py::test_epartitions_match_oracle_on_small_posets"],
     ),
+    "epartition-cover-block-only": (
+        "src/ipckit/morphisms.py",
+        "            s |= sees[block[c]]\n",
+        "            s |= 1 << block[c]\n",
+        ["tests/test_epartitions.py::test_epartitions_match_oracle_on_small_posets"],
+    ),
     "epart-blocks-by-mask-value": (
         "src/ipckit/morphisms.py",
         "sorted(members, key=lambda m: m & -m)",
@@ -195,6 +201,19 @@ MUTANTS = {
         "_held(n, (v,), c * block)",
         "_held(n, (v,), block)",
         ["tests/test_kernel.py::test_domains_wider_than_a_window"],
+    ),
+    "fast-patterns-one-block": (
+        "src/ipckit/semantics.py",
+        "    m = len(domain)\n    ones = (1 << rows) - 1\n",
+        "    m = len(domain)\n    ones = (1 << m ** k) - 1\n",
+        ["tests/test_kernel.py::test_budgets_at_window_edges",
+         "tests/test_kernel.py::test_windows_match_the_replicated_pattern_oracle"],
+    ),
+    "node-values-shared-across-modes": (
+        "src/ipckit/semantics.py",
+        "self.tables.get((id(pattern), modal))",
+        "self.tables.get((id(pattern), False))",
+        ["tests/test_semantics.py::test_memo_keeps_the_modes_apart"],
     ),
     "evaluate-box-miss-zeroed": (
         "src/ipckit/semantics.py",
@@ -294,6 +313,28 @@ MUTANTS = {
         '    for leg in ("e", "f", "g"):\n',
         '    for leg in ("e", "f"):\n',
         ["tests/test_acceptance.py::test_criterion_09_ym_rigidity"],
+    ),
+    # the modal side reads -> materially, so an unboxed implication is
+    # no longer the strict one and the transfer fails
+    "godel-implication-unboxed": (
+        "src/ipckit/formulas.py",
+        "        return Box(Imp(godel_translate(f.left), godel_translate(f.right)))\n",
+        "        return Imp(godel_translate(f.left), godel_translate(f.right))\n",
+        ["tests/test_acceptance.py::test_criterion_07_godel_transfer"],
+    ),
+    "bw-one-disjunct-short": (
+        "src/ipckit/formulas.py",
+        "disj(Var(j) for j in range(n + 1) if j != i)",
+        "disj(Var(j) for j in range(n) if j != i)",
+        ["tests/test_acceptance.py::test_criterion_01_sobolev_width",
+         "tests/test_acceptance.py::test_criterion_02_bw_subframe_triangle"],
+    ),
+    # without its beta(P2) filter appendix-G checks 344 instances, not 208
+    "appendix-among-dropped": (
+        "src/ipckit/scenarios.py",
+        '_appendix("P3", "G", 6, among="P2")',
+        '_appendix("P3", "G", 6)',
+        ["tests/test_acceptance.py::test_criterion_05_appendix_g"],
     ),
     # valid on every reflexive frame, like grz itself, so criterion 7
     # cannot tell them apart; only the shape test sees it

@@ -25,7 +25,7 @@ from ipckit.io import (
     poset_to_dot,
     poset_to_obj,
 )
-from ipckit.poset import are_isomorphic, build_poset, canonical_code, width
+from ipckit.poset import are_isomorphic, build_poset, canonical_code, enumerate_rooted, width
 from ipckit.report import render_report
 from ipckit.scenarios import run_scenario, scenario_params
 from ipckit.semantics import is_valid
@@ -128,6 +128,9 @@ def test_cli_check(tmp_path, capsys):
     assert main(["check", str(path), "p0 | ~p0"]) == 1
     assert main(["check", str(path), "p0 -> p0"]) == 0
     assert main(["modal-check", str(path), "[]p0 -> p0"]) == 0
+    # -> is material in a modal check
+    assert main(["modal-check", str(path), "p0 | ~p0"]) == 0
+    assert main(["modal-check", str(path), "p0 -> []p0"]) == 1
     capsys.readouterr()
 
 
@@ -237,13 +240,13 @@ def _wide_fails(params):
     def check(p, meter):
         return p, None if is_valid(p, bw(1), meter=meter) else f"width={width(p)}"
 
-    return scenarios._rooted_upto(params["size"]), check
+    return scenarios._upto(enumerate_rooted, params["size"]), check
 
 
 def test_run_scenario_reports_failing_instances(monkeypatch):
     # forked pool workers see the patched table too
     monkeypatch.setitem(scenarios._SCENARIOS, "wide-fails", ({"size": 5}, _wide_fails))
-    posets = scenarios._rooted_upto(5)
+    posets = scenarios._upto(enumerate_rooted, 5)
     wide = [p for p in posets if width(p) >= 2]
     assert len(wide) > 3
     blobs = []
@@ -272,7 +275,7 @@ def test_scenario_body_runs_once_across_the_pool(monkeypatch, tmp_path):
 
     monkeypatch.setitem(scenarios._SCENARIOS, "logged", ({"size": 5}, logged))
     report = run_scenario("logged", jobs=2)
-    assert report.instances_checked == len(scenarios._rooted_upto(5))
+    assert report.instances_checked == len(scenarios._upto(enumerate_rooted, 5))
     assert log.read_text() == f"{os.getpid()}\n"
     assert scenarios._WORKER == {}
 

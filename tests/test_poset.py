@@ -223,6 +223,15 @@ def test_width_memos_against_direct_definitions():
                 sorted(range(n), key=lambda i: (-bin(p.up[i]).count("1"), i)))
 
 
+def test_width_of_a_rooted_poset_is_its_full_width():
+    # width reads the upset widths alone: up(root) is the whole order, so
+    # the root's entry is the full width
+    assert width(build_poset([], [])) == 0
+    for n in range(1, 8):
+        for p in enumerate_rooted(n):
+            assert width(p) == p.full_width
+
+
 def test_pickles_carry_no_memo():
     p = build_poset(["a", "b", "c"], [("a", "b"), ("a", "c")], name="v")
     p.heights(), p.height, p.topdown, p.upper_covers, p.comparable

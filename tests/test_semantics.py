@@ -42,7 +42,7 @@ def truth_set(p, valuation, f):
     single valuation row."""
     plan = scan_plan(f)
     slots = [_held(p.n, (valuation[v],), 1) for v in plan.vars]
-    truth = _evaluate(plan.nodes, slots, p, 1, {})
+    truth = _evaluate(plan.nodes, slots, p, 1, {}, False)
     return sum(t << x for x, t in enumerate(truth))
 
 
@@ -68,6 +68,18 @@ def test_modal_examples():
     for n in range(1, 6):
         for p in enumerate_posets(n):
             assert is_valid_modal(p, grz_axiom())
+
+
+def test_classical_tautologies_are_modally_valid():
+    # a modal scan reads -> materially, so these hold on every frame, though
+    # the 2-chain refutes the first three intuitionistically
+    fs = [parse("p0 | ~p0"), parse("~~p0 -> p0"), parse("((p0 -> p1) -> p0) -> p0"),
+          parse("(p0 -> p1) | (p1 -> p0)")]
+    assert not any(is_valid(CH2, f) for f in fs[:3])
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            for f in fs:
+                assert is_valid_modal(p, f), (p.up, f)
 
 
 def test_algebra_validity_examples():
@@ -396,6 +408,16 @@ def test_memo_holds_one_order_only():
         assert semantics._memo.up == p.up
         for _, values in semantics._memo.tables.values():
             assert all(len(v) == p.n for v in values.values())
+
+
+def test_memo_keeps_the_modes_apart():
+    # -> reads differently in the two modes, so a scan of one domain in one
+    # mode must not read the node values a scan in the other mode left
+    plan = scan_plan(parse("p0 | ~p0"))
+    for modes in ((False, True), (True, False)):
+        semantics._memo.clear()
+        got = [scan_validity(CH2, plan, range(4), None, modal)[0] for modal in modes]
+        assert got == ["valid" if modal else "refuted" for modal in modes]
 
 
 def test_memo_and_node_table_stay_within_bounds(monkeypatch):

@@ -7,7 +7,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ipckit"
-TEST_ONLY = {"_pureval", "helpers", "mutants"}
+TEST_ONLY = {"_pureval", "helpers", "identity", "mutants"}
 
 
 def _test_only_imports(source):
