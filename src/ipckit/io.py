@@ -1,8 +1,8 @@
 """Poset file formats: JSON (elements + cover pairs) and DOT export.
 
 JSON schema: {"name": str?, "elements": [str], "cover": [[str, str]]}
-where a cover pair [a, b] means a < b with nothing between; import applies
-the transitive closure.
+where a cover pair [a, b] means a < b with nothing between, so a pair
+[a, a] is rejected; import applies the transitive closure.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def poset_from_obj(obj) -> Poset:
     pairs = []
     for entry in cover:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2
-                and all(isinstance(e, str) for e in entry)):
+                and all(isinstance(e, str) for e in entry) and entry[0] != entry[1]):
             raise SchemaError(f"bad cover pair {entry!r}")
         pairs.append((entry[0], entry[1]))
     name = obj.get("name")

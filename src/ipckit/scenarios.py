@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import product
 
 from .axioms import decompose_kg, jankov_syntactic, validates_jankov, validates_subframe
-from .budget import WorkMeter
+from .budget import DEFAULT_ENUM_CAP, WorkMeter
 from .catalog import (
     catalog_get,
     chain,
@@ -43,11 +43,16 @@ from .poset import (
     width,
 )
 from .report import Counterexample, VerificationReport
-from .semantics import is_valid, is_valid_modal
+from .semantics import is_valid, is_valid_modal, shared_node_values
 
 
 def _upto(enum, size, first=1, **kw):
-    """The posets enum(n, **kw) lists for n from first to size, in turn."""
+    """The posets enum(n, **kw) lists for n from first to size, in turn.
+    Past the enumeration cap it enumerates nothing and raises
+    BudgetExceeded naming the first size past the cap."""
+    cap = DEFAULT_ENUM_CAP
+    if size > cap:
+        raise BudgetExceeded(f"size {cap + 1} exceeds enumeration cap {cap}")
     return [p for n in range(first, size + 1) for p in enum(n, **kw)]
 
 
@@ -235,13 +240,14 @@ def _godel_transfer(params):
     grz = grz_axiom()
 
     def check(p, meter):
-        if not is_valid_modal(p, grz, meter=meter):
-            return p, "grz axiom refuted"
-        for f, t in suite:
-            ii = is_valid(p, f, meter=meter)
-            mm = is_valid_modal(p, t, meter=meter)
-            if ii != mm:
-                return p, f"transfer fails for {pretty(f)}"
+        with shared_node_values(p):
+            if not is_valid_modal(p, grz, meter=meter):
+                return p, "grz axiom refuted"
+            for f, t in suite:
+                ii = is_valid(p, f, meter=meter)
+                mm = is_valid_modal(p, t, meter=meter)
+                if ii != mm:
+                    return p, f"transfer fails for {pretty(f)}"
         return p, None
 
     return posets, check

@@ -15,16 +15,16 @@ covers and upsets, are the poset's own memos.
 
 A plan is the formula's own DAG: its distinct subformulas, interned, each
 with its variables renamed to their slots, so a node is one object across
-formulas, and evaluation dispatches on the node's type.  While
-consecutive scans that fit in one window stay on one order, each distinct
-node is evaluated once and its value reused (_NodeValues); each formula
-is still scanned by its own call, in its own row order, under its own
-limit and charge, so statuses and work are those of scans that share
-nothing.
+formulas, and evaluation dispatches on the node's type.  Inside a
+shared_node_values(p) block, one-window scans of p evaluate each distinct
+node once and reuse its value until the block ends; each formula is
+still scanned by its own call, in its own row order, under its own limit
+and charge, so statuses and work are those of scans that share nothing.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
@@ -214,42 +214,23 @@ def _windows(n, domain, nvars):
             yield [*fixed, _held(n, values, block), *fast], len(values) * block, False
 
 
-# most node values the memo holds, checked before each scan
-MEMO_BOUND = 4096
+_block = (None, {})  # the innermost open block's poset and node-value tables
 
 
-class _NodeValues:
-    """The values of plan nodes in the single-window scans of the last order
-    scanned, so that consecutive scans on one order compute each distinct
-    subformula once.
-
-    A node's value depends on its structure, the order and the window's
-    slots.  One table serves each pattern tuple (see _windows), which
-    fixes the domain's contents and order, nvars and the window; the memo
-    keeps each pattern alive, so its id names it.  ``->`` reads
-    differently in the two modes, and one domain may be scanned in both,
-    so a table also serves one mode only.  A scan on another order drops
-    every table, as does one that finds more than MEMO_BOUND values held.
-    """
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self):
-        self.up = None
-        self.tables = {}  # (id(pattern), modal) -> (pattern, {node: values})
-
-    def table(self, up, pattern, modal):
-        """The node values held for the order up, this pattern and mode."""
-        if up != self.up or sum(len(t) for _, t in self.tables.values()) > MEMO_BOUND:
-            self.up, self.tables = up, {}
-        entry = self.tables.get((id(pattern), modal))
-        if entry is None:
-            entry = self.tables[id(pattern), modal] = (pattern, {})
-        return entry[1]
-
-
-_memo = _NodeValues()
+@contextmanager
+def shared_node_values(p):
+    """Inside this block the single-window scans of the poset object p
+    share node values, one table per pattern tuple (see _windows) and
+    mode: the pattern fixes the domain, nvars and the window, the table
+    keeps it alive so its id names it, and ``->`` reads differently in
+    the two modes.  Scans of other posets, or outside every block, share
+    nothing.  However the block ends, it restores the state it found."""
+    global _block
+    outer, _block = _block, (p, {})
+    try:
+        yield
+    finally:
+        _block = outer
 
 
 def scan_validity(p, plan, domain, limit, modal=False):
@@ -263,9 +244,9 @@ def scan_validity(p, plan, domain, limit, modal=False):
 
     Rows are evaluated bit-sliced, a window of at most WINDOW rows at a
     time, so a budget is overrun by less than one window's evaluation.
-    A scan that fits in one window reads and adds to the memo's node
-    values; the limit only masks the rows read off the formula's value,
-    so a memo hit changes neither status nor work.
+    A one-window scan inside a shared_node_values(p) block reads and adds
+    to the block's node values; the limit only masks the rows read off
+    the formula's value, so a value read there changes no status or work.
     """
     nvars = plan.nvars
     if nvars and not domain:
@@ -281,7 +262,8 @@ def scan_validity(p, plan, domain, limit, modal=False):
         cut = ones
         if limit is not None and start + rows > limit:
             cut = (1 << (limit - start)) - 1  # rows inside the budget
-        memo = _memo.table(p.up, slots, modal) if shared else {}
+        own = shared and _block[0] is p
+        memo = _block[1].setdefault((id(slots), modal), (slots, {}))[1] if own else {}
         holds = ones
         for t in _evaluate(plan.nodes, slots, p, ones, memo, modal):
             holds &= t

@@ -7,10 +7,10 @@ Run it on two checkouts and diff the output:
 
 The items are the reports of the twelve scenarios at their defaults under
 several budgets, the benchmark workloads' scenarios with their worker
-counts, kg-structure at size 8 with two workers, the closure-family
-members, the ``ipckit enumerate`` output, the syntactic splitting formulas
-and the E-partition lists.  Standard library only; pytest does not
-collect this file.
+counts, kg-structure at size 8 and godel-transfer with two workers, the
+closure-family members, the ``ipckit enumerate`` output, the syntactic
+splitting formulas and the E-partition lists.  Standard library only;
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -64,6 +64,8 @@ def main():
                   run_scenario(s.name, s.params, jobs=w.jobs).to_json())
     _line("report kg-structure size=8 jobs=2",
           run_scenario("kg-structure", {"size": 8}, jobs=2).to_json())
+    _line("report godel-transfer jobs=2",
+          run_scenario("godel-transfer", jobs=2).to_json())
     for size in range(1, 10):
         for n in range(4):
             members = [_poset(m) for m in rn_members(size, n)]

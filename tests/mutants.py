@@ -74,10 +74,11 @@ MUTANTS = {
         "        if unhit >= last - k - 1:\n",
         ["tests/test_search.py::test_search_walks_the_oracle_walk"],
     ),
+    # the block ignores the poset: scans of another poset in it share values
     "node-values-kept-across-orders": (
         "src/ipckit/semantics.py",
-        "        if up != self.up or sum(",
-        "        if sum(",
+        "        own = shared and _block[0] is p\n",
+        "        own = shared\n",
         ["tests/test_kernel.py::test_scan_sequences_match_oracle"],
     ),
     "residuation-down-set-without-least": (
@@ -211,9 +212,16 @@ MUTANTS = {
     ),
     "node-values-shared-across-modes": (
         "src/ipckit/semantics.py",
-        "self.tables.get((id(pattern), modal))",
-        "self.tables.get((id(pattern), False))",
+        "(id(slots), modal)",
+        "(id(slots), False)",
         ["tests/test_semantics.py::test_memo_keeps_the_modes_apart"],
+    ),
+    "node-values-outlive-the-block": (
+        "src/ipckit/semantics.py",
+        "    finally:\n        _block = outer\n",
+        "    finally:\n        pass\n",
+        ["tests/test_semantics.py::test_memo_and_node_table_stay_within_bounds",
+         "tests/test_semantics.py::test_block_shares_only_its_own_posets_values"],
     ),
     "evaluate-box-miss-zeroed": (
         "src/ipckit/semantics.py",
@@ -313,6 +321,20 @@ MUTANTS = {
         '    for leg in ("e", "f", "g"):\n',
         '    for leg in ("e", "f"):\n',
         ["tests/test_acceptance.py::test_criterion_09_ym_rigidity"],
+    ),
+    # the top block goes unchecked, so a poset whose top block is no
+    # ladder segment decomposes
+    "kg-factors-first-dropped": (
+        "src/ipckit/axioms.py",
+        "    factors = sum_blocks(x)[:-1]\n",
+        "    factors = sum_blocks(x)[1:-1]\n",
+        ["tests/test_acceptance.py::test_criterion_11_kg_structure"],
+    ),
+    "chain-collapse-target-one-up": (
+        "src/ipckit/scenarios.py",
+        "_collapse(src, gn_trunc(m, nlv),",
+        "_collapse(src, gn_trunc(m + 1, nlv),",
+        ["tests/test_acceptance.py::test_criterion_12_pm_constructions"],
     ),
     # the modal side reads -> materially, so an unboxed implication is
     # no longer the strict one and the transfer fails

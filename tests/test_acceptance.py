@@ -119,7 +119,9 @@ def test_criterion_13_determinism():
 
 def test_determinism_across_worker_counts():
     # parallel aggregation sorts by instance order, so jobs must not matter
-    for name in ("sobolev-width", "ym-rigidity", "kg-structure", "appendix-G"):
+    # godel-transfer opens a node-value block in each forked worker
+    for name in ("sobolev-width", "ym-rigidity", "kg-structure", "appendix-G",
+                 "godel-transfer"):
         params = _SMALL_PARAMS[name]
         seq = render_report(run_scenario(name, params, jobs=1), "json")
         par = render_report(run_scenario(name, params, jobs=2), "json")

@@ -79,6 +79,7 @@ def test_import_rejects_malformed(tmp_path):
     {"elements": ["a", "b"], "cover": [["a", 1]]},
     {"elements": ["a", "b"], "cover": 5},
     {"elements": ["a", "b"], "cover": [["a", "b"]], "name": 5},
+    {"elements": ["a"], "cover": [["a", "a"]]},  # [a, b] says a < b
 ])
 def test_import_rejects_malformed_covers_and_names(tmp_path, capsys, obj):
     with pytest.raises(SchemaError):
@@ -328,19 +329,26 @@ def test_run_scenario_rejects_an_empty_ns(name, ns):
 
 
 def test_cli_verify_honours_the_enumeration_cap():
-    # size 10 asks for the rooted posets of 9 and 10 points, past the cap
-    # that ipckit enumerate applies; unbounded, this ran for minutes
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run(
-        [sys.executable, "-m", "ipckit.cli", "verify", "kg-structure",
-         "--size", "10", "--budget", "10"],
-        env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 3
-    assert "size 9 exceeds enumeration cap 8" in done.stderr
-    assert done.stdout == ""
+    for args in (
+        # size 10 asks for the rooted posets of 9 and 10 points, past the
+        # cap that ipckit enumerate applies; unbounded, this ran for minutes
+        ["kg-structure", "--size", "10"],
+        # the unrooted scenarios, whose enumerate_posets has no cap
+        ["godel-transfer", "--size", "9"],
+        ["jankov-oracle", "--param", "host_size=9"],
+        ["duality-counts", "--param", "size=9"],
+        ["duality-counts", "--param", "dual_size=9"],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "ipckit.cli", "verify", *args, "--budget", "10"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 3, args
+        assert "size 9 exceeds enumeration cap 8" in done.stderr, args
+        assert done.stdout == "", args
 
 
 def test_benchmark_workload_params_are_accepted(monkeypatch):

@@ -16,7 +16,8 @@ from ipckit.formulas import (
 )
 from ipckit.poset import build_poset, enumerate_posets, enumerate_rooted, upset_masks
 from ipckit.scenarios import godel_suite
-from ipckit.semantics import WINDOW, _windows, scan_plan, scan_validity
+from ipckit import semantics
+from ipckit.semantics import WINDOW, _windows, scan_plan, scan_validity, shared_node_values
 from _oracle_windows import windows as oracle_windows
 from _pureval import _dag, compile_formula
 from _pureval import scan_validity as oracle_scan
@@ -57,10 +58,10 @@ def test_plans_match_the_opcode_dag():
 
 def _limits(m, nvars):
     """Budgets at the edges: none, an overdrawn meter's -1, zero, one, the
-    window size and the block sizes m**j of this scan, each exactly and
-    off by one."""
+    window size in force and the block sizes m**j of this scan, each
+    exactly and off by one."""
     out = {None, -1, 0, 1}
-    for edge in [WINDOW] + [m ** j for j in range(1, nvars + 1)]:
+    for edge in [semantics.WINDOW] + [m ** j for j in range(1, nvars + 1)]:
         out.update((edge - 1, edge, edge + 1))
     return sorted(out, key=lambda x: -1 if x is None else x)
 
@@ -79,8 +80,8 @@ def test_scanner_matches_oracle_on_fixed_formulas():
                         assert new == old
 
 
-def test_budgets_at_window_edges():
-    # three variables over 32 values: windows of 1024 rows, 32 of them
+def test_budgets_at_window_edges(monkeypatch):
+    # three variables over 32 values: with windows of 1024 rows, 32 of them
     antichain = next(p for p in POSETS5 if len(upset_masks(p)) == 32)
     chain = next(p for p in POSETS5 if len(upset_masks(p)) == 6)
     subsets = list(range(32))
@@ -97,13 +98,21 @@ def test_budgets_at_window_edges():
         (chain, parse("[]~[]~p0 | p1 | p2 | []~p0"), subsets, MODES),
         (chain, parse("p0 | p1 | p2 | []~p0"), subsets, MODES),
     ]
-    for p, f, domain, modes in cases:
-        for modal in modes:
-            _, (_, work) = _both(p, f, domain, modal=modal)
-            limits = _limits(32, 3) + [work - 1, work, work + 1]
-            for limit in limits:
-                new, old = _both(p, f, domain, limit, modal)
-                assert new == old, (f, limit, modal)
+    # at windows of 1024 rows, and at the real size, where the refuted
+    # scans stop inside the first of 8 windows
+    for window in (1024, WINDOW):
+        monkeypatch.setattr(semantics, "WINDOW", window)
+        stops = []
+        for p, f, domain, modes in cases:
+            for modal in modes:
+                _, (status, work) = _both(p, f, domain, modal=modal)
+                if status == "refuted":
+                    stops.append(work)
+                limits = _limits(32, 3) + [work - 1, work, work + 1]
+                for limit in limits:
+                    new, old = _both(p, f, domain, limit, modal)
+                    assert new == old, (f, limit, modal, window)
+        assert stops[:3] == [1093, 1025, 2049]
 
 
 def test_domains_wider_than_a_window():
@@ -219,11 +228,11 @@ def test_scanner_matches_oracle_on_generated_scans(scan):
 
 @st.composite
 def _scan_sequences(draw):
-    """Scans in turn on two orders of one size: formulas that share
-    subformulas, each scanned on one order or on both, in one mode or in
-    both, over domains that interleave the upsets, all subsets and a
-    permutation of either (the same length, other contents or order),
-    with limits mixed in."""
+    """A poset p and scans in turn on p and on a poset q of another order
+    and the same size: formulas that share subformulas, each scanned on
+    one order or on both, in one mode or in both, over domains that
+    interleave the upsets, all subsets and a permutation of either (the
+    same length, other contents or order), with limits mixed in."""
     n = draw(st.integers(2, 5))
     p, q = draw(st.lists(st.sampled_from(enumerate_posets(n)), min_size=2, max_size=2,
                          unique_by=lambda r: r.up))
@@ -246,14 +255,17 @@ def _scan_sequences(draw):
                 st.integers(0, 2000)))
             # one domain scanned in both modes in turn
             scans += [(r, f, domain, limit, modal) for modal in modes]
-    return scans
+    return p, scans
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_scan_sequences())
-def test_scan_sequences_match_oracle(scans):
-    # consecutive scans share the values of equal subformulas on one order
-    # in one mode: every scan must still end as the row-by-row oracle's does
-    for scan in scans:
-        new, old = _both(*scan)
-        assert new == old, scan
+def test_scan_sequences_match_oracle(sequence):
+    # inside a block for p, scans of p share the values of equal
+    # subformulas in one mode, and scans of q, in a block not theirs, share
+    # none: every scan must still end as the row-by-row oracle's does
+    p, scans = sequence
+    with shared_node_values(p):
+        for scan in scans:
+            new, old = _both(*scan)
+            assert new == old, scan

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import importlib
 import pkgutil
@@ -27,6 +28,7 @@ from ipckit.semantics import (
     is_valid_modal,
     scan_plan,
     scan_validity,
+    shared_node_values,
 )
 from _oracle_heyting import is_valid_algebra
 from helpers import random_formula as _random_formula
@@ -187,7 +189,6 @@ _CACHES = {name: fn for name, fn in vars(semantics).items() if hasattr(fn, "cach
 def _clear_caches():
     for fn in _CACHES.values():
         fn.cache_clear()
-    semantics._memo.clear()
 
 
 def _ipckit_caches():
@@ -354,20 +355,23 @@ def test_modal_domain_is_not_materialised():
     assert peak < 1 << 20
 
 
-# -- node values shared by consecutive scans ----------------------------------
+# -- node values shared inside one block --------------------------------------
 
 
 def _scans_on(p, fs, share=True):
-    """(valid, work) of each formula's own intuitionistic and modal scan;
-    without share, every scan starts from an empty memo."""
+    """(valid, work) of each formula's own intuitionistic and modal scan of
+    p, all inside one shared_node_values(p) block when share is set."""
     out = []
-    for f in fs:
-        for is_valid_on, g in ((is_valid, f), (is_valid_modal, godel_translate(f))):
-            if not share:
-                semantics._memo.clear()
-            meter = WorkMeter()
-            out.append((is_valid_on(p, g, meter=meter), meter.spent))
+    with shared_node_values(p) if share else contextlib.nullcontext():
+        for f in fs:
+            for is_valid_on, g in ((is_valid, f), (is_valid_modal, godel_translate(f))):
+                meter = WorkMeter()
+                out.append((is_valid_on(p, g, meter=meter), meter.spent))
     return out
+
+
+def _no_tables_left():
+    return semantics._block == (None, {})
 
 
 def _check_plan(plan):
@@ -398,16 +402,27 @@ def test_node_ids_name_slot_renamed_structures():
         _check_plan(plan)
 
 
-def test_memo_holds_one_order_only():
+def test_block_shares_only_its_own_posets_values():
+    # inside a block for p, scans of p share node values, and scans of any
+    # other poset, even one of the same order, must match unshared scans
     fs = list(scenarios.godel_suite(12))
     posets = [p for n in range(1, 5) for p in enumerate_posets(n)]
     alone = [_scans_on(p, fs, share=False) for p in posets]
     _clear_caches()
-    for p, want in zip(posets + posets[::-1], alone + alone[::-1]):
-        assert _scans_on(p, fs) == want
-        assert semantics._memo.up == p.up
-        for _, values in semantics._memo.tables.values():
-            assert all(len(v) == p.n for v in values.values())
+    for i, (p, want) in enumerate(zip(posets, alone)):
+        with shared_node_values(p):
+            assert _scans_on(p, fs, share=False) == want  # in p's own block
+            tables = semantics._block[1]
+            held = {key: len(values) for key, (_, values) in tables.items()}
+            assert held
+            for _, values in tables.values():
+                assert all(len(v) == p.n for v in values.values())
+            # p first again, then the posets before it and a copy of p
+            others = [*posets[i::-1], Poset(p.elements, p.up)]
+            for q, other in zip(others, [*alone[i::-1], want]):
+                assert _scans_on(q, fs, share=False) == other
+            assert {key: len(values) for key, (_, values) in tables.items()} == held
+        assert _no_tables_left()
 
 
 def test_memo_keeps_the_modes_apart():
@@ -415,23 +430,39 @@ def test_memo_keeps_the_modes_apart():
     # mode must not read the node values a scan in the other mode left
     plan = scan_plan(parse("p0 | ~p0"))
     for modes in ((False, True), (True, False)):
-        semantics._memo.clear()
-        got = [scan_validity(CH2, plan, range(4), None, modal)[0] for modal in modes]
+        with shared_node_values(CH2):
+            got = [scan_validity(CH2, plan, range(4), None, modal)[0] for modal in modes]
         assert got == ["valid" if modal else "refuted" for modal in modes]
 
 
-def test_memo_and_node_table_stay_within_bounds(monkeypatch):
+def test_memo_and_node_table_stay_within_bounds():
+    # the node values go with the block, however it ends: normally, by an
+    # early return or by a budget trip inside it
     fs = list(scenarios.godel_suite(40))
     p = enumerate_posets(4)[7]
     want = _scans_on(p, fs, share=False)
-    monkeypatch.setattr(semantics, "MEMO_BOUND", 20)
     _clear_caches()
-    largest = 0
-    for i, f in enumerate(fs):
-        assert _scans_on(p, [f]) == want[2 * i:2 * i + 2]
-        # checked before each scan, which adds at most its own nodes
-        largest = max(largest, *(len(scan_plan(g).nodes) for g in (f, godel_translate(f))))
-        assert sum(len(t) for _, t in semantics._memo.tables.values()) <= 20 + largest
+    assert _scans_on(p, fs) == want
+    assert _no_tables_left()
+
+    def first_refuted():
+        with shared_node_values(p):
+            for f in fs:
+                if not is_valid(p, f):
+                    assert semantics._block[0] is p and semantics._block[1]
+                    return f
+        return None
+
+    assert first_refuted() is not None
+    assert _no_tables_left()
+    meter = WorkMeter(sum(work for _, work in want) // 2)
+    with pytest.raises(BudgetExceeded):
+        with shared_node_values(p):
+            for f in fs:
+                is_valid(p, f, meter=meter)
+                is_valid_modal(p, godel_translate(f), meter=meter)
+    assert _no_tables_left()
+    for f in fs:
         for g in (f, godel_translate(f)):
             _check_plan(scan_plan(g))  # each node names one structure
 
