@@ -34,6 +34,7 @@ from .formulas import BOT, And, Imp, Or, Var, bw, godel_translate, grz_axiom, kc
 from .heyting import count_quotients, count_subalgebras, dual_poset, upset_algebra
 from .morphisms import PMorphism, epartitions, find_pmorphism, image_of_upset, quotient
 from .poset import (
+    _bits,
     are_isomorphic,
     canonical_code,
     enumerate_posets,
@@ -303,12 +304,46 @@ def _ym_rigidity(params):
     return instances, check
 
 
-def rn_closure_escape(member, member_codes):
+def _one_step(p):
+    """The quotients of p by one alpha or one beta pair, each pair a block
+    among singletons, blocks sorted by least point (quotient checks the
+    E-partition condition):
+    - alpha pairs {x, c}, where c is the one upper cover of x;
+    - beta pairs {x, y}, x < y by index, with strict_up(x) == strict_up(y).
+    """
+    covers = p.upper_covers
+    pairs = [1 << x | 1 << cs[0] for x, cs in enumerate(covers) if len(cs) == 1]
+    pairs += [1 << x | 1 << y for x in range(p.n) for y in range(x + 1, p.n)
+              if p.strict_up(x) == p.strict_up(y)]
+    return [quotient(p, sorted([m] + [1 << i for i in _bits(p.full_mask & ~m)],
+                               key=lambda b: b & -b))[0]
+            for m in pairs]
+
+
+def _quotient_codes(p, memo):
+    """The canonical codes of p's quotient classes, in sorted order: the
+    code of p and the classes of each one-step reduction of p.  p's own
+    reductions are built from p; the classes of each reduction are read
+    from memo, keyed by canonical code (isomorphic posets have the same
+    quotient classes), or computed into it first.  p's list is stored in
+    memo too."""
+    codes = {canonical_code(p)}
+    for q in _one_step(p):
+        code = canonical_code(q)
+        if code not in memo:
+            _quotient_codes(q, memo)
+        codes.update(memo[code])
+    memo[canonical_code(p)] = out = sorted(codes)
+    return out
+
+
+def rn_closure_escape(member, member_codes, memo=None):
     """Why the closure check fails at a rooted member: a detail naming the
     first image outside member_codes, or None.
 
     It checks (1) that up(x) is a member, for every point x of member, and
-    (2) that every quotient of member is a member.  Run on every member
+    (2) that every quotient of member is a member, in the order of their
+    codes.  Run on every member
     of a family of rooted posets, with member_codes some of their codes,
     it decides the same question as checking every rooted quotient of
     every upset of every member:
@@ -323,13 +358,38 @@ def rn_closure_escape(member, member_codes):
       and by (2) for m', q is a member.
     So where the per-upset check fails at one member, this one fails at
     that member or at another, and the family passes exactly when it did.
+
+    (2) reads the quotients off one-step reductions (_quotient_codes), as
+    in the de Jongh-Troelstra theorem (Indag. Math. 28, 1966; Chagrov and
+    Zakharyaschev, Modal Logic, 1997): every p-morphism between finite
+    posets is a composition of alpha and beta reductions.  A quotient of a
+    reduction of p is a quotient of p (p-morphisms compose).  Conversely
+    let f map p onto q and identify two points.  Take x maximal among the
+    points whose image has another preimage, and y != x maximal among the
+    preimages of f(x).  No point z > x has f(z) = f(x), so f maps
+    strict_up(x) one to one onto strict_up(f(x)), since f(up(x)) =
+    up(f(x)); each of those images has only its one preimage.  A point
+    z > y other than x has f(z) > f(x) by the choice of y, so z lies in
+    strict_up(x).
+    - If y < x: strict_up(y) lies in up(x) and holds x, so it is up(x),
+      and x is the one upper cover of y: {y, x} is an alpha pair.
+    - Else strict_up(y) lies in strict_up(x).  Each w > x has f(w) in
+      up(f(y)) = f(up(y)), and w is the only preimage of f(w), which is
+      not f(y); so w > y, strict_up(y) == strict_up(x), and {x, y} is a
+      beta pair.
+    So f identifies an alpha or beta pair, and f = g r for the reduction r
+    by that pair and a map g.  g is a p-morphism onto q: r(a) <= r(b)
+    gives r(b) = r(b') with b' >= a, so g(r(a)) = f(a) <= f(b') =
+    g(r(b)); and f(a) <= t gives t = f(b) with b >= a, so r(b) >= r(a).
+    So q is a quotient of the reduction, and by induction on the size
+    _quotient_codes lists its class.  The memo holds complete class lists
+    only, so the detail depends on member and member_codes alone.
     """
     for x in range(member.n):
         code = canonical_code(member.restrict(member.up[x]))
         if code not in member_codes:
             return f"principal upset {code.decode()} escapes the family"
-    for part in epartitions(member, cap=member.n):
-        code = canonical_code(quotient(member, part)[0])
+    for code in _quotient_codes(member, {} if memo is None else memo):
         if code not in member_codes:
             return f"rooted image {code.decode()} escapes the family"
     return None
@@ -344,6 +404,7 @@ def _rn_closure(params):
                       ("c", chain(nmax + 1))])
     instances = [("closure", p) for p in members]
     instances += [("negative", p) for p in members]
+    memo = {}  # quotient classes by code, shared by this run's members
 
     def check(inst, meter):
         kind, member = inst
@@ -351,7 +412,7 @@ def _rn_closure(params):
             if image_of_upset(negative, member, meter=meter):
                 return member, "chain-extended member arises as an image"
             return member, None
-        return member, rn_closure_escape(member, member_codes)
+        return member, rn_closure_escape(member, member_codes, memo)
 
     return instances, check
 

@@ -8,7 +8,10 @@
   which stops each loop at the first member that does not fit;
 - rn_closure_escape checks every rooted quotient of every upset, against
   scenarios.rn_closure_escape, which checks the principal upsets and the
-  member's own quotients.
+  member's own quotients;
+- quotient_codes codes the quotient by every E-partition, against
+  scenarios._quotient_codes, which reads the quotient classes off one-step
+  reductions.
 """
 
 from __future__ import annotations
@@ -99,3 +102,10 @@ def rn_closure_escape(member, member_codes):
                 return (f"rooted image {canonical_code(q).decode()} "
                         "escapes the family")
     return None
+
+
+def quotient_codes(p):
+    """The sorted codes of p's quotients, one per E-partition, as
+    scenarios._quotient_codes."""
+    return sorted({canonical_code(quotient(p, part)[0])
+                   for part in epartitions(p, cap=p.n)})

@@ -99,6 +99,23 @@ MUTANTS = {
         "    for word in _words_upto(size - 3):\n",
         ["tests/test_catalog.py::test_rn_members_match_build_then_filter_oracle"],
     ),
+    # without beta pairs a poset of two maximal twins has no quotient
+    # onto one point
+    "rn-beta-reductions-dropped": (
+        "src/ipckit/scenarios.py",
+        "    pairs += [1 << x | 1 << y for x in range(p.n) for y in range(x + 1, p.n)\n"
+        "              if p.strict_up(x) == p.strict_up(y)]\n",
+        "",
+        ["tests/test_catalog.py::test_quotient_codes_by_reductions_match_every_epartition"],
+    ),
+    # a class keeps only its own reductions: quotients two steps down are lost
+    "rn-memo-one-level": (
+        "src/ipckit/scenarios.py",
+        "        if code not in memo:\n            _quotient_codes(q, memo)\n"
+        "        codes.update(memo[code])\n",
+        "        codes.add(code)\n",
+        ["tests/test_catalog.py::test_rn_closure_escape_matches_every_upset_oracle"],
+    ),
     "bits-table-over-seven-bits": (
         "src/ipckit/poset.py",
         "_BYTE = tuple(tuple(i for i in range(8) if m >> i & 1) for m in range(256))\n",

@@ -78,6 +78,16 @@ def test_criterion_10_rn_closure():
     _criterion(10, "rn-closure", {"size": 8, "n": 2}, (106, 76))
 
 
+def test_criterion_10_budget_trips():
+    # the closure instances charge nothing, so every trip falls in a
+    # negative instance's image search: (instances_checked, work_units)
+    params = {"size": 8, "n": 2}
+    for budget, counts in ((5, (90, 6)), (40, (98, 48)), (75, (104, 76))):
+        report = run_scenario("rn-closure", params, budget=budget)
+        assert report.status == "budget", budget
+        assert (report.instances_checked, report.work_units) == counts, budget
+
+
 def test_criterion_11_kg_structure():
     # rooted posets up to 8: sum decomposition exists iff the three
     # subframe axioms hold
@@ -120,8 +130,9 @@ def test_criterion_13_determinism():
 def test_determinism_across_worker_counts():
     # parallel aggregation sorts by instance order, so jobs must not matter
     # godel-transfer opens a node-value block in each forked worker
+    # rn-closure's forked workers each fill their own copy of its memo
     for name in ("sobolev-width", "ym-rigidity", "kg-structure", "appendix-G",
-                 "godel-transfer"):
+                 "godel-transfer", "rn-closure"):
         params = _SMALL_PARAMS[name]
         seq = render_report(run_scenario(name, params, jobs=1), "json")
         par = render_report(run_scenario(name, params, jobs=2), "json")

@@ -99,8 +99,23 @@ def test_traced_rn_closure_run_sees_the_quotient_layers():
     assert tracer.metered() == traced.work_units
     stats = tracer.totals()
     assert stats["morphisms.quotient"]["calls"] > 0
-    assert stats["morphisms.epart"]["calls"] > 0
     assert stats["poset.restrict"]["calls"] > 0  # a wrapped Poset method
+
+
+def test_traced_duality_counts_run_sees_the_epartition_layer():
+    # rn-closure reads its quotients off one-step reductions and lists no
+    # E-partitions; duality-counts lists them to count subalgebras
+    params = {"size": 3, "dual_size": 3}
+    plain = run_scenario("duality-counts", params)
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        traced = run_scenario("duality-counts", params)
+    finally:
+        tracer.uninstall()
+    assert traced.to_json() == plain.to_json()
+    assert tracer.metered() == traced.work_units
+    assert tracer.totals()["morphisms.epart"]["calls"] > 0
 
 
 def test_traced_scan_run_sees_every_scan_layer():

@@ -267,6 +267,42 @@ def test_rn_closure_escape_checks_principal_upsets():
     assert oracle.rn_closure_escape(p, images) is not None
 
 
+def test_quotient_codes_by_reductions_match_every_epartition():
+    # de Jongh-Troelstra: the quotient classes read off one-step alpha and
+    # beta reductions are those of every E-partition, on every poset of at
+    # most 6 points, rooted or not
+    from ipckit.scenarios import _quotient_codes
+
+    import _oracle_rn as oracle
+
+    count = 0
+    for n in range(1, 7):
+        for p in enumerate_posets(n):
+            assert _quotient_codes(p, {}) == oracle.quotient_codes(p), p
+            count += 1
+    assert count == 405
+
+
+def test_rn_closure_escape_detail_ignores_the_memo():
+    # with each member code removed in turn, every member's detail is the
+    # same with a cold memo and with one memo warmed through the members
+    # forwards or backwards
+    from ipckit.scenarios import rn_closure_escape, rn_members
+
+    members = rn_members(8, 2)
+    codes = {canonical_code(p) for p in members}
+    failing = 0
+    for c in sorted(codes):
+        fewer = codes - {c}
+        cold = [rn_closure_escape(p, fewer, {}) for p in members]
+        forwards, backwards = {}, {}
+        assert [rn_closure_escape(p, fewer, forwards) for p in members] == cold
+        assert [rn_closure_escape(p, fewer, backwards)
+                for p in members[::-1]] == cold[::-1]
+        failing += sum(detail is not None for detail in cold)
+    assert failing > 0
+
+
 def _all_words(weight):
     out = [()]
     frontier = [()]
