@@ -329,30 +329,35 @@ def width(p):
 # canonical form ---------------------------------------------------------
 
 
-def _refined_colors(p, down):
+def _refined_colors(p, down, t):
     """Colour refinement: start from each point's (up-set size, down-set
     size), then split the colours by the sorted colours strictly above and
-    strictly below each point, until a round splits none.  The colours are
-    ranks, and an automorphism of p keeps them.
+    strictly below each point, until a round splits none or the colours
+    number t, p's twin classes (_twin_keys).  The colours are ranks, and
+    an automorphism of p keeps them.
 
-    Once all n colours are distinct they are returned: the next round's
-    signatures would lead with n distinct colours and rank as they do, so
-    it would reproduce them and stop.
+    Twins have equal start colours, and equal signatures in every round,
+    since their strict up-sets and down-sets are equal: so there are at
+    most t colours, and with t each colour class is a twin class.  The
+    next round's signatures would then lead with the colour, and be equal
+    inside each class, so they would rank as the colours do and reproduce
+    them.
     """
     n = p.n
     colors = [(p.up[i].bit_count(), down[i].bit_count()) for i in range(n)]
     rank = {c: k for k, c in enumerate(sorted(set(colors)))}
     colors = [rank[c] for c in colors]
-    above = [_bits(p.strict_up(i)) for i in range(n)]
-    below = [_bits(down[i] & ~(1 << i)) for i in range(n)]
-    while len(rank) < n:
-        sigs = [(colors[i], tuple(sorted(colors[j] for j in above[i])),
-                 tuple(sorted(colors[j] for j in below[i]))) for i in range(n)]
-        rank = {s: k for k, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
-        if new == colors:
-            break
-        colors = new
+    if len(rank) < t:
+        above = [_bits(p.strict_up(i)) for i in range(n)]
+        below = [_bits(down[i] & ~(1 << i)) for i in range(n)]
+        while len(rank) < t:
+            sigs = [(colors[i], tuple(sorted(colors[j] for j in above[i])),
+                     tuple(sorted(colors[j] for j in below[i]))) for i in range(n)]
+            rank = {s: k for k, s in enumerate(sorted(set(sigs)))}
+            new = [rank[s] for s in sigs]
+            if new == colors:
+                break
+            colors = new
     return colors
 
 
@@ -364,18 +369,22 @@ def _twin_keys(p, down):
     return [(p.strict_up(x), d & ~(1 << x)) for x, d in enumerate(down)]
 
 
-def _min_rows(p, colors, down):
+def _min_rows(p, colors, down, twin, t):
     """The colour sequence and the least rows over the orders that list
     the points by colour: row k holds, per earlier point u, the bits
-    (v <= u, u <= v) of the k-th point v.
+    (v <= u, u <= v) of the k-th point v.  twin holds p's twin keys
+    (_twin_keys), and t counts their classes.
 
-    When every colour class is a single point there is one such order,
-    and its rows are returned with no walk.  Otherwise one depth-first
-    walk keeps best, the least rows of the leaves so far; it starts with
-    none, so its first leaf, each place's first free point, sets it.  A
-    prefix is tight when its rows begin best, and a tight prefix is cut
-    at a row above best's.  rec returns True once its subtree has replaced
-    best; each prefix of the new best is then tight, so the caller's next
+    When the colours number t, each colour class is a twin class
+    (_refined_colors), so any two such orders differ by a permutation
+    inside the classes, a product of twin swaps: an automorphism, which
+    keeps every row.  The rows of the order by colour, then index, are
+    then returned with no walk.  Otherwise one depth-first walk keeps
+    best, the least rows of the leaves so far; it starts with none, so
+    its first leaf, each place's first free point, sets it.  A prefix is
+    tight when its rows begin best, and a tight prefix is cut at a row
+    above best's.  rec returns True once its subtree has replaced best;
+    each prefix of the new best is then tight, so the caller's next
     candidates are compared with it.  Each replacement is smaller, and no
     cut leaf is (a point whose twin was tried at the same place has the
     swap's images of the twin's leaves), so best ends as the least rows,
@@ -396,11 +405,10 @@ def _min_rows(p, colors, down):
             r = r << 2 | (uv >> u & 1) << 1 | dv >> u & 1
         return r
 
-    if len(by_color) == n:
-        order = [by_color[c][0] for c in color_seq]
+    if len(by_color) == t:
+        order = [v for c in range(t) for v in by_color[c]]
         return color_seq, tuple(row_for(v, order[:k]) for k, v in enumerate(order))
 
-    twin = _twin_keys(p, down)
     best = None
     order, rows = [], []
 
@@ -435,6 +443,11 @@ def _min_rows(p, colors, down):
 def canonical_code(p):
     """Byte string equal for two posets iff they are order-isomorphic.
 
+    The code is the colour sequence and the least rows of _min_rows, over
+    the colours of _refined_colors.  Both stop at p's t twin classes,
+    counted here once: refinement once the colours number t, and the
+    row search, with no walk, when they do.
+
     cache bound: one code per distinct poset coded (equal posets share an
     entry): the classes enumerated up to the largest size asked for, and
     the instances and quotients the scenarios build at their parameters.
@@ -442,8 +455,10 @@ def canonical_code(p):
     if p.n == 0:
         return b"P0"
     down = p.down_masks()
-    colors = _refined_colors(p, down)
-    seq, rows = _min_rows(p, colors, down)
+    twin = _twin_keys(p, down)
+    t = len(set(twin))
+    colors = _refined_colors(p, down, t)
+    seq, rows = _min_rows(p, colors, down, twin, t)
     body = ",".join(str(c) for c in seq) + "|" + ",".join(format(r, "x") for r in rows)
     return f"P{p.n}:{body}".encode()
 
@@ -543,7 +558,7 @@ def _level(n):
             lower[key] = v
         codes = {}  # q's candidate codes by downset mask
         # the downsets of q, complements of its upsets, in mask order
-        for dmask in sorted(q.full_mask ^ u for u in upset_masks(q)):
+        for dmask in sorted(q.full_mask ^ u for u in q.upsets):
             swap = next((pair for pair, v in swaps if dmask & pair == v), 0)
             if swap:
                 codes[dmask] = codes[dmask ^ swap]

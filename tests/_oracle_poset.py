@@ -1,9 +1,10 @@
 """Test oracles for ipckit.poset.
 
 - The canonical code and the enumeration as they were before the
-  enumeration pruned each parent's downsets and canonical_code took its
-  shortcuts on discrete colourings: every candidate is coded, and each
-  code refines and searches in full.
+  enumeration pruned each parent's downsets and canonical_code stopped
+  at twin classes (first on discrete colourings, then wherever the
+  colours number the twin classes): every candidate is coded, and each
+  code refines until a round splits nothing and searches in full.
 - The automorphism search by which the enumeration once pruned each
   parent's downsets, keeping one per Aut(q)-orbit, before it kept one per
   orbit of the twin swaps: 3,636 candidates coded for sizes 1-7 instead

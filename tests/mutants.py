@@ -147,6 +147,18 @@ MUTANTS = {
         ["tests/test_poset.py::test_enumeration_matches_every_candidate_oracle",
          "tests/test_poset.py::test_canonical_code_matches_oracle_on_every_candidate"],
     ),
+    "min-rows-direct-order-by-index": (
+        "src/ipckit/poset.py",
+        "        order = [v for c in range(t) for v in by_color[c]]\n",
+        "        order = list(range(n))\n",
+        ["tests/test_poset.py::test_canonical_code_matches_oracle_on_every_candidate"],
+    ),
+    "twin-count-up-set-only": (
+        "src/ipckit/poset.py",
+        "    t = len(set(twin))\n",
+        "    t = len({u for u, d in twin})\n",
+        ["tests/test_poset.py::test_canonical_code_matches_oracle_on_every_candidate"],
+    ),
     "enumeration-sibling-test-loosened": (
         "src/ipckit/poset.py",
         "            if known is not None and known < own:\n",

@@ -18,6 +18,7 @@ from ipckit.poset import (
     Poset,
     _bits,
     _max_antichain,
+    _refined_colors,
     _twin_keys,
     are_isomorphic,
     build_poset,
@@ -26,6 +27,7 @@ from ipckit.poset import (
     enumerate_rooted,
     iter_upset_masks,
     root,
+    stack,
     sum_posets,
     upset_masks,
     width,
@@ -377,6 +379,80 @@ def test_canonical_code_matches_oracle_on_every_candidate():
     assert len(cands) == 6378
     for p in cands:
         assert canonical_code(p) == oracle.canonical_code(p)
+
+
+def test_refinement_stops_at_twin_classes(monkeypatch):
+    # twins share every colour, so there are at most t colours, t the
+    # number of twin classes; the colours are the oracle's, which refines
+    # until one more full round splits nothing.  _min_rows walks only
+    # below t colours: 347 of the 3,636 candidates that
+    # enumerate_posets(1..7) codes
+    for n in range(8):
+        enumerate_posets(n)
+    coded = set()
+
+    def recording(p):
+        coded.add(p.up)
+        return canonical_code(p)
+
+    monkeypatch.setattr(poset_mod, "canonical_code", recording)
+    for n in range(1, 8):
+        poset_mod._level.__wrapped__(n)
+    monkeypatch.undo()
+    walks = 0
+    cands = [p for n in range(1, 8) for p in _candidates(n)]
+    assert (len(cands), len(coded)) == (6378, 3636)
+    for p in cands:
+        down = p.down_masks()
+        twin = _twin_keys(p, down)
+        t = len(set(twin))
+        colors = _refined_colors(p, down, t)
+        assert colors == oracle._refined_colors(p)
+        assert len(set(zip(twin, colors))) == t
+        walks += len(set(colors)) < t and p.up in coded
+    assert walks == 347
+
+
+def _twin_rich_posets():
+    """Stacks of antichains of 8 to 10 points, fans and a root below
+    disjoint fans up to 10 points, L(k) up to 10 points, Y(1) and Y(2)."""
+    from ipckit.catalog import fan, ladder_upset, y_poset
+
+    for n in range(8, 11):
+        for cuts in itertools.product((0, 1), repeat=n - 1):
+            ends = [0] + [i + 1 for i, cut in enumerate(cuts) if cut] + [n]
+            sizes = [b - a for a, b in zip(ends, ends[1:])]
+            yield stack([(str(k), Poset(tuple(range(a)), tuple(1 << i for i in range(a))))
+                         for k, a in enumerate(sizes)])
+    for k in range(1, 10):
+        yield fan(k)
+    for j in range(1, 5):
+        for copies in range(1, 9 // (j + 1) + 1):
+            pairs = [("r", f"r{c}") for c in range(copies)]
+            pairs += [(f"r{c}", f"m{c}.{i}") for c in range(copies) for i in range(j)]
+            yield build_poset(["r"] + sorted({b for _, b in pairs}), pairs)
+    for k in range(11):
+        yield ladder_upset(k)
+    yield y_poset(1)
+    yield y_poset(2)
+
+
+def test_canonical_code_matches_oracle_on_twin_rich_relabelings():
+    # the shapes on which the twin-class rules fire most, past the 7
+    # points that the every-candidate test reaches
+    rng = random.Random(31)
+    posets = list(_twin_rich_posets())
+    assert len(posets) == 896 + 9 + 10 + 11 + 2
+    for p in posets:
+        code = oracle.canonical_code(p)
+        assert canonical_code(p) == code
+        for _ in range(2):
+            perm = list(range(p.n))
+            rng.shuffle(perm)
+            q = Poset(tuple(f"z{i}" for i in range(p.n)),
+                      tuple(_permute_mask(p.up[perm.index(k)], perm, p.n)
+                            for k in range(p.n)))
+            assert canonical_code(q) == oracle.canonical_code(q) == code
 
 
 def test_enumeration_codes_one_candidate_per_orbit(monkeypatch):
