@@ -18,7 +18,7 @@ from .catalog import ladder_top_segment
 from .errors import BudgetExceeded
 from .formulas import BOT, Formula, Imp, Var, conj, disj
 from .morphisms import image_of_subposet, image_of_upset
-from .poset import Poset, _bits, canonical_code, root, upset_masks
+from .poset import Poset, _bits, canonical_code, root
 
 
 def validates_jankov(host: Poset, x: Poset, meter: WorkMeter | None = None) -> bool:
@@ -58,7 +58,7 @@ def jankov_syntactic(x: Poset) -> Formula:
     n = x.n
     if n > 16:
         raise BudgetExceeded("too many variables for a splitting formula")
-    masks = upset_masks(x)
+    masks = x.upsets
     down = x.down_masks()
 
     def q(mask):
@@ -89,8 +89,8 @@ def jankov_syntactic(x: Poset) -> Formula:
 # -- KG structure ----------------------------------------------------------
 
 
-def sum_blocks(p: Poset):
-    """Finest ordinal-sum decomposition, top block first.
+def _block_masks(p: Poset):
+    """The blocks of sum_blocks as masks of p's points, top block first.
 
     A cut is a partition into an upper part A and lower part B with
     every element of B strictly below every element of A; blocks are the
@@ -106,14 +106,20 @@ def sum_blocks(p: Poset):
     """
     order = sorted(range(p.n), key=lambda i: p.up[i].bit_count())
     nxt = [p.up[i] for i in order[1:]] + [p.full_mask]
-    blocks = []
+    masks = []
     upper = prev = 0
     for i, u in zip(order, nxt):
         upper |= 1 << i
         if upper & ~u == 0:
-            blocks.append(p.restrict(upper & ~prev))
+            masks.append(upper & ~prev)
             prev = upper
-    return blocks
+    return masks
+
+
+def sum_blocks(p: Poset):
+    """Finest ordinal-sum decomposition, top block first: the blocks of
+    _block_masks, restricted."""
+    return [p.restrict(b) for b in _block_masks(p)]
 
 
 def decompose_kg(x: Poset):
@@ -123,12 +129,27 @@ def decompose_kg(x: Poset):
     point omitted), or None when x is not of that shape.  A factor of
     b.n points must be the ladder's top segment T(b.n - 1), which has
     b.n points; the one point is T(0).
+
+    The blocks are first compared with T on masks, by the sorted sizes of
+    their points' up-sets inside the block, and only a host whose blocks
+    all pass has them restricted and coded.  The answer is unchanged: an
+    isomorphism of a block onto T maps each point's up-set onto its
+    image's, so isomorphic posets have one multiset of up-set sizes.  A
+    block that fails the sizes fails the codes, and the codes still
+    decide the blocks that pass.
     """
     if root(x) is None:
         raise ValueError("decompose_kg expects a rooted poset")
     # the root lies below every other point, so the points above it form
     # a cut and the last block is the root alone
-    factors = sum_blocks(x)[:-1]
+    masks = _block_masks(x)[:-1]
+    for b in masks:
+        # the up-set sizes of x.restrict(b), against those of T
+        sizes = sorted((x.up[i] & b).bit_count() for i in _bits(b))
+        seg = ladder_top_segment(len(sizes) - 1)
+        if sizes != sorted(u.bit_count() for u in seg.up):
+            return None
+    factors = [x.restrict(b) for b in masks]
     for b in factors:
         if canonical_code(b) != canonical_code(ladder_top_segment(b.n - 1)):
             return None

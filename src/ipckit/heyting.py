@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 from . import budget as _budget
 from .errors import BudgetExceeded
-from .poset import Poset, upset_masks, _bits, _transpose
+from .poset import Poset, _bits, _transpose
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def upset_algebra(p: Poset) -> HeytingAlgebra:
     cache bound: one algebra per distinct poset (equal posets share an
     entry), and the posets are those enumerated up to the sizes asked for.
     """
-    masks = upset_masks(p)
+    masks = p.upsets
     if len(masks) > _budget.DEFAULT_ALGEBRA_CAP:
         raise BudgetExceeded(
             f"{len(masks)} upsets exceeds algebra cap {_budget.DEFAULT_ALGEBRA_CAP}")
@@ -170,7 +170,7 @@ def count_quotients(a: HeytingAlgebra) -> int:
         )
     order = Poset(tuple(str(x) for x in range(a.size)), a.leq)
     count = 0
-    for u in upset_masks(order):
+    for u in order.upsets:
         xs = _bits(u)
         if xs and all(u >> a.meet[x][y] & 1 for x in xs for y in xs):
             count += 1

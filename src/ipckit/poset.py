@@ -73,9 +73,9 @@ class Poset:
 
     # derived order data ------------------------------------------------
     #
-    # The heights, height, topdown, upper_covers, comparable, root_index, the
-    # widths, by_upset_size, image_candidates and upsets are computed once
-    # per instance, on first use.
+    # The heights and topdown (one peel, _peel), height, upper_covers,
+    # comparable, root_index, the widths, by_upset_size, image_candidates
+    # and upsets are computed once per instance, on first use.
     # down_masks is not kept, so the many candidates that canonical_code
     # sees during enumeration carry no memo.
 
@@ -86,13 +86,26 @@ class Poset:
         return self.up[i] & ~(1 << i)
 
     @cached_property
+    def _peel(self):
+        """The heights and topdown, from one peel: each round takes the
+        points left whose strict up-set misses what is left, the maximal
+        points of the rest.  So round k takes the points of height k, and
+        the rounds in turn, each by index, list the points by height,
+        then index.  A nonempty rest has a maximal point, so the peel ends
+        with nothing left."""
+        up, h, order = self.up, [0] * self.n, []
+        left, k = self.full_mask, 0
+        while layer := [i for i in _bits(left) if up[i] & left == 1 << i]:
+            for i in layer:
+                h[i] = k
+                left ^= 1 << i
+            order += layer
+            k += 1
+        return tuple(h), tuple(order)
+
+    @property
     def _heights(self):
-        h = [None] * self.n
-        order = sorted(range(self.n), key=lambda i: self.up[i].bit_count())
-        for i in order:
-            above = [h[j] for j in _bits(self.strict_up(i))]
-            h[i] = 1 + max(above) if above else 0
-        return tuple(h)
+        return self._peel[0]
 
     def heights(self):
         """Longest-chain distance from the top: maximal elements get 0."""
@@ -103,12 +116,11 @@ class Poset:
         """The largest height, -1 for the empty poset."""
         return max(self._heights, default=-1)
 
-    @cached_property
+    @property
     def topdown(self):
         """The points by height, then index: every point strictly above x
         comes before x."""
-        h = self._heights
-        return tuple(sorted(range(self.n), key=lambda i: (h[i], i)))
+        return self._peel[1]
 
     @cached_property
     def upper_covers(self):

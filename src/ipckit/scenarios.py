@@ -40,7 +40,6 @@ from .poset import (
     enumerate_posets,
     enumerate_rooted,
     stack,
-    upset_masks,
     width,
 )
 from .report import Counterexample, VerificationReport
@@ -222,7 +221,7 @@ def _duality_counts(params):
         kind, p = inst
         alg = upset_algebra(p)
         if kind == "counts":
-            nup = len(upset_masks(p))
+            nup = len(p.upsets)
             if count_quotients(alg) != nup:
                 return p, "quotient count differs from upset count"
             if count_subalgebras(alg) != len(epartitions(p)):

@@ -19,6 +19,8 @@
   until nothing changed, before its one Warshall sweep.
 - The generator that walked the set bits of a mask before _bits read a
   byte table; the oracles here walk masks with it.
+- The heights by a sort on up-set size and a list per point, and
+  topdown by a second sort, before Poset read both off one peel.
 """
 
 from functools import lru_cache
@@ -285,6 +287,25 @@ def max_antichain_brute(p, mask):
                 for k, a in enumerate(chosen) for b in chosen[k + 1:]):
             best = len(chosen)
     return best
+
+
+# heights and topdown ----------------------------------------------------
+
+
+def heights_by_sort(p):
+    """Per point, its longest-chain distance from the top: the points by
+    up-set size, each one more than the largest height strictly above."""
+    h = [None] * p.n
+    for i in sorted(range(p.n), key=lambda i: p.up[i].bit_count()):
+        above = [h[j] for j in _bits(p.strict_up(i))]
+        h[i] = 1 + max(above) if above else 0
+    return tuple(h)
+
+
+def topdown_by_sort(p):
+    """The points by height, then index."""
+    h = heights_by_sort(p)
+    return tuple(sorted(range(p.n), key=lambda i: (h[i], i)))
 
 
 # closure ----------------------------------------------------------------

@@ -271,6 +271,22 @@ MUTANTS = {
         "canonical_code(ladder_top_segment(b.n))",
         ["tests/test_axioms.py::test_decompose_kg_matches_the_code_set_oracle"],
     ),
+    # the profile of a lower block counts the blocks above it, so no host
+    # with a factor below the top one decomposes
+    "kg-profile-host-upsets": (
+        "src/ipckit/axioms.py",
+        "sorted((x.up[i] & b).bit_count() for i in _bits(b))",
+        "sorted(x.up[i].bit_count() for i in _bits(b))",
+        ["tests/test_axioms.py::test_decompose_kg_matches_the_code_set_oracle"],
+    ),
+    # only the maximal points are peeled: every other point gets height 0
+    # and is left out of topdown
+    "peel-against-whole-order": (
+        "src/ipckit/poset.py",
+        "if up[i] & left == 1 << i]:\n",
+        "if up[i] & self.full_mask == 1 << i]:\n",
+        ["tests/test_poset.py::test_peel_matches_the_sort_oracle"],
+    ),
     "search-skip-branch-dropped": (
         "src/ipckit/morphisms.py",
         "        if skip:\n            seen[i] = s\n            return rec(k + 1, hit, unhit)\n",
@@ -355,8 +371,8 @@ MUTANTS = {
     # ladder segment decomposes
     "kg-factors-first-dropped": (
         "src/ipckit/axioms.py",
-        "    factors = sum_blocks(x)[:-1]\n",
-        "    factors = sum_blocks(x)[1:-1]\n",
+        "    masks = _block_masks(x)[:-1]\n",
+        "    masks = _block_masks(x)[1:-1]\n",
         ["tests/test_acceptance.py::test_criterion_11_kg_structure"],
     ),
     "chain-collapse-target-one-up": (

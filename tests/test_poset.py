@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -41,8 +42,9 @@ from _oracle_poset import (
 )
 from _oracle_upsets import upset_masks_dfs
 
-# the order data memoised on a Poset on first use
-MEMOS = ("_heights", "height", "topdown", "upper_covers", "comparable",
+# the order data memoised on a Poset on first use; _peel holds the
+# heights and topdown
+MEMOS = ("_peel", "height", "upper_covers", "comparable",
          "root_index", "full_width", "upset_widths", "by_upset_size",
          "image_candidates", "upsets")
 
@@ -198,6 +200,24 @@ def test_derived_order_data_against_direct_definitions():
             downsets = [m for m in range(1 << n)
                         if all(down[i] & ~m == 0 for i in range(n) if m >> i & 1)]
             assert downsets == sorted(p.full_mask ^ u for u in upset_masks(p))
+
+
+def test_peel_matches_the_sort_oracle():
+    # every poset of at most 7 points, every rooted poset of at most 8,
+    # ladders of depth 1-24 and the catalog frames
+    from ipckit.catalog import catalog_get, catalog_keys, ladder
+
+    posets = [p for n in range(8) for p in enumerate_posets(n)]
+    posets += enumerate_rooted(8) + [ladder(d) for d in range(1, 25)]
+    posets += [catalog_get(k) for k in catalog_keys() if re.search(r"\(\d+\)$", k)]
+    posets += [catalog_get(k) for k in ("F(4)", "L(9)", "C(6)", "Y(4)",
+                                        "Gn_trunc(3,3)", "Xm_trunc(2,3,3)")]
+    assert len(posets) == 2451 + 2045 + 24 + 36 + 6
+    for p in posets:
+        h = oracle.heights_by_sort(p)
+        assert p._heights == h and p.heights() == list(h), p.up
+        assert p.height == max(h, default=-1), p.up
+        assert p.topdown == oracle.topdown_by_sort(p), p.up
 
 
 def test_heights_memo_is_not_shared():

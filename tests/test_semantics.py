@@ -295,7 +295,7 @@ def test_scans_leave_only_the_order_memos_on_the_poset():
         is_valid(p, parse("p0 -> p0"), meter=WorkMeter(3))
     is_valid_modal(p, godel_translate(f))
     scan_validity(p, scan_plan(f), upset_masks(p), None)
-    assert _memos(p) == {"_heights", "topdown", "upper_covers", "upsets"}
+    assert _memos(p) == {"_peel", "upper_covers", "upsets"}
     # a budgeted prefix of a fresh poset's upsets is not kept on it
     q = Poset(p.elements, p.up)
     with pytest.raises(BudgetExceeded):
