@@ -1,13 +1,10 @@
 """Formula ASTs for the intuitionistic and modal languages.
 
-Surface syntax (ASCII, with unicode aliases accepted):
+Surface syntax (ASCII, with unicode aliases accepted): the binary
+operators "->", "|" and "&", each binding tighter than the one before,
+"->" grouping to the right and the others to the left, over
 
-    formula := imp
-    imp     := or ("->" imp)?
-    or      := and ("|" and)*
-    and     := unary ("&" unary)*
-    unary   := "~" unary | "[]" unary | atom
-    atom    := "bot" | ident | "(" formula ")"
+    unary := "~" unary | "[]" unary | "bot" | ident | "(" formula ")"
 
 ~f abbreviates f -> bot in both directions: the parser expands it and the
 printer contracts it back.
@@ -126,34 +123,29 @@ def variables(f):
 
 # parsing ----------------------------------------------------------------
 
-_ALIASES = {
-    "→": "->",   # arrow
-    "∨": "|",
-    "∧": "&",
-    "¬": "~",
-    "⊥": "bot",
-    "□": "[]",
-}
+# one-character tokens, each unicode alias read as its ASCII token
+_CHARS = {"→": "->", "∨": "|", "∧": "&", "¬": "~", "⊥": "bot", "□": "[]",
+          **{c: c for c in "|&~()"}}
+
+# binary operator: (precedence, node); -> groups to the right, | and & to
+# the left
+_BINARY = {"->": (0, Imp), "|": (1, Or), "&": (2, And)}
 
 
 def _tokenize(text):
-    for uni, ascii_ in _ALIASES.items():
-        text = text.replace(uni, f" {ascii_} ")
+    """(token, position) pairs, a unicode alias read as its ASCII token at
+    its own position in text."""
     tokens = []
     i = 0
     while i < len(text):
         c = text[i]
         if c.isspace():
             i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(("->", i))
+        elif text.startswith(("->", "[]"), i):
+            tokens.append((text[i:i + 2], i))
             i += 2
-        elif text.startswith("[]", i):
-            tokens.append(("[]", i))
-            i += 2
-        elif c in "|&~()":
-            tokens.append((c, i))
+        elif c in _CHARS:
+            tokens.append((_CHARS[c], i))
             i += 1
         elif c.isalpha():
             j = i
@@ -167,80 +159,55 @@ def _tokenize(text):
 
 
 def parse(text):
+    """The formula text spells, read by precedence climbing over _BINARY;
+    an error's position indexes text."""
     tokens = _tokenize(text)
     pos = 0
 
     def peek():
-        return tokens[pos][0] if pos < len(tokens) else None
+        return tokens[pos] if pos < len(tokens) else (None, len(text))
 
-    def where():
-        return tokens[pos][1] if pos < len(tokens) else len(text)
-
-    def take(tok):
+    def binary(least):
         nonlocal pos
-        if peek() != tok:
-            raise FormulaSyntaxError(f"expected {tok!r}", where())
+        out = unary()
+        while (op := peek()[0]) in _BINARY and _BINARY[op][0] >= least:
+            prec, node = _BINARY[op]
+            pos += 1
+            out = node(out, binary(prec if node is Imp else prec + 1))
+        return out
+
+    def unary():
+        nonlocal pos
+        tok, at = peek()
         pos += 1
-
-    def p_imp():
-        left = p_or()
-        if peek() == "->":
-            take("->")
-            return Imp(left, p_imp())
-        return left
-
-    def p_or():
-        out = p_and()
-        while peek() == "|":
-            take("|")
-            out = Or(out, p_and())
-        return out
-
-    def p_and():
-        out = p_unary()
-        while peek() == "&":
-            take("&")
-            out = And(out, p_unary())
-        return out
-
-    def p_unary():
-        if peek() == "~":
-            take("~")
-            return neg(p_unary())
-        if peek() == "[]":
-            take("[]")
-            return Box(p_unary())
-        return p_atom()
-
-    def p_atom():
-        tok = peek()
-        if tok is None:
-            raise FormulaSyntaxError("unexpected end of input", where())
+        if tok == "~":
+            return neg(unary())
+        if tok == "[]":
+            return Box(unary())
         if tok == "(":
-            take("(")
-            out = p_imp()
-            take(")")
+            out = binary(0)
+            if peek()[0] != ")":
+                raise FormulaSyntaxError("expected ')'", peek()[1])
+            pos += 1
             return out
         if tok == "bot":
-            take("bot")
             return BOT
-        if tok == "p":
-            take("p")
-            return Var(0)
-        if tok.startswith("p") and tok[1:].isascii() and tok[1:].isdigit():
-            take(tok)
-            return Var(int(tok[1:]))
-        raise FormulaSyntaxError(f"unknown identifier {tok!r}", where())
+        if tok is None:
+            raise FormulaSyntaxError("unexpected end of input", at)
+        if tok == "p" or tok.startswith("p") and tok[1:].isascii() and tok[1:].isdigit():
+            return Var(int(tok[1:] or 0))
+        raise FormulaSyntaxError(f"unknown identifier {tok!r}", at)
 
-    out = p_imp()
+    out = binary(0)
     if pos != len(tokens):
-        raise FormulaSyntaxError("trailing input", where())
+        raise FormulaSyntaxError("trailing input", peek()[1])
     return out
 
 
 # printing ---------------------------------------------------------------
 
-_PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 0, 1, 2, 3
+_UNARY = len(_BINARY)  # binds tighter than every binary operator
+_SPELLING = {node: (tok, prec) for tok, (prec, node) in _BINARY.items()}
 
 
 def pretty(f):
@@ -248,24 +215,23 @@ def pretty(f):
 
 
 def _fmt(f, ctx):
+    """f spelled where an operator must bind at least as tightly as ctx,
+    in parentheses if its own binds less tightly."""
     if isinstance(f, Var):
         return f"p{f.index}"
     if isinstance(f, Bot):
         return "bot"
     if isinstance(f, Box):
-        return "[]" + _fmt(f.inner, _PREC_UNARY)
-    if isinstance(f, Imp):
-        if isinstance(f.right, Bot):
-            return "~" + _fmt(f.left, _PREC_UNARY)
-        s = _fmt(f.left, _PREC_OR) + " -> " + _fmt(f.right, _PREC_IMP)
-        return f"({s})" if ctx > _PREC_IMP else s
-    if isinstance(f, Or):
-        s = _fmt(f.left, _PREC_OR) + " | " + _fmt(f.right, _PREC_AND)
-        return f"({s})" if ctx > _PREC_OR else s
-    if isinstance(f, And):
-        s = _fmt(f.left, _PREC_AND) + " & " + _fmt(f.right, _PREC_UNARY)
-        return f"({s})" if ctx > _PREC_AND else s
-    raise TypeError(f"not a formula: {f!r}")
+        return "[]" + _fmt(f.inner, _UNARY)
+    if isinstance(f, Imp) and isinstance(f.right, Bot):
+        return "~" + _fmt(f.left, _UNARY)
+    if type(f) not in _SPELLING:
+        raise TypeError(f"not a formula: {f!r}")
+    tok, prec = _SPELLING[type(f)]
+    # the side an operator groups to takes its own level, the other one up
+    left, right = (prec + 1, prec) if type(f) is Imp else (prec, prec + 1)
+    s = f"{_fmt(f.left, left)} {tok} {_fmt(f.right, right)}"
+    return f"({s})" if ctx > prec else s
 
 
 # named formulas ----------------------------------------------------------

@@ -228,7 +228,10 @@ def image_of_upset(target: Poset, host: Poset, meter: WorkMeter | None = None) -
     target, so it is onto.  Conversely up(x) is an upset.  Each up(x) is
     searched without leaving points out, largest first, so the walk stops
     at the first up(x) smaller than target; the height of up(x) is that
-    of x in host.
+    of x in host.  An up(x) lower or narrower than target is skipped:
+    preimages of a chain (picked upward by the back condition) or of an
+    antichain (a p-morphism is monotone) under a map onto target form one
+    of the same size.
     """
     if target.n == 0:
         return True
@@ -251,7 +254,9 @@ def image_of_upset(target: Poset, host: Poset, meter: WorkMeter | None = None) -
 
 
 def image_of_subposet(target: Poset, host: Poset, meter: WorkMeter | None = None) -> bool:
-    """Is the rooted target a p-morphic image of some subposet of host?"""
+    """Is the rooted target a p-morphic image of some subposet of host?
+    Not if host is narrower: preimages of an antichain of target form an
+    antichain of the subposet, so of host."""
     if target.n == 0:
         return True
     if target.n > host.n:

@@ -11,7 +11,6 @@ byte-identical across reruns and worker counts.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from itertools import product
 
 from .axioms import decompose_kg, jankov_syntactic, validates_jankov, validates_subframe
@@ -72,11 +71,9 @@ def _random_formula(rng, depth):
     return Imp(left, right)
 
 
-@lru_cache(maxsize=None)
 def godel_suite(count):
     """The first count of bw(1), bw(2), the weak excluded middle, then
-    distinct seeded random fills (cache bound: one suite per formula
-    count asked for, which the scenario parameters fix)."""
+    distinct seeded random fills."""
     out = [bw(1), bw(2), kc_axiom()][:count]
     seen = set(out)
     rng = random.Random(0x1C0FFEE)
@@ -273,40 +270,40 @@ def _jankov_oracle(params):
 
 def _collapse(src, dst, image):
     """Whether the map sending each point e of src to dst's point named
-    image(e), a PMorphism checked by validate(), is onto."""
-    pm = PMorphism(src, dst, tuple(dst.index(image(e)) for e in src.elements))
+    image[e], a PMorphism checked by validate(), is onto."""
+    pm = PMorphism(src, dst, tuple(dst.index(image[e]) for e in src.elements))
     pm.validate()
     return pm.is_surjective()
 
 
 def _ym_rigidity(params):
-    mmax = params["max_m"]
-    trunc = params["trunc"]
-    ys = {m: y_poset(m) for m in range(1, mmax + 1)}
-    instances = [("map", k, m) for k in range(1, mmax + 1)
-                 for m in range(1, mmax + 1)]
-    instances += [("collapse", m, 0) for m in range(1, mmax + 1)]
+    """Y(k) maps onto Y(m) exactly when k == m (the report names Y(k)), and
+    the tower over Y(m) collapses onto Y(m) at d (the report names Y(m))."""
+    ys = [y_poset(m) for m in range(1, params["max_m"] + 1)]
+    instances = [(yk, ym, None) for yk in ys for ym in ys]
+    for m, y in enumerate(ys, 1):
+        x = xm_trunc(m, 3, params["trunc"])
+        above_d = x.up[x.index("d")]
+        instances.append((x, y, {e: "d" if above_d >> i & 1 else e
+                                 for i, e in enumerate(x.elements)}))
 
     def check(inst, meter):
-        kind, k, m = inst
-        if kind == "map":
-            pm = find_pmorphism(ys[k], ys[m], surjective=True, meter=meter)
-            if (pm is not None) != (k == m):
-                return ys[k], f"surjection Y({k})->Y({m}) {'found' if pm else 'missing'}"
-            return ys[k], None
-        x = xm_trunc(k, 3, trunc)
-        y = ys[k]
-        d = x.index("d")
-        onto = _collapse(x, y, lambda e: "d" if x.leq_idx(d, x.index(e)) else e)
-        return y, None if onto else "collapse map not onto"
+        src, dst, image = inst
+        if image is not None:
+            return dst, None if _collapse(src, dst, image) else "collapse map not onto"
+        pm = find_pmorphism(src, dst, surjective=True, meter=meter)
+        if (pm is not None) != (src is dst):
+            return src, f"surjection {src.name}->{dst.name} {'found' if pm else 'missing'}"
+        return src, None
 
     return instances, check
 
 
 def _one_step(p):
     """The quotients of p by one alpha or one beta pair, each pair a block
-    among singletons, blocks sorted by least point (quotient checks the
-    E-partition condition):
+    among singletons, blocks sorted by least point, so that a quotient met
+    again is the same labelled poset and canonical_code's cache answers it
+    (quotient checks the E-partition condition):
     - alpha pairs {x, c}, where c is the one upper cover of x;
     - beta pairs {x, y}, x < y by index, with strict_up(x) == strict_up(y).
     """
@@ -431,41 +428,32 @@ def _kg_structure(params):
 
 
 def _pm_constructions(params):
-    nmax = params["max_n"]
+    """The paper's collapse maps, each checked onto its target (the report
+    names the source): G(n) onto G(m) for m <= n and onto a point over L(4)
+    over a chain of n, and a truncation over a middle summand onto the
+    truncation without it, the middle sent to the truncation's bottom."""
     nlv = params["trunc"]
     instances = []
-    for n in range(1, nmax + 1):
+    for n in range(1, params["max_n"] + 1):
+        src = gn_trunc(n, nlv)
         for m in range(1, n + 1):
-            instances.append(("chain-collapse", n, m))
-        instances.append(("ladder-collapse", n, 0))
-    middles = [("one", one_point()), ("two", two_antichain()),
-               ("onetwo", stack([("a", one_point()), ("b", two_antichain())]))]
-    for tag, _ in middles:
-        instances.append(("middle-drop", tag, 0))
-    mid_by_tag = dict(middles)
+            instances.append((src, gn_trunc(m, nlv), {
+                e: f"c.c{min(int(e[3:]), m - 1)}" if e.startswith("c.c") else e
+                for e in src.elements}))
+        dst = stack([("t", one_point()), ("f", ladder_upset(4)), ("c", chain(n))])
+        instances.append((src, dst, {
+            e: "t.pt" if e.startswith(("t.", "l.")) else e for e in src.elements}))
+    z = stack([("f", ladder_upset(4)), ("c", chain(1))])
+    dst = stack([("x", one_point()), ("l", ladder_trunc(nlv)), ("z", z)])
+    for mid in (one_point(), two_antichain(),
+                stack([("a", one_point()), ("b", two_antichain())])):
+        src = stack([("x", one_point()), ("l", ladder_trunc(nlv)), ("y", mid), ("z", z)])
+        instances.append((src, dst, {
+            e: "l.omega" if e.startswith("y.") else e for e in src.elements}))
 
     def check(inst, meter):
-        kind, a, b = inst
-        if kind == "chain-collapse":
-            n, m = a, b
-            src = gn_trunc(n, nlv)
-            onto = _collapse(src, gn_trunc(m, nlv), lambda e: (
-                f"c.c{min(int(e[3:]), m - 1)}" if e.startswith("c.c") else e))
-        elif kind == "ladder-collapse":
-            n = a
-            src = gn_trunc(n, nlv)
-            dst = stack([("t", one_point()), ("f", ladder_upset(4)),
-                         ("c", chain(n))])
-            onto = _collapse(src, dst, lambda e: "t.pt" if e.startswith(("t.", "l.")) else e)
-        else:
-            # middle-drop: send the middle summand to the truncation bottom
-            mid = mid_by_tag[a]
-            z = stack([("f", ladder_upset(4)), ("c", chain(1))])
-            src = stack([("x", one_point()), ("l", ladder_trunc(nlv)),
-                         ("y", mid), ("z", z)])
-            dst = stack([("x", one_point()), ("l", ladder_trunc(nlv)), ("z", z)])
-            onto = _collapse(src, dst, lambda e: "l.omega" if e.startswith("y.") else e)
-        return src, None if onto else "not onto"
+        src, dst, image = inst
+        return src, None if _collapse(src, dst, image) else "not onto"
 
     return instances, check
 

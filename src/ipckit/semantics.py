@@ -185,15 +185,12 @@ def _fast_patterns(n, domain, k, rows):
 
 
 def _windows(n, domain, nvars):
-    """(slots, rows, shared) for each window of at most WINDOW rows, in row
-    order.
+    """(slots, rows) for each window of at most WINDOW rows, in row order.
 
     The last k slots are fast: each window holds whole blocks of their
     m**k rows.  The slot before them steps through a chunk of its domain
-    within the window, and the slower slots are fixed across it.  When
-    one window holds every row of a scan with variables, its slots are
-    the cached pattern tuple, the one object every such scan over this
-    domain with this nvars reads, and shared is True.
+    within the window, and the slower slots are fixed across it.  One
+    window holds every row exactly when m**nvars <= WINDOW.
     """
     m = len(domain)
     k = 0
@@ -205,13 +202,13 @@ def _windows(n, domain, nvars):
     # WINDOW values out of the cache
     fast = _fast_patterns(n, domain, k, c * block) if k else ()
     if k == nvars:  # one window holds every row
-        yield fast, block, k > 0
+        yield fast, block
         return
     for slow in product(domain, repeat=nvars - k - 1):
         fixed = [_held(n, (v,), c * block) for v in slow]
         for a in range(0, m, c):
             values = domain[a:a + c]
-            yield [*fixed, _held(n, values, block), *fast], len(values) * block, False
+            yield [*fixed, _held(n, values, block), *fast], len(values) * block
 
 
 _block = (None, {})  # the innermost open block's poset and node-value tables
@@ -219,12 +216,12 @@ _block = (None, {})  # the innermost open block's poset and node-value tables
 
 @contextmanager
 def shared_node_values(p):
-    """Inside this block the single-window scans of the poset object p
-    share node values, one table per pattern tuple (see _windows) and
-    mode: the pattern fixes the domain, nvars and the window, the table
-    keeps it alive so its id names it, and ``->`` reads differently in
-    the two modes.  Scans of other posets, or outside every block, share
-    nothing.  However the block ends, it restores the state it found."""
+    """Inside this block the one-window scans of the poset object p share
+    node values, one table per mode, domain and number of slots: the
+    domain and the slots fix the window's slot values over p, and ``->``
+    reads differently in the two modes.  Scans of other posets, or
+    outside every block, share nothing.  However the block ends, it
+    restores the state it found."""
     global _block
     outer, _block = _block, (p, {})
     try:
@@ -253,8 +250,9 @@ def scan_validity(p, plan, domain, limit, modal=False):
         return ("valid", 0)
     if not isinstance(domain, (tuple, range)):
         domain = tuple(domain)  # hashable, for the pattern cache
+    shared = _block[0] is p and len(domain) ** nvars <= WINDOW  # one window
     start = 0
-    for slots, rows, shared in _windows(p.n, domain, nvars):
+    for slots, rows in _windows(p.n, domain, nvars):
         if limit is not None and start >= limit:
             return ("budget", max(limit, 0))
         # bits above rows (a short last chunk) are computed but not read
@@ -262,8 +260,7 @@ def scan_validity(p, plan, domain, limit, modal=False):
         cut = ones
         if limit is not None and start + rows > limit:
             cut = (1 << (limit - start)) - 1  # rows inside the budget
-        own = shared and _block[0] is p
-        memo = _block[1].setdefault((id(slots), modal), (slots, {}))[1] if own else {}
+        memo = _block[1].setdefault((modal, domain, nvars), {}) if shared else {}
         holds = ones
         for t in _evaluate(plan.nodes, slots, p, ones, memo, modal):
             holds &= t

@@ -29,7 +29,7 @@ def fast_patterns(n, domain, k):
 
 
 def windows(n, domain, nvars):
-    """(slots, rows, shared) for each window, as _windows yields them."""
+    """(slots, rows) for each window, as _windows yields them."""
     m = len(domain)
     k = 0
     while k < nvars and m ** (k + 1) <= WINDOW:
@@ -37,7 +37,7 @@ def windows(n, domain, nvars):
     block = m ** k
     fast = fast_patterns(n, domain, k) if k else ()
     if k == nvars:  # one window holds every row
-        yield fast, block, k > 0
+        yield fast, block
         return
     c = WINDOW // block  # values of the chunked slot per window
     ones = (1 << c * block) - 1
@@ -47,4 +47,4 @@ def windows(n, domain, nvars):
         fixed = [_held(n, (v,), c * block) for v in slow]
         for a in range(0, m, c):
             values = domain[a:a + c]
-            yield fixed + [_held(n, values, block)] + fast, len(values) * block, False
+            yield fixed + [_held(n, values, block)] + fast, len(values) * block

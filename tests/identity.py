@@ -1,9 +1,14 @@
 """Identity digests: one sha256 line per output that a refactoring must
 keep byte-identical.
 
-Run it on two checkouts and diff the output:
+Run it on two checkouts and diff the output, or check a checkout
+against the committed digests of the tree it should match:
 
     python tests/identity.py > after.txt
+    python tests/identity.py --check tests/identity.sha256
+
+--check prints each line whose digest differs from the file's, or that
+only one side has, and exits 1 if there is one.
 
 The items are the reports of the twelve scenarios at their defaults under
 several budgets, the benchmark workloads' scenarios with their worker
@@ -36,7 +41,7 @@ BUDGETS = (None, 1, 37, 1000, 50000)
 
 
 def _line(name, text):
-    print(f"{hashlib.sha256(text.encode()).hexdigest()}  {name}", flush=True)
+    return f"{hashlib.sha256(text.encode()).hexdigest()}  {name}"
 
 
 def _workloads():
@@ -48,28 +53,24 @@ def _workloads():
     return mod.WORKLOADS
 
 
-def _poset(member):
-    # a member may come as a (poset, chain parameter) pair in older trees
-    return member[0] if isinstance(member, tuple) else member
-
-
-def main():
+def digests():
+    """The digest lines, one per output, in order."""
     for name in scenario_names():
         for budget in BUDGETS:
-            _line(f"report {name} budget={budget}",
-                  run_scenario(name, budget=budget).to_json())
+            yield _line(f"report {name} budget={budget}",
+                        run_scenario(name, budget=budget).to_json())
     for wname, w in sorted(_workloads().items()):
         for s in w.scenarios:
-            _line(f"workload {wname} {s.name} {s.params} jobs={w.jobs}",
-                  run_scenario(s.name, s.params, jobs=w.jobs).to_json())
-    _line("report kg-structure size=8 jobs=2",
-          run_scenario("kg-structure", {"size": 8}, jobs=2).to_json())
-    _line("report godel-transfer jobs=2",
-          run_scenario("godel-transfer", jobs=2).to_json())
+            yield _line(f"workload {wname} {s.name} {s.params} jobs={w.jobs}",
+                        run_scenario(s.name, s.params, jobs=w.jobs).to_json())
+    yield _line("report kg-structure size=8 jobs=2",
+                run_scenario("kg-structure", {"size": 8}, jobs=2).to_json())
+    yield _line("report godel-transfer jobs=2",
+                run_scenario("godel-transfer", jobs=2).to_json())
     for size in range(1, 10):
         for n in range(4):
-            members = [_poset(m) for m in rn_members(size, n)]
-            _line(f"rn_members {size} {n}", repr([(p.elements, p.up) for p in members]))
+            yield _line(f"rn_members {size} {n}",
+                        repr([(p.elements, p.up) for p in rn_members(size, n)]))
     for size in range(1, 9):
         for w in (None, 1, 2, 3):
             argv = ["enumerate", "--size", str(size)]
@@ -78,12 +79,40 @@ def main():
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = cli_main(argv)
-            _line(" ".join(argv), f"{code}\n{out.getvalue()}")
-    _line("jankov_syntactic rooted 1..8", "\n".join(
+            yield _line(" ".join(argv), f"{code}\n{out.getvalue()}")
+    yield _line("jankov_syntactic rooted 1..8", "\n".join(
         pretty(jankov_syntactic(p)) for n in range(1, 9) for p in enumerate_rooted(n)))
-    _line("epartitions 0..7", "\n".join(
+    yield _line("epartitions 0..7", "\n".join(
         repr(epartitions(p)) for n in range(8) for p in enumerate_posets(n)))
 
 
+def differing(want, got):
+    """The names of the digest lines that differ between the two lists of
+    lines, or that only one of them has, in want's order, then got's."""
+    old = {name: digest for digest, name in (line.split("  ", 1) for line in want)}
+    new = {name: digest for digest, name in (line.split("  ", 1) for line in got)}
+    return [name for name in {**old, **new} if old.get(name) != new.get(name)]
+
+
+def main(argv=None):
+    """Print the digest lines, or with --check FILE compare them with the
+    file's: 1 if a line differs, else 0."""
+    args = sys.argv[1:] if argv is None else argv
+    if not args:
+        for line in digests():
+            print(line, flush=True)
+        return 0
+    if len(args) != 2 or args[0] != "--check":
+        print("usage: identity.py [--check FILE]", file=sys.stderr)
+        return 2
+    want = Path(args[1]).read_text().splitlines()
+    got = list(digests())
+    bad = differing(want, got)
+    for name in bad:
+        print(f"differs: {name}")
+    print(f"{len(bad)} lines differ; {len(got)} computed, {len(want)} in {args[1]}")
+    return 1 if bad else 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -38,6 +38,19 @@ MUTANTS = {
         "    for i in range(n):\n        for k in range(n):\n            if up[i] >> k & 1:\n",
         ["tests/test_poset.py::test_closure_matches_fixpoint_oracle"],
     ),
+    # an alias token one character late: errors at it point past it
+    "parse-alias-position-one-off": (
+        "src/ipckit/formulas.py",
+        "tokens.append((_CHARS[c], i))",
+        "tokens.append((_CHARS[c], i + (c != _CHARS[c])))",
+        ["tests/test_formulas.py::test_parser_matches_the_recursive_descent_oracle"],
+    ),
+    "parse-implication-groups-left": (
+        "src/ipckit/formulas.py",
+        "binary(prec if node is Imp else prec + 1)",
+        "binary(prec + 1)",
+        ["tests/test_formulas.py::test_parser_matches_the_recursive_descent_oracle"],
+    ),
     "parse-non-ascii-digits": (
         "src/ipckit/formulas.py",
         'tok.startswith("p") and tok[1:].isascii() and tok[1:].isdigit()',
@@ -77,8 +90,16 @@ MUTANTS = {
     # the block ignores the poset: scans of another poset in it share values
     "node-values-kept-across-orders": (
         "src/ipckit/semantics.py",
-        "        own = shared and _block[0] is p\n",
-        "        own = shared\n",
+        "    shared = _block[0] is p and len(domain) ** nvars <= WINDOW",
+        "    shared = len(domain) ** nvars <= WINDOW",
+        ["tests/test_kernel.py::test_scan_sequences_match_oracle"],
+    ),
+    # permuted domains of one length have other slot values: a table
+    # keyed by the length hands one domain's node values to the other
+    "node-values-keyed-by-domain-length": (
+        "src/ipckit/semantics.py",
+        "(modal, domain, nvars)",
+        "(modal, len(domain), nvars)",
         ["tests/test_kernel.py::test_scan_sequences_match_oracle"],
     ),
     "residuation-down-set-without-least": (
@@ -241,8 +262,8 @@ MUTANTS = {
     ),
     "node-values-shared-across-modes": (
         "src/ipckit/semantics.py",
-        "(id(slots), modal)",
-        "(id(slots), False)",
+        "(modal, domain, nvars)",
+        "(False, domain, nvars)",
         ["tests/test_semantics.py::test_memo_keeps_the_modes_apart"],
     ),
     "node-values-outlive-the-block": (
@@ -377,8 +398,8 @@ MUTANTS = {
     ),
     "chain-collapse-target-one-up": (
         "src/ipckit/scenarios.py",
-        "_collapse(src, gn_trunc(m, nlv),",
-        "_collapse(src, gn_trunc(m + 1, nlv),",
+        "(src, gn_trunc(m, nlv), {",
+        "(src, gn_trunc(m + 1, nlv), {",
         ["tests/test_acceptance.py::test_criterion_12_pm_constructions"],
     ),
     # the modal side reads -> materially, so an unboxed implication is

@@ -7,7 +7,12 @@ result line per criterion, or -s to see the printed summary lines.
 
 from __future__ import annotations
 
-from ipckit import poset
+import hashlib
+
+import pytest
+
+from ipckit import poset, scenarios
+from ipckit.errors import ParameterOutOfRange
 from ipckit.report import render_report
 from ipckit.scenarios import run_scenario, scenario_names
 
@@ -97,6 +102,46 @@ def test_criterion_11_kg_structure():
 def test_criterion_12_pm_constructions():
     # the explicit collapse maps on truncations pass the validator
     _criterion(12, "pm-constructions", {"max_n": 3, "trunc": 12}, (12, 0))
+
+
+def _failing(name, params):
+    """(name, size, detail) of each counterexample of a run, and a digest
+    of its JSON report, which holds the posets."""
+    r = run_scenario(name, params, max_counterexamples=100)
+    assert r.status == "fail"
+    return ([(c.poset.name, c.poset.n, c.detail) for c in r.counterexamples],
+            hashlib.sha256(r.to_json().encode()).hexdigest()[:16])
+
+
+def test_criteria_09_and_12_name_each_failing_map(monkeypatch):
+    # with every collapse refused and every search answered alike, each
+    # instance reports the poset and the map the criterion pins it to
+    # (the same figures as the tag-dispatched checks before them gave)
+    monkeypatch.setattr(scenarios, "_collapse", lambda src, dst, image: False)
+    params = {"max_m": 4, "trunc": 8}
+    collapses = [(f"Y({m})", 11 + 2 * m, "collapse map not onto") for m in range(1, 5)]
+    monkeypatch.setattr(scenarios, "find_pmorphism", lambda *args, **kwargs: None)
+    assert _failing("ym-rigidity", params) == ([
+        (f"Y({k})", 11 + 2 * k, f"surjection Y({k})->Y({k}) missing") for k in range(1, 5)
+    ] + collapses, "fc08ebc04ec08b6c")
+    monkeypatch.setattr(scenarios, "find_pmorphism", lambda *args, **kwargs: object())
+    assert _failing("ym-rigidity", params) == ([
+        (f"Y({k})", 11 + 2 * k, f"surjection Y({k})->Y({m}) found")
+        for k in range(1, 5) for m in range(1, 5) if k != m
+    ] + collapses, "b73f6fa3cdd925d4")
+    sources = [(f"G({n},12)", 18 + n) for n in range(1, 4) for _ in range(n + 1)]
+    sources += [(None, 20), (None, 21), (None, 22)]  # one, two and 1+2 points in the middle
+    assert _failing("pm-constructions", {"max_n": 3, "trunc": 12}) == (
+        [(*src, "not onto") for src in sources], "39b86f0c343f8b7b")
+
+
+def test_bad_truncation_is_refused_before_any_instance():
+    # the collapse instances are built before the first one runs, so a
+    # truncation the towers cannot take is refused at every budget
+    for name in ("ym-rigidity", "pm-constructions"):
+        for budget in (None, 0, 1, 10 ** 6):
+            with pytest.raises(ParameterOutOfRange):
+                run_scenario(name, {"trunc": 0}, budget=budget)
 
 
 _SMALL_PARAMS = {

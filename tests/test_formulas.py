@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from helpers import random_formula as _random_formula
+import _oracle_formulas as oracle
 
 from ipckit import formulas
 from ipckit.errors import FormulaSyntaxError, NotIntuitionistic
@@ -60,6 +61,75 @@ def test_parse_errors_carry_position():
         with pytest.raises(FormulaSyntaxError) as err:
             parse(text)
         assert err.value.position == 0
+
+
+def test_alias_errors_point_into_the_input():
+    # an alias is read at its own position, not at one in a rewritten text
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse("p0 ∧ )")
+    assert err.value.position == 5
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse("□□p0 & ?")
+    assert err.value.position == 7
+
+
+_FRAGMENTS = ("p0", "p1", "p", "p12", "bot", "q", "x_1", "p\u00b2", "->", "|", "&",
+              "~", "[]", "(", ")", "-", "[", "]", "?", ">", " ")
+_ASCII_TOKENS = {ascii_: uni for uni, ascii_ in oracle.ALIASES.items()}
+
+
+def _parser_inputs(rng, trees, count, aliases):
+    """count texts: half the printed trees, some with one fragment cut or
+    put in, and half random fragment strings; with aliases set, each ASCII
+    token an alias spells is replaced by it at random."""
+    fragments = _FRAGMENTS + (tuple(oracle.ALIASES) if aliases else ())
+    printed = [pretty(f).split(" ") for f in trees]
+    for i in range(count):
+        if i % 2:
+            pieces = [rng.choice(fragments) for _ in range(rng.randrange(12))]
+        else:
+            pieces = list(rng.choice(printed))
+            edit = rng.randrange(3)
+            if edit:
+                at = rng.randrange(len(pieces))
+                pieces[at:at + (edit == 1)] = [rng.choice(fragments)] if edit == 2 else []
+        text = " ".join(pieces)
+        if aliases:
+            for ascii_, uni in _ASCII_TOKENS.items():
+                parts = text.split(ascii_)
+                text = parts[0] + "".join(
+                    rng.choice((ascii_, uni)) + part for part in parts[1:])
+        yield text
+
+
+def _outcome(parser, text, position=lambda at: at):
+    """The tree parser gives, or its error's type, message and position."""
+    try:
+        return parser(text)
+    except FormulaSyntaxError as err:
+        return type(err), str(err).rsplit(" (at position ", 1)[0], position(err.position)
+
+
+def test_parser_matches_the_recursive_descent_oracle():
+    # derandomised: ASCII input gives the oracle's tree or error, position
+    # included; alias input gives the same with the position mapped from
+    # the oracle's rewritten text to the input character it reads
+    rng = random.Random(0x9A95E)
+    # live trees, so parsing them mostly finds their nodes interned
+    trees = [_random_formula(rng, rng.randrange(5), modal=True) for _ in range(2000)]
+    for text in _parser_inputs(rng, trees, 50_000, aliases=False):
+        assert _outcome(parse, text) == _outcome(oracle.parse, text), text
+    unicode = 0
+    for text in _parser_inputs(rng, trees, 50_000, aliases=True):
+        want = _outcome(oracle.parse, text, lambda at: oracle.input_position(text, at))
+        assert _outcome(parse, text) == want, text
+        unicode += not text.isascii()
+    assert unicode > 30_000
+
+
+def test_deeply_parenthesised_formulas_parse():
+    depth = 200
+    assert parse("(" * depth + "p0" + ")" * depth) is Var(0)
 
 
 def test_precedence():

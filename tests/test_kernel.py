@@ -163,17 +163,19 @@ def test_domains_wider_than_a_window():
 
 def test_windows_match_the_replicated_pattern_oracle():
     # fast patterns built over a window's own rows are one block's patterns
-    # replicated across the window, on every window of every scan shape
+    # replicated across the window, on every window of every scan shape;
+    # a scan fits one window, and may share node values, exactly when
+    # m**nvars <= WINDOW
     def rows(windows):
-        return [([tuple(s) for s in slots], n_rows, shared)
-                for slots, n_rows, shared in windows]
+        return [([tuple(s) for s in slots], n_rows) for slots, n_rows in windows]
 
     domains = {(n, p.upsets) for n in range(1, 6) for p in enumerate_posets(n)}
     domains |= {(n, range(1 << n)) for n in range(1, 6)}
     for n, domain in domains:
         for nvars in range(1, 5):
-            assert rows(_windows(n, domain, nvars)) == \
-                rows(oracle_windows(n, domain, nvars)), (n, domain, nvars)
+            got = rows(_windows(n, domain, nvars))
+            assert got == rows(oracle_windows(n, domain, nvars)), (n, domain, nvars)
+            assert (len(got) == 1) == (len(domain) ** nvars <= WINDOW)
 
 
 def test_work_counts_match():

@@ -208,7 +208,7 @@ def test_plan_caches_are_the_known_ones_and_bounded():
         assert fn.cache_info().maxsize is not None, name
     # every lru_cache in ipckit says what bounds it; a sized one says its size
     caches = _ipckit_caches()
-    assert len(caches) == 10
+    assert len(caches) == 9
     for name, fn in caches.items():
         doc = " ".join((fn.__doc__ or "").split())
         bound = fn.cache_info().maxsize
@@ -413,15 +413,15 @@ def test_block_shares_only_its_own_posets_values():
         with shared_node_values(p):
             assert _scans_on(p, fs, share=False) == want  # in p's own block
             tables = semantics._block[1]
-            held = {key: len(values) for key, (_, values) in tables.items()}
+            held = {key: len(values) for key, values in tables.items()}
             assert held
-            for _, values in tables.values():
+            for values in tables.values():
                 assert all(len(v) == p.n for v in values.values())
             # p first again, then the posets before it and a copy of p
             others = [*posets[i::-1], Poset(p.elements, p.up)]
             for q, other in zip(others, [*alone[i::-1], want]):
                 assert _scans_on(q, fs, share=False) == other
-            assert {key: len(values) for key, (_, values) in tables.items()} == held
+            assert {key: len(values) for key, values in tables.items()} == held
         assert _no_tables_left()
 
 
