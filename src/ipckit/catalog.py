@@ -171,35 +171,27 @@ def fan(k):
 
 
 @lru_cache(maxsize=None)
-def ladder(depth):
-    """Top part of the one-generated dual frame: points w0..w_{depth-1},
-    point w_n covered by w_{n-2} and w_{n-3} (cache bound: one poset per
-    depth asked for)."""
-    if depth < 1:
-        raise ParameterOutOfRange("ladder depth must be >= 1")
+def ladder_top_segment(m):
+    """Points w0..wm of the one-generated dual frame's ladder, point w_n
+    covered by w_{n-2} and w_{n-3}: the non-rooted indecomposable upsets
+    (cache bound: one poset per m asked for)."""
+    if m < 0:
+        raise ParameterOutOfRange("segment size must be >= 0")
     covers = []
-    for i in range(2, depth):
+    for i in range(2, m + 1):
         covers.append((f"w{i}", f"w{i-2}"))
         if i >= 3:
             covers.append((f"w{i}", f"w{i-3}"))
-    return build_poset([f"w{i}" for i in range(depth)], covers, name="ladder")
+    return build_poset([f"w{i}" for i in range(m + 1)], covers, name=f"T({m})")
 
 
 def ladder_upset(k):
-    """The principal upset of w_k inside the ladder, read off ladder(k + 1):
-    every point above w_k has a smaller index."""
+    """The principal upset of w_k inside the ladder, read off T(k): every
+    point above w_k has a smaller index."""
     if k < 0:
         raise ParameterOutOfRange(f"ladder upset index {k} out of range")
-    lad = ladder(k + 1)
-    return lad.restrict(lad.up[k], name=f"L({k})")
-
-
-def ladder_top_segment(m):
-    """Points w0..wm of the ladder (the non-rooted indecomposable upsets)."""
-    if m < 0:
-        raise ParameterOutOfRange("segment size must be >= 0")
-    lad = ladder(m + 1)
-    return Poset(lad.elements, lad.up, name=f"T({m})")
+    seg = ladder_top_segment(k)
+    return seg.restrict(seg.up[k], name=f"L({k})")
 
 
 def ladder_trunc(n_points):
@@ -234,12 +226,8 @@ def rn_member(word, k=None, m=None):
     top = one_point()
     s = simple_space(word)
     if k is not None:
-        if k < 0:
-            raise ParameterOutOfRange("k must be >= 0")
         tail = ladder_upset(k)
     else:
-        if m < 0:
-            raise ParameterOutOfRange("m must be >= 0")
         tail = sum_posets(sum_posets(one_point(), ladder_upset(4)), chain(m))
     return sum_posets(sum_posets(top, s), tail)
 
@@ -275,13 +263,11 @@ def xm_trunc(m, n, nlevels):
     """Finite stand-in for the width-(n+1) tower over Y(m): the top
     nlevels of the three-column braid over b_omega over d, plus the n-2
     extra maximal points beside b_omega."""
-    if m < 1:
-        raise ParameterOutOfRange("m must be >= 1")
+    base = y_poset(m)
     if n < 3:
         raise ParameterOutOfRange("n must be >= 3")
     if nlevels < 1:
         raise ParameterOutOfRange("nlevels must be >= 1")
-    base = y_poset(m)
     els = list(base.elements)
     covers = [(base.elements[i], base.elements[j]) for i, j in base.covers()]
     for t in range(1, n - 1):

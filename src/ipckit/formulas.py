@@ -12,6 +12,7 @@ printer contracts it back.
 
 from __future__ import annotations
 
+from functools import reduce
 from weakref import WeakValueDictionary
 
 from .errors import FormulaSyntaxError, NotIntuitionistic
@@ -93,21 +94,13 @@ def conj(parts):
     parts = list(parts)
     if not parts:
         raise ValueError("empty conjunction")
-    out = parts[0]
-    for f in parts[1:]:
-        out = And(out, f)
-    return out
+    return reduce(And, parts)
 
 
 def disj(parts):
     """Left-folded disjunction; empty input is bot."""
     parts = list(parts)
-    if not parts:
-        return BOT
-    out = parts[0]
-    for f in parts[1:]:
-        out = Or(out, f)
-    return out
+    return reduce(Or, parts) if parts else BOT
 
 
 def variables(f):

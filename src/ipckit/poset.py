@@ -68,9 +68,6 @@ class Poset:
         except ValueError:
             raise UnknownElement(name) from None
 
-    def leq_idx(self, i, j):
-        return bool(self.up[i] >> j & 1)
-
     # derived order data ------------------------------------------------
     #
     # The heights and topdown (one peel, _peel), height, upper_covers,

@@ -61,14 +61,8 @@ def _upto(enum, size, first=1, **kw):
 def _random_formula(rng, depth):
     if depth == 0 or rng.random() < 0.2:
         return rng.choice([Var(0), Var(1), BOT])
-    op = rng.randrange(3)
-    left = _random_formula(rng, depth - 1)
-    right = _random_formula(rng, depth - 1)
-    if op == 0:
-        return And(left, right)
-    if op == 1:
-        return Or(left, right)
-    return Imp(left, right)
+    op = (And, Or, Imp)[rng.randrange(3)]
+    return op(_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
 
 
 def godel_suite(count):
@@ -99,29 +93,26 @@ def rn_members(size, nmax):
     parameter at most nmax, deduplicated: the first member built for each
     canonical code, in canonical-code order.
 
-    The single point is included as the degenerate member: it is the
-    image of any principal upset, while the sum shapes all have two or
-    more points."""
+    The single point is included as the degenerate member when size is at
+    least 1: it is the image of any principal upset, while the sum shapes
+    all have two or more points."""
     found = {}
 
     def add(member):
         found.setdefault(canonical_code(member), member)
 
-    add(one_point())
+    if size >= 1:
+        add(one_point())
     # the top point and the tail take a point each.  A member only grows
-    # with k, since |L(k)| runs 1, 1, 2, 3, ..., and with m, so each loop
-    # stops at the first member that does not fit
+    # with k, since |L(k)| runs 1, 1, 2, 3, ..., and with m, so each tail's
+    # loop stops at the first member that does not fit
     for word in _words_upto(size - 2):
-        for k in range(size + 1):
-            member = rn_member(word, k=k)
-            if member.n > size:
-                break
-            add(member)
-        for m in range(nmax + 1):
-            member = rn_member(word, m=m)
-            if member.n > size:
-                break
-            add(member)
+        for tail, bound in (("k", size), ("m", nmax)):
+            for x in range(bound + 1):
+                member = rn_member(word, **{tail: x})
+                if member.n > size:
+                    break
+                add(member)
     # degenerate top: collapsing the whole upper segment of a chain-type
     # member onto its maximum lands on these, so they belong to the family
     for m in range(0, nmax + 1):

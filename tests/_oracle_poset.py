@@ -74,12 +74,12 @@ def _min_rows(p, colors):
     def row_for(v, order):
         r = 0
         for u in order:
-            r = r << 2 | (p.leq_idx(v, u) << 1 | p.leq_idx(u, v))
+            r = r << 2 | (p.up[v] >> u & 1) << 1 | p.up[u] >> v & 1
         return r
 
     def twins(u, v):
         # the transposition (u v) is an automorphism
-        if colors[u] != colors[v] or p.leq_idx(u, v) or p.leq_idx(v, u):
+        if colors[u] != colors[v] or p.up[u] >> v & 1 or p.up[v] >> u & 1:
             return False
         pair = 1 << u | 1 << v
         return (
@@ -283,7 +283,7 @@ def max_antichain_brute(p, mask):
     for sub in range(1 << len(points)):
         chosen = [points[k] for k in range(len(points)) if sub >> k & 1]
         if len(chosen) > best and all(
-                not p.leq_idx(a, b) and not p.leq_idx(b, a)
+                not p.up[a] >> b & 1 and not p.up[b] >> a & 1
                 for k, a in enumerate(chosen) for b in chosen[k + 1:]):
             best = len(chosen)
     return best

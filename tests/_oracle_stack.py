@@ -1,15 +1,34 @@
 """Ordinal sums by cover pairs and transitive closure: the test oracle for
 ipckit.poset.stack and ipckit.catalog.ladder_trunc, which write the
-up-set masks directly; the ladder's top segment as a restriction of
-a deeper ladder, the oracle for ipckit.catalog.ladder_top_segment; the
-ladder upset L(k) restricted out of a ladder of depth 24, as
-ipckit.catalog.ladder_upset built it before it read ladder(k + 1); and
-the ordinal-sum cuts one size at a time with the KG factors matched
-against a set of ladder codes, the oracles for ipckit.axioms.sum_blocks
-and ipckit.axioms.decompose_kg."""
+up-set masks directly; the ladder of a given depth, as ipckit.catalog
+built it before ladder_top_segment built T(m) itself, and the ladder's
+top segment as a restriction of a deeper ladder, the oracles for
+ipckit.catalog.ladder_top_segment; the ladder upset L(k) restricted out
+of a ladder of depth 24, as ipckit.catalog.ladder_upset built it before
+it read a shallower ladder; and the ordinal-sum cuts one size at a time
+with the KG factors matched against a set of ladder codes, the oracles
+for ipckit.axioms.sum_blocks and ipckit.axioms.decompose_kg."""
 
-from ipckit.catalog import ladder, ladder_top_segment, one_point
+from functools import lru_cache
+
+from ipckit.catalog import ladder_top_segment, one_point
+from ipckit.errors import ParameterOutOfRange
 from ipckit.poset import build_poset, canonical_code, root
+
+
+@lru_cache(maxsize=None)
+def ladder(depth):
+    """Top part of the one-generated dual frame: points w0..w_{depth-1},
+    point w_n covered by w_{n-2} and w_{n-3} (cache bound: one poset per
+    depth asked for)."""
+    if depth < 1:
+        raise ParameterOutOfRange("ladder depth must be >= 1")
+    covers = []
+    for i in range(2, depth):
+        covers.append((f"w{i}", f"w{i-2}"))
+        if i >= 3:
+            covers.append((f"w{i}", f"w{i-3}"))
+    return build_poset([f"w{i}" for i in range(depth)], covers, name="ladder")
 
 
 def ladder_top_segment_by_restriction(m):

@@ -14,8 +14,10 @@ The items are the reports of the twelve scenarios at their defaults under
 several budgets, the benchmark workloads' scenarios with their worker
 counts, kg-structure at size 8 and godel-transfer with two workers, the
 closure-family members, the ``ipckit enumerate`` output, the syntactic
-splitting formulas and the E-partition lists.  Standard library only;
-pytest does not collect this file.
+splitting formulas, the E-partition lists, and the ``ipckit catalog``
+output (the key list, every fixed key, samples of each parameterised
+family, and the errors of keys out of range) with the ladder segments
+T(0..24).  Standard library only; pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import re
 import sys
 from pathlib import Path
 
@@ -31,6 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from ipckit.axioms import jankov_syntactic  # noqa: E402
+from ipckit.catalog import catalog_keys, ladder_top_segment  # noqa: E402
 from ipckit.cli import main as cli_main  # noqa: E402
 from ipckit.formulas import pretty  # noqa: E402
 from ipckit.morphisms import epartitions  # noqa: E402
@@ -42,6 +46,24 @@ BUDGETS = (None, 1, 37, 1000, 50000)
 
 def _line(name, text):
     return f"{hashlib.sha256(text.encode()).hexdigest()}  {name}"
+
+
+def _cli(argv):
+    """The exit code, stdout and stderr of one ipckit call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _catalog(keys):
+    """Each key's ``ipckit catalog`` call: the key and exit code, then
+    stdout and stderr."""
+    text = ""
+    for key in keys:
+        code, out, err = _cli(["catalog", key])
+        text += f"{key} {code}\n{out}{err}"
+    return text
 
 
 def _workloads():
@@ -76,14 +98,29 @@ def digests():
             argv = ["enumerate", "--size", str(size)]
             if w is not None:
                 argv += ["--max-width", str(w)]
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = cli_main(argv)
-            yield _line(" ".join(argv), f"{code}\n{out.getvalue()}")
+            code, out, _ = _cli(argv)
+            yield _line(" ".join(argv), f"{code}\n{out}")
     yield _line("jankov_syntactic rooted 1..8", "\n".join(
         pretty(jankov_syntactic(p)) for n in range(1, 9) for p in enumerate_rooted(n)))
     yield _line("epartitions 0..7", "\n".join(
         repr(epartitions(p)) for n in range(8) for p in enumerate_posets(n)))
+    code, out, _ = _cli(["catalog", "--list"])
+    yield _line("catalog --list", f"{code}\n{out}")
+    yield _line("catalog fixed keys", _catalog(
+        k for k in catalog_keys() if re.search(r"\(\d+\)$", k)))
+    for family, params in (("F", range(1, 6)), ("L", range(12)),
+                           ("C", range(5)), ("Y", range(1, 5))):
+        yield _line(f"catalog {family}({params.start}..{params.stop - 1})",
+                    _catalog(f"{family}({i})" for i in params))
+    yield _line("catalog Gn_trunc(1..3, 1|8|12)", _catalog(
+        f"Gn_trunc({n},{nlv})" for n in range(1, 4) for nlv in (1, 8, 12)))
+    yield _line("catalog Xm_trunc(1|2|4, 3|4, 1|8)", _catalog(
+        f"Xm_trunc({m},{n},{nlv})" for m in (1, 2, 4) for n in (3, 4) for nlv in (1, 8)))
+    yield _line("ladder_top_segment 0..24", repr(
+        [(p.elements, p.up, p.name) for p in map(ladder_top_segment, range(25))]))
+    yield _line("catalog errors", _catalog([
+        "K(0)", "K(8)", "Y(0)", "Xm_trunc(0,2,0)", "Xm_trunc(1,2,0)",
+        "Xm_trunc(0,3,1)", "Gn_trunc(0,1)", "Gn_trunc(1,0)", "F(0)"]))
 
 
 def differing(want, got):

@@ -57,6 +57,13 @@ MUTANTS = {
         'tok.startswith("p") and tok[1:].isdigit()',
         ["tests/test_formulas.py::test_parse_errors_carry_position"],
     ),
+    # another random suite: criterion 7's work-unit pin moves
+    "random-formula-ops-swapped": (
+        "src/ipckit/scenarios.py",
+        "(And, Or, Imp)[rng.randrange(3)]",
+        "(Or, And, Imp)[rng.randrange(3)]",
+        ["tests/test_acceptance.py::test_criterion_07_godel_transfer"],
+    ),
     "godel-suite-untruncated": (
         "src/ipckit/scenarios.py",
         "    out = [bw(1), bw(2), kc_axiom()][:count]\n",
@@ -198,6 +205,20 @@ MUTANTS = {
         "            if mask != down[c]:\n",
         ["tests/test_heyting.py::test_residuation_check_agrees_with_pointwise_oracle"],
     ),
+    # at size 8 and n 0 a member with a chain tail fits past nmax; at the
+    # acceptance parameters (size 8, n 2) the size never binds first
+    "rn-chain-tail-bound-reads-size": (
+        "src/ipckit/scenarios.py",
+        '(("k", size), ("m", nmax))',
+        '(("k", size), ("m", size))',
+        ["tests/test_catalog.py::test_rn_members_match_build_then_filter_oracle"],
+    ),
+    "rn-members-one-point-at-size-0": (
+        "src/ipckit/scenarios.py",
+        "    if size >= 1:\n        add(one_point())\n",
+        "    add(one_point())\n",
+        ["tests/test_io_cli.py::test_rn_closure_refuses_size_0"],
+    ),
     # the chain-extended shape shrinks to a member, so it is an image
     "rn-negative-chain-one-short": (
         "src/ipckit/scenarios.py",
@@ -285,6 +306,12 @@ MUTANTS = {
         "    order = sorted(range(p.n), key=lambda i: p.up[i].bit_count())\n",
         "    order = range(p.n)\n",
         ["tests/test_axioms.py::test_sum_blocks_match_the_cut_loop_oracle"],
+    ),
+    "ladder-cover-loop-one-short": (
+        "src/ipckit/catalog.py",
+        "    for i in range(2, m + 1):\n",
+        "    for i in range(2, m):\n",
+        ["tests/test_catalog.py::test_ladder_top_segment_is_the_old_ladder_named_t"],
     ),
     "kg-factor-matched-one-segment-up": (
         "src/ipckit/axioms.py",

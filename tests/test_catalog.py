@@ -12,7 +12,6 @@ from ipckit.catalog import (
     chain,
     fan,
     gn_trunc,
-    ladder,
     ladder_top_segment,
     ladder_trunc,
     ladder_upset,
@@ -38,6 +37,7 @@ from ipckit.poset import (
     width,
 )
 from _oracle_stack import (
+    ladder,
     ladder_top_segment_by_restriction,
     ladder_trunc_by_covers,
     ladder_upset_at_depth_24,
@@ -141,7 +141,7 @@ def test_ladder_upsets_match_the_depth_24_oracle():
 
 
 def test_ladder_cover_pattern():
-    lad = ladder(10)
+    lad = ladder_top_segment(9)
     covers = {(lad.elements[i], lad.elements[j]) for i, j in lad.covers()}
     for n in range(2, 10):
         assert (f"w{n}", f"w{n-2}") in covers
@@ -156,6 +156,13 @@ def test_ladder_top_segment_matches_the_restriction_oracle():
         assert (new.elements, new.up, new.name) == (old.elements, old.up, old.name), m
     with pytest.raises(ParameterOutOfRange):
         ladder_top_segment(-1)
+
+
+def test_ladder_top_segment_is_the_old_ladder_named_t():
+    for m in range(31):
+        new, old = ladder_top_segment(m), ladder(m + 1)
+        assert (new.elements, new.up, new.name) == (old.elements, old.up, f"T({m})"), m
+        assert ladder_top_segment(m) is new
 
 
 def test_simple_space():
@@ -353,7 +360,7 @@ def test_y_poset():
     assert root(y1) == "bot"
     # d is the maximum
     d = y1.index("d")
-    assert all(y1.leq_idx(i, d) for i in range(y1.n))
+    assert all(y1.up[i] >> d & 1 for i in range(y1.n))
     for m in range(1, 5):
         assert y_poset(m).n == 11 + 2 * m
 
@@ -373,7 +380,7 @@ def test_gn_trunc():
     assert root(g) is not None
     # top point is the maximum
     t = g.index("t.top")
-    assert all(g.leq_idx(i, t) for i in range(g.n))
+    assert all(g.up[i] >> t & 1 for i in range(g.n))
 
 
 def test_ladder_trunc():

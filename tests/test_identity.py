@@ -24,7 +24,7 @@ def test_check_names_each_differing_line(tmp_path, monkeypatch, capsys):
 
 def test_committed_digests_are_one_line_per_output():
     lines = (identity.ROOT / "tests" / "identity.sha256").read_text().splitlines()
-    assert len(lines) == 144
+    assert len(lines) == 154
     names = [line.split("  ", 1)[1] for line in lines]
     assert len(set(names)) == len(names)
     assert all(len(line.split("  ", 1)[0]) == 64 for line in lines)

@@ -320,6 +320,17 @@ def test_run_scenario_rejects_vacuous_and_out_of_range_runs():
         run_scenario("bw-subframe-triangle", {"size": 3, "ns": (0,)})
 
 
+def test_rn_closure_refuses_size_0(capsys):
+    # no member has 0 points; the one-point member starts at size 1
+    for n in range(4):
+        assert scenarios.rn_members(0, n) == []
+        assert [p.n for p in scenarios.rn_members(1, n)] == [1]
+    with pytest.raises(ParameterOutOfRange, match="has no instances"):
+        run_scenario("rn-closure", {"size": 0})
+    assert main(["verify", "rn-closure", "--param", "size=0"]) == 2
+    assert "rn-closure has no instances" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["sobolev-width", "bw-subframe-triangle"])
 @pytest.mark.parametrize("ns", [(), []])
 def test_run_scenario_rejects_an_empty_ns(name, ns):

@@ -80,7 +80,7 @@ def test_bits_reject_negative_masks():
 
 def test_build_cover_closure():
     p = build_poset(["a", "b"], [("a", "b")])
-    assert p.leq_idx(0, 1) and not p.leq_idx(1, 0)
+    assert p.up[0] >> 1 & 1 and not p.up[1] >> 0 & 1
     assert root(p) == "a"
 
 
@@ -186,13 +186,13 @@ def test_derived_order_data_against_direct_definitions():
             assert list(p.topdown) == sorted(range(n), key=lambda i: (h[i], i))
             for k, x in enumerate(p.topdown):
                 assert all(p.topdown.index(y) < k for y in range(n)
-                           if y != x and p.leq_idx(x, y))
+                           if y != x and p.up[x] >> y & 1)
             covers = []
             for i in range(n):
                 su = p.strict_up(i)
                 for j in range(n):
                     if su >> j & 1 and not any(
-                            su >> k & 1 and k != j and p.leq_idx(k, j)
+                            su >> k & 1 and k != j and p.up[k] >> j & 1
                             for k in range(n)):
                         covers.append((i, j))
             assert p.covers() == covers
@@ -204,11 +204,11 @@ def test_derived_order_data_against_direct_definitions():
 
 def test_peel_matches_the_sort_oracle():
     # every poset of at most 7 points, every rooted poset of at most 8,
-    # ladders of depth 1-24 and the catalog frames
-    from ipckit.catalog import catalog_get, catalog_keys, ladder
+    # ladder segments T(0)-T(23) and the catalog frames
+    from ipckit.catalog import catalog_get, catalog_keys, ladder_top_segment
 
     posets = [p for n in range(8) for p in enumerate_posets(n)]
-    posets += enumerate_rooted(8) + [ladder(d) for d in range(1, 25)]
+    posets += enumerate_rooted(8) + [ladder_top_segment(m) for m in range(24)]
     posets += [catalog_get(k) for k in catalog_keys() if re.search(r"\(\d+\)$", k)]
     posets += [catalog_get(k) for k in ("F(4)", "L(9)", "C(6)", "Y(4)",
                                         "Gn_trunc(3,3)", "Xm_trunc(2,3,3)")]
@@ -564,7 +564,7 @@ def test_automorphisms_against_brute_force():
             assert auts[0] == tuple(range(n))
             for a in auts:
                 assert sorted(a) == list(range(n))
-                assert all(p.leq_idx(i, j) == p.leq_idx(a[i], a[j])
+                assert all(p.up[i] >> j & 1 == p.up[a[i]] >> a[j] & 1
                            for i in range(n) for j in range(n))
 
 
@@ -682,7 +682,7 @@ def automorphism_count(p):
     count = 0
     for perm in itertools.permutations(range(n)):
         if all(
-            p.leq_idx(i, j) == p.leq_idx(perm[i], perm[j])
+            p.up[i] >> j & 1 == p.up[perm[i]] >> perm[j] & 1
             for i in range(n)
             for j in range(n)
         ):
