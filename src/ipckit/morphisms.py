@@ -19,7 +19,9 @@ The image criteria use the same walk.  With the skip option a point may
 also be left out: S is then the image of the kept points above x, and a
 left-out point keeps seen = S, so the condition stays local and one walk
 over the host searches all of its subposets at once (subframe axioms),
-with no subposet ever built.  Upset images need no skipping, since for a
+with no subposet ever built.  A point is left out only when no target
+point has up-set S, since mapping it to that point starts the same
+subtree (see _search).  Upset images need no skipping, since for a
 rooted target the principal upsets suffice (splitting axioms; see
 image_of_upset).
 
@@ -130,8 +132,19 @@ def _search(host: Poset, target: Poset, domain, skip, surjective,
     So the walk visits the same nodes in the same order as one that
     enters every child, and the trip rule is unchanged: stop at the
     first node past the cap and charge cap + 1.
+
+    With skip set, x is left out only when no target point t has
+    up(t) = S (at most one does, since up-sets are distinct).
+    Mapping x to t sets seen[x] = up(t) = S and keeps hit and unhit,
+    since t lies in S and S, an image of kept points, lies in hit.
+    Leaving x out sets seen[x] = S, with the same hit and unhit.  The
+    walk below x reads only seen, hit and unhit, and writes mapping only
+    on success, so both children start the same subtree; the skip child
+    comes after the t child has failed, so it fails too.  Dropping it
+    keeps every answer and map and only removes nodes walked twice.
     """
     cands = target.image_candidates
+    ups = target.up
     covers = host.upper_covers
     last = len(domain)
     seen = [0] * host.n
@@ -170,7 +183,7 @@ def _search(host: Poset, target: Poset, domain, skip, surjective,
                 if rec(k + 1, hit | bit, unhit - 1):
                     mapping[i] = t
                     return True
-            if skip:
+            if skip and s not in ups:
                 nodes += 1
                 if nodes > cap:
                     trip()
@@ -180,7 +193,7 @@ def _search(host: Poset, target: Poset, domain, skip, surjective,
             if rec(k + 1, hit | bit, unhit - (not hit & bit)):
                 mapping[i] = t
                 return True
-        if skip:
+        if skip and s not in ups:
             seen[i] = s
             return rec(k + 1, hit, unhit)
         return False

@@ -3,7 +3,13 @@
 search is the fused walk that reads the kept image above each point off
 all of strict_up, keeps a hit count per target point and charges the
 meter one node at a time; morphisms._search must visit the same nodes in
-the same order and return the same map.
+the same order and return the same map.  With skip set it leaves a point
+out only when no target point has the kept image above it as its up-set.
+
+fused_search is morphisms._search as it was before it dropped that skip
+branch, copied verbatim: it walks the subtree of such a skip a second
+time, so it must return the same answer and map with at least as many
+nodes.
 
 find_pmorphism is the backtracking search that ipckit.morphisms keeps as
 its no-skip case, with the same order, candidates and node charges.
@@ -12,6 +18,8 @@ subset with Poset.restrict and run a surjective find_pmorphism on each.
 """
 
 from __future__ import annotations
+
+import sys
 
 from ipckit.budget import WorkMeter
 from ipckit.errors import BudgetExceeded
@@ -67,11 +75,134 @@ def search(host: Poset, target: Poset, domain, skip, surjective,
                 return True
             hit[t] -= 1
         image[i] = 0
-        return skip and rec(k + 1, unhit)
+        return skip and s_mask not in target.up and rec(k + 1, unhit)
 
     if not rec(0, target.n):
         return None
     return [b.bit_length() - 1 for b in image]
+
+
+def fused_search(host: Poset, target: Poset, domain, skip, surjective,
+                 meter: WorkMeter | None):
+    """First map found from the points of domain to target that is a
+    p-morphism on the subposet it keeps; None if there is none.
+
+    domain must be an upset of host, listed top-down: every host point
+    above a point of domain lies in domain and comes before it.  Each
+    point is mapped to a target point, or, when skip is set, left out;
+    points outside domain are left out.  The result is a list over the
+    host points, -1 at those left out.
+
+    The walk keeps seen[i], the image of the kept points in up(i), for
+    each point i it has placed, and reads S, the image of the kept
+    points strictly above x, as the union of seen[c] over the upper
+    covers c of x:
+
+    - If i maps to t, seen[i] = up(t).  The kept image strictly above i
+      is S(i), and the candidate rule gives up(t) = S(i) or S(i) + {t}, so
+      the kept image of up(i) = strict_up(i) + {i}, which is S(i) + {t}, is
+      up(t) in both cases.  If i is left out, seen[i] = S(i).
+    - Every point y strictly above x lies in up(c) for some upper cover
+      c of x (take c minimal in the interval from x up to y), and each
+      such up(c) lies in strict_up(x).  So strict_up(x) is the union of
+      the up(c), and its kept image is the union of the seen[c].
+    - Each cover c of x lies in domain, since domain is an upset, and
+      comes before x, so seen[c] is set for the branch being walked.
+
+    One node is counted per step of the walk.  The count is charged to
+    meter once, at the end; when it passes what meter has left, the walk
+    stops at the first node beyond it, charges up to that node and
+    raises BudgetExceeded, as charging node by node would.
+
+    An onto walk cuts a node at depth k when more targets are unhit
+    than points are left, unhit > last - k.  A child cut at once is
+    counted at its parent and never entered:
+
+    - Call a node at depth k tight when unhit == last - k: each point
+      left must hit a new target.  A child is at depth k + 1, with the
+      parent's unhit or one less, and the parent passed its own test,
+      unhit <= last - k.  So a child is cut exactly when its parent is
+      tight and it keeps unhit: it maps to a target already hit, or it
+      is the skip branch.
+    - A node that is not tight has unhit <= last - k - 1, so it cuts no
+      child, and every child it enters again passes the test.
+    - A tight node walks its candidates in the same order.  It counts an
+      already hit one, or the skip branch, as one node, with the same
+      cap check, and enters only those that hit a new target.  The root
+      has no parent: an onto walk over fewer points than targets counts
+      one node and finds nothing.
+
+    So the walk visits the same nodes in the same order as one that
+    enters every child, and the trip rule is unchanged: stop at the
+    first node past the cap and charge cap + 1.
+    """
+    cands = target.image_candidates
+    covers = host.upper_covers
+    last = len(domain)
+    seen = [0] * host.n
+    mapping = [-1] * host.n
+    left = None if meter is None else meter.remaining()
+    cap = sys.maxsize if left is None else left
+    nodes = 0
+
+    def trip():
+        meter.spent += nodes
+        raise BudgetExceeded()
+
+    # hit is the mask of target points hit so far and unhit the number
+    # of the others; a search that need not be onto starts with all hit
+    def rec(k, hit, unhit):
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            trip()
+        if k == last:
+            return not unhit
+        i = domain[k]
+        s = 0
+        for c in covers[i]:
+            s |= seen[c]
+        if unhit == last - k:
+            # tight: a child that hits no new target is cut at once, so
+            # it is counted here and never entered
+            for t, bit, up_t in cands.get(s, ()):
+                if hit & bit:
+                    nodes += 1
+                    if nodes > cap:
+                        trip()
+                    continue
+                seen[i] = up_t
+                if rec(k + 1, hit | bit, unhit - 1):
+                    mapping[i] = t
+                    return True
+            if skip:
+                nodes += 1
+                if nodes > cap:
+                    trip()
+            return False
+        for t, bit, up_t in cands.get(s, ()):
+            seen[i] = up_t
+            if rec(k + 1, hit | bit, unhit - (not hit & bit)):
+                mapping[i] = t
+                return True
+        if skip:
+            seen[i] = s
+            return rec(k + 1, hit, unhit)
+        return False
+
+    if not surjective:
+        found = rec(0, target.full_mask, 0)
+    elif target.n <= last:
+        found = rec(0, 0, target.n)
+    else:
+        # too few points to be onto: the root is cut at once
+        found = False
+        nodes = 1
+        if nodes > cap:
+            trip()
+    if meter is not None:
+        meter.spent += nodes
+    return mapping if found else None
 
 
 def _height_order(p):

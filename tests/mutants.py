@@ -337,8 +337,23 @@ MUTANTS = {
     ),
     "search-skip-branch-dropped": (
         "src/ipckit/morphisms.py",
-        "        if skip:\n            seen[i] = s\n            return rec(k + 1, hit, unhit)\n",
+        "        if skip and s not in ups:\n            seen[i] = s\n            return rec(k + 1, hit, unhit)\n",
         "",
+        ["tests/test_search.py::test_search_walks_the_oracle_walk"],
+    ),
+    # a skip dropped after any candidate, not only after the t with
+    # up(t) == S: the subtree it drops was not walked before
+    "search-skip-dropped-after-any-candidate": (
+        "src/ipckit/morphisms.py",
+        "        if skip and s not in ups:\n            seen[i] = s\n",
+        "        if skip and s not in cands:\n            seen[i] = s\n",
+        ["tests/test_search.py::test_skip_walks_answer_as_the_walk_that_skips_twice"],
+    ),
+    # a tight node that still counts the skip that repeats the t child
+    "search-tight-counts-the-duplicate-skip": (
+        "src/ipckit/morphisms.py",
+        "            if skip and s not in ups:\n                nodes += 1\n",
+        "            if skip:\n                nodes += 1\n",
         ["tests/test_search.py::test_search_walks_the_oracle_walk"],
     ),
     "rooted-cache-key-drops-width": (

@@ -36,7 +36,7 @@ def test_criterion_01_sobolev_width():
 
 def test_criterion_02_bw_subframe_triangle():
     # same space, n in {1,2}: bw(n) valid iff the fan subframe axiom holds
-    _criterion(2, "bw-subframe-triangle", {"size": 6, "ns": (1, 2)}, (88, 53616))
+    _criterion(2, "bw-subframe-triangle", {"size": 6, "ns": (1, 2)}, (88, 51466))
 
 
 def test_criterion_03_kracht_bw2():
@@ -46,13 +46,13 @@ def test_criterion_03_kracht_bw2():
 
 def test_criterion_04_appendix_k():
     # rooted width-<=2 posets up to 8: beta(P2) iff the seven K splittings
-    _criterion(4, "appendix-K", {"size": 8}, (344, 165183))
+    _criterion(4, "appendix-K", {"size": 8}, (344, 98347))
 
 
 def test_criterion_05_appendix_g():
     # rooted width-<=2 posets up to 8 validating beta(P2):
     # beta(P3) iff the six G splittings
-    _criterion(5, "appendix-G", {"size": 8}, (208, 99180))
+    _criterion(5, "appendix-G", {"size": 8}, (208, 52811))
 
 
 def test_criterion_06_duality_counts():
@@ -96,7 +96,7 @@ def test_criterion_10_budget_trips():
 def test_criterion_11_kg_structure():
     # rooted posets up to 8: sum decomposition exists iff the three
     # subframe axioms hold
-    _criterion(11, "kg-structure", {"size": 8}, (2451, 556569))
+    _criterion(11, "kg-structure", {"size": 8}, (2451, 174954))
 
 
 def test_criterion_12_pm_constructions():
@@ -205,7 +205,7 @@ def test_budget_trips_alike_across_worker_counts():
     # and the last of the pool's chunks (306 instances each, 2,451 in all)
     params = {"size": 8}
     chunk = 2451 // 8
-    for budget, where in ((1000, 0), (211000, 4), (555000, 8)):
+    for budget, where in ((1000, 0), (76000, 4), (174500, 8)):
         seq = run_scenario("kg-structure", params, budget=budget, jobs=1)
         assert seq.status == "budget"
         assert seq.instances_checked // chunk == where, budget

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ipckit import morphisms
 from ipckit.budget import WorkMeter
 from ipckit.catalog import catalog_get
 from ipckit.errors import BudgetExceeded
 from ipckit.morphisms import _search, find_pmorphism, image_of_subposet, image_of_upset
 from ipckit.poset import Poset, _bits, build_poset, enumerate_posets, enumerate_rooted
+from ipckit.scenarios import run_scenario
 import _oracle_search as oracle
 
 HOSTS5 = [p for n in range(6) for p in enumerate_posets(n)]
@@ -85,13 +87,47 @@ def test_search_walks_the_oracle_walk(host, name):
         assert m_new.spent == m_old.spent, (host.up, domain, skip, surjective)
 
 
+# the subframe scenarios at their acceptance parameters
+SKIP_SCENARIOS = [("appendix-K", {"size": 8}), ("appendix-G", {"size": 8}),
+                  ("bw-subframe-triangle", {"size": 6, "ns": (1, 2)}),
+                  ("kg-structure", {"size": 8})]
+
+
+def test_skip_walks_answer_as_the_walk_that_skips_twice(monkeypatch):
+    # every skip walk these scenarios make returns the value and the map
+    # of the walk that also entered the skip branch after mapping x to
+    # the t with up(t) == S, and counts at most its nodes
+    walks = []
+
+    def record(host, target, domain, skip, surjective, meter):
+        if skip:
+            walks.append((host, target, list(domain), surjective))
+        return _search(host, target, domain, skip, surjective, meter)
+
+    monkeypatch.setattr(morphisms, "_search", record)
+    for name, params in SKIP_SCENARIOS:
+        assert run_scenario(name, params).status == "pass", name
+    monkeypatch.undo()
+    assert len(walks) == 3621
+    spent_new = spent_old = 0
+    for host, target, domain, surjective in walks:
+        m_new, m_old = WorkMeter(), WorkMeter()
+        new = _search(host, target, domain, True, surjective, m_new)
+        old = oracle.fused_search(host, target, domain, True, surjective, m_old)
+        assert new == old, (host.up, target.up)
+        assert m_new.spent <= m_old.spent, (host.up, target.up)
+        spent_new += m_new.spent
+        spent_old += m_old.spent
+    assert (spent_new, spent_old) == (263877, 827683)
+
+
 # (host in POSETS67, target): nodes of its longest walk, for pairs whose
 # longest walk is one of the longest for that target.  In the last the
 # host and the target both have 7 points, so every onto walk is tight
 # from its root and many limits fall on children cut at their parent,
-# both mapped and skipped.
-LONG_WALKS = {(1032, "P2"): 592, (573, "P(3)"): 405, (383, "G(5)"): 133,
-              (1001, "BW2(7)"): 862, (1001, "BW2(11)"): 83}
+# both mapped and skipped (49 and 1 in its skip walk).
+LONG_WALKS = {(493, "P2"): 366, (364, "P(3)"): 287, (383, "G(5)"): 109,
+              (1001, "BW2(7)"): 495, (1001, "BW2(11)"): 67}
 
 
 @pytest.mark.parametrize("host_index, name", LONG_WALKS)
