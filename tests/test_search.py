@@ -122,12 +122,15 @@ def test_skip_walks_answer_as_the_walk_that_skips_twice(monkeypatch):
 
 
 # (host in POSETS67, target): nodes of its longest walk, for pairs whose
-# longest walk is one of the longest for that target.  In the last the
-# host and the target both have 7 points, so every onto walk is tight
-# from its root and many limits fall on children cut at their parent,
-# both mapped and skipped (49 and 1 in its skip walk).
+# longest walk is one of the longest for that target, and (1032, P2) and
+# (573, P(3)), which held the longest P2 and P(3) walks while the skip
+# branch still repeated the candidate with up(t) = S.  In the BW2(11)
+# pair the host and the target both have 7 points, so every onto walk is
+# tight from its root and many limits fall on children cut at their
+# parent, both mapped and skipped (49 and 1 in its skip walk).
 LONG_WALKS = {(493, "P2"): 366, (364, "P(3)"): 287, (383, "G(5)"): 109,
-              (1001, "BW2(7)"): 495, (1001, "BW2(11)"): 67}
+              (1001, "BW2(7)"): 495, (1001, "BW2(11)"): 67,
+              (1032, "P2"): 256, (573, "P(3)"): 219}
 
 
 @pytest.mark.parametrize("host_index, name", LONG_WALKS)
