@@ -71,8 +71,8 @@ class Poset:
     # derived order data ------------------------------------------------
     #
     # The heights and topdown (one peel, _peel), height, upper_covers,
-    # comparable, root_index, the widths, by_upset_size, image_candidates
-    # and upsets are computed once per instance, on first use.
+    # root_index, the widths, by_upset_size, image_candidates and upsets
+    # are computed once per instance, on first use.
     # down_masks is not kept, so the many candidates that canonical_code
     # sees during enumeration carry no memo.
 
@@ -131,11 +131,6 @@ class Poset:
                 over |= strict[y]
             out.append(_bits(strict[x] & ~over))
         return tuple(out)
-
-    @cached_property
-    def comparable(self):
-        """Per point, the mask of the points comparable with it."""
-        return tuple(u | d for u, d in zip(self.up, self.down_masks()))
 
     @cached_property
     def root_index(self):
@@ -311,23 +306,56 @@ def upset_masks(p):
 
 
 def _max_antichain(p, mask):
-    """Size of the largest antichain inside mask."""
-    comp = p.comparable
-    best = 0
+    """Size of the largest antichain inside mask: |mask| minus a largest
+    matching of each point x to a point y > x, both in mask.
 
-    def rec(avail, size):
-        nonlocal best
-        if size + avail.bit_count() <= best:
-            return
-        if not avail:
-            best = max(best, size)
-            return
-        i = (avail & -avail).bit_length() - 1
-        rec(avail & ~comp[i], size + 1)
-        rec(avail & ~(1 << i), size)
+    By Dilworth (Ann. Math. 51, 1950) the largest antichain has as many
+    points as the fewest chains that cover mask.  By Fulkerson (Proc. AMS
+    7, 1956) that is |mask| minus a largest matching in the graph with
+    an edge from x on the left to y on the right when x < y: the matched
+    pairs join into chains, a chain of k points using k - 1 of them, and
+    the order is transitive, so each chain of a cover gives such pairs.
 
-    rec(mask, 0)
-    return best
+    A greedy pass matches each point, in index order, to the least point
+    strictly above it that is still free.  Augmenting paths (Kuhn's
+    search) then run from each left point that the pass left unmatched,
+    once each; a maximal point of mask has no edge, so it is not queued.
+    An augmentation keeps every matched point matched.  A left point with
+    no augmenting path at its turn gains none later: say the augmentation
+    along a path Q leaves one, R, from it.  R must meet Q, else R was
+    augmenting before Q.  R up to its first point on Q, then Q on to the
+    free end that keeps the edges alternating, was augmenting before Q.
+    So at the end no unmatched left point has an augmenting path, and by
+    Berge's theorem (PNAS 43, 1957) the matching is maximum."""
+    up = p.up
+    owner = {}      # right point, as a bit, -> the left point matched to it
+    free, tries = mask, []
+    for x in _bits(mask):
+        above = up[x] & mask & ~(1 << x)
+        if m := above & free:
+            y = m & -m
+            free ^= y
+            owner[y] = x
+        elif above:
+            tries.append(x)
+    for x in tries:
+        _augment(up, mask, owner, x, 0)
+    return mask.bit_count() - len(owner)
+
+
+def _augment(up, mask, owner, x, seen):
+    """Kuhn's search for an augmenting path from left point x through the
+    right points of mask not in seen.  On success it flips the path in
+    owner and returns None; else it returns seen with every right point
+    it reached.  A matched left point is entered only through the right
+    point it owns, which is then in seen, so each is entered once."""
+    while avail := up[x] & mask & ~seen & ~(1 << x):
+        y = avail & -avail
+        seen |= y
+        if y not in owner or (seen := _augment(up, mask, owner, owner[y], seen)) is None:
+            owner[y] = x
+            return None
+    return seen
 
 
 def width(p):

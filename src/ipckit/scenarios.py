@@ -14,7 +14,7 @@ import random
 from itertools import product
 
 from .axioms import decompose_kg, jankov_syntactic, validates_jankov, validates_subframe
-from .budget import DEFAULT_ENUM_CAP, WorkMeter
+from .budget import DEFAULT_ALGEBRA_CAP, DEFAULT_ENUM_CAP, DEFAULT_SUBALG_CAP, WorkMeter
 from .catalog import (
     catalog_get,
     chain,
@@ -203,6 +203,15 @@ def _appendix(beta, family, count, among=None):
 def _duality_counts(params):
     small = _upto(enumerate_posets, params["size"], first=0)
     mid = _upto(enumerate_posets, params["dual_size"], first=0)
+    # an n-point antichain has 2**n upsets and no n-point poset has more,
+    # so this refuses exactly the sizes at which some instance would trip
+    # a cap, in the order the instances would meet them
+    for key, cap, kind in (("size", DEFAULT_ALGEBRA_CAP, "algebra"),
+                           ("size", DEFAULT_SUBALG_CAP, "subalgebra"),
+                           ("dual_size", DEFAULT_ALGEBRA_CAP, "algebra")):
+        if 2 ** (n := params[key]) > cap:
+            raise BudgetExceeded(f"{key} {n} gives up to {2 ** n} upsets (an antichain "
+                                 f"of {n} points), past {kind} cap {cap}")
     instances = [("counts", p) for p in small] + [("dual", p) for p in mid]
 
     def check(inst, meter):

@@ -14,7 +14,9 @@
   enumerate_rooted replaced by its parents' order, and _rooted_code, the
   rooted code read off the parent's code, whose proof shows that the
   order is the same.
-- Antichain sizes by trying every subset.
+- Antichain sizes by trying every subset, and by the branch-and-bound
+  over comparability masks that the width memos ran before they counted
+  a largest matching (Dilworth, Fulkerson).
 - The transitive closure that build_poset took by repeating a sweep
   until nothing changed, before its one Warshall sweep.
 - The generator that walked the set bits of a mask before _bits read a
@@ -274,6 +276,30 @@ def enumerate_rooted_by_code(size, max_width=None):
             out.append(r)
     out.sort(key=canonical_code)
     return out
+
+
+def max_antichain_bnb(p, mask):
+    """Size of the largest antichain inside mask, by the branch-and-bound
+    that poset._max_antichain ran before it counted a largest matching:
+    take the lowest point left or leave it out, and cut a branch that
+    cannot beat the best found."""
+    down = p.down_masks()
+    comp = [u | d for u, d in zip(p.up, down)]
+    best = 0
+
+    def rec(avail, size):
+        nonlocal best
+        if size + avail.bit_count() <= best:
+            return
+        if not avail:
+            best = max(best, size)
+            return
+        i = (avail & -avail).bit_length() - 1
+        rec(avail & ~comp[i], size + 1)
+        rec(avail & ~(1 << i), size)
+
+    rec(mask, 0)
+    return best
 
 
 def max_antichain_brute(p, mask):

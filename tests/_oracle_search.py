@@ -14,7 +14,9 @@ nodes.
 find_pmorphism is the backtracking search that ipckit.morphisms keeps as
 its no-skip case, with the same order, candidates and node charges.
 image_of_upset and image_of_subposet build every candidate upset or
-subset with Poset.restrict and run a surjective find_pmorphism on each.
+subset with Poset.restrict and run a surjective find_pmorphism on each;
+they prune by width with the branch-and-bound oracle, so they share no
+width code with ipckit.
 """
 
 from __future__ import annotations
@@ -24,7 +26,14 @@ import sys
 from ipckit.budget import WorkMeter
 from ipckit.errors import BudgetExceeded
 from ipckit.morphisms import PMorphism
-from ipckit.poset import Poset, _bits, upset_masks, width, _max_antichain
+from ipckit.poset import Poset, _bits, upset_masks
+
+from _oracle_poset import max_antichain_bnb
+
+
+def _width(p):
+    """The largest antichain in a principal upset of p, 0 if p is empty."""
+    return max((max_antichain_bnb(p, u) for u in p.up), default=0)
 
 
 def _charge(meter):
@@ -267,14 +276,14 @@ def image_of_upset(target: Poset, host: Poset, meter: WorkMeter | None = None) -
     """Is the rooted target a p-morphic image of some upset of host?"""
     if target.n == 0:
         return True
-    tw = width(target)
+    tw = _width(target)
     th = max(target.heights()) if target.n else 0
     for mask in sorted(upset_masks(host),
                        key=lambda m: -bin(m).count("1")):
         size = bin(mask).count("1")
         if size < target.n:
             continue
-        if _max_antichain(host, mask) < tw:
+        if max_antichain_bnb(host, mask) < tw:
             continue
         sub = host.restrict(mask)
         if max(sub.heights(), default=-1) < th:
@@ -290,9 +299,9 @@ def image_of_subposet(target: Poset, host: Poset, meter: WorkMeter | None = None
         return True
     if target.n > host.n:
         return False
-    tw = width(target)
+    tw = _width(target)
     th = max(target.heights())
-    if _max_antichain(host, host.full_mask) < tw:
+    if max_antichain_bnb(host, host.full_mask) < tw:
         return False
     full = 1 << host.n
     for mask in range(full - 1, 0, -1):

@@ -156,6 +156,25 @@ MUTANTS = {
         "    if 0 <= mask < 512:\n",
         ["tests/test_poset.py::test_bits_match_the_generator_oracle"],
     ),
+    # the width as the greedy matching alone: on the posets of at most 5
+    # points it already gets 6 full widths wrong
+    "width-greedy-only": (
+        "src/ipckit/poset.py",
+        "    for x in tries:\n        _augment(up, mask, owner, x, 0)\n",
+        "",
+        ["tests/test_poset.py::test_matching_width_matches_the_antichain_oracles_on_every_mask",
+         "tests/test_poset.py::test_matching_width_on_full_and_principal_masks",
+         "tests/test_poset.py::test_width_memos_against_direct_definitions"],
+    ),
+    # an augmenting path of one edge only: it never moves a matched point
+    "width-augment-one-step": (
+        "src/ipckit/poset.py",
+        "        if y not in owner or (seen := _augment(up, mask, owner, owner[y], seen)) is None:\n",
+        "        if y not in owner:\n",
+        ["tests/test_poset.py::test_matching_width_matches_the_antichain_oracles_on_every_mask",
+         "tests/test_poset.py::test_matching_width_on_full_and_principal_masks",
+         "tests/test_poset.py::test_width_memos_against_direct_definitions"],
+    ),
     "algebra-leq-seeded-with-zero": (
         "src/ipckit/heyting.py",
         "    leq = [(1 << len(masks)) - 1] * len(masks)\n",

@@ -339,11 +339,17 @@ def test_run_scenario_rejects_an_empty_ns(name, ns):
         run_scenario(name, {"size": 4, "ns": ns})
 
 
-def test_cli_verify_honours_the_enumeration_cap():
+def _cli_run(*args):
+    """ipckit's CLI run in a fresh interpreter on the repo's src/."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "ipckit.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_cli_verify_honours_the_enumeration_cap():
     for args in (
         # size 10 asks for the rooted posets of 9 and 10 points, past the
         # cap that ipckit enumerate applies; unbounded, this ran for minutes
@@ -354,12 +360,24 @@ def test_cli_verify_honours_the_enumeration_cap():
         ["duality-counts", "--param", "size=9"],
         ["duality-counts", "--param", "dual_size=9"],
     ):
-        done = subprocess.run(
-            [sys.executable, "-m", "ipckit.cli", "verify", *args, "--budget", "10"],
-            env=env, capture_output=True, text=True, timeout=60)
+        done = _cli_run("verify", *args, "--budget", "10")
         assert done.returncode == 3, args
         assert "size 9 exceeds enumeration cap 8" in done.stderr, args
         assert done.stdout == "", args
+
+
+def test_cli_verify_duality_counts_names_the_algebra_caps():
+    # an n-point antichain has 2**n upsets: past a cap the run is refused
+    # before any instance, with the cap named and no report; with no
+    # budget set it once printed status budget and 0 work units
+    for key, n, cap in (("dual_size", 7, "algebra cap 64"),
+                        ("size", 5, "subalgebra cap 16"),
+                        ("size", 7, "algebra cap 64")):
+        done = _cli_run("verify", "duality-counts", "--param", f"{key}={n}")
+        assert done.returncode == 3, key
+        assert done.stderr == (f"budget exceeded: {key} {n} gives up to {2 ** n} upsets "
+                               f"(an antichain of {n} points), past {cap}\n"), key
+        assert done.stdout == "", key
 
 
 def test_benchmark_workload_params_are_accepted(monkeypatch):
