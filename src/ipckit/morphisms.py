@@ -245,6 +245,13 @@ def image_of_upset(target: Poset, host: Poset, meter: WorkMeter | None = None) -
     preimages of a chain (picked upward by the back condition) or of an
     antichain (a p-morphism is monotone) under a map onto target form one
     of the same size.
+
+    An up(x) with fewer maximal points than target is skipped too.  Let
+    a map an upset U onto target and let t be maximal in target.  Some y
+    in U has a(y) = t, and U is finite, so some point m of up(y) is
+    maximal in U; then a(m) lies in a(up(y)) = up(t) = {t}.  So a maps
+    the maximal points of U onto those of target.  up(x) is an upset, so
+    its maximal points are those of host that lie in it.
     """
     if target.n == 0:
         return True
@@ -254,11 +261,13 @@ def image_of_upset(target: Poset, host: Poset, meter: WorkMeter | None = None) -
     order = host.topdown
     tw = width(target)
     th = target.height
+    tm = target.maxima.bit_count()
+    top = host.maxima
     for x in host.by_upset_size:
         up_x = host.up[x]
         if up_x.bit_count() < target.n:
             break
-        if h[x] < th or host.upset_widths[x] < tw:
+        if h[x] < th or (up_x & top).bit_count() < tm or host.upset_widths[x] < tw:
             continue
         domain = [i for i in order if up_x >> i & 1]
         if _search(host, target, domain, False, True, meter) is not None:

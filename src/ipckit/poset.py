@@ -70,9 +70,10 @@ class Poset:
 
     # derived order data ------------------------------------------------
     #
-    # The heights and topdown (one peel, _peel), height, upper_covers,
-    # root_index, the widths, by_upset_size, image_candidates and upsets
-    # are computed once per instance, on first use.
+    # The heights and topdown (one peel, _peel), height, maxima,
+    # upper_covers, root_index, the widths, by_upset_size,
+    # image_candidates and upsets are computed once per instance, on
+    # first use.
     # down_masks is not kept, so the many candidates that canonical_code
     # sees during enumeration carry no memo.
 
@@ -112,6 +113,12 @@ class Poset:
     def height(self):
         """The largest height, -1 for the empty poset."""
         return max(self._heights, default=-1)
+
+    @cached_property
+    def maxima(self):
+        """The mask of the maximal points: the peel's first layer, the
+        points of height 0."""
+        return sum(1 << i for i, h in enumerate(self._heights) if h == 0)
 
     @property
     def topdown(self):

@@ -45,13 +45,18 @@ from .report import Counterexample, VerificationReport
 from .semantics import is_valid, is_valid_modal, shared_node_values
 
 
-def _upto(enum, size, first=1, **kw):
-    """The posets enum(n, **kw) lists for n from first to size, in turn.
-    Past the enumeration cap it enumerates nothing and raises
-    BudgetExceeded naming the first size past the cap."""
+def _enum_cap(size):
+    """Raise BudgetExceeded naming the first size past the enumeration
+    cap if size is past it."""
     cap = DEFAULT_ENUM_CAP
     if size > cap:
         raise BudgetExceeded(f"size {cap + 1} exceeds enumeration cap {cap}")
+
+
+def _upto(enum, size, first=1, **kw):
+    """The posets enum(n, **kw) lists for n from first to size, in turn.
+    Past the enumeration cap it enumerates nothing (_enum_cap)."""
+    _enum_cap(size)
     return [p for n in range(first, size + 1) for p in enum(n, **kw)]
 
 
@@ -201,17 +206,20 @@ def _appendix(beta, family, count, among=None):
 
 
 def _duality_counts(params):
-    small = _upto(enumerate_posets, params["size"], first=0)
-    mid = _upto(enumerate_posets, params["dual_size"], first=0)
+    _enum_cap(params["size"])
+    _enum_cap(params["dual_size"])
     # an n-point antichain has 2**n upsets and no n-point poset has more,
     # so this refuses exactly the sizes at which some instance would trip
-    # a cap, in the order the instances would meet them
+    # a cap, in the order the instances would meet them, and before
+    # anything is enumerated
     for key, cap, kind in (("size", DEFAULT_ALGEBRA_CAP, "algebra"),
                            ("size", DEFAULT_SUBALG_CAP, "subalgebra"),
                            ("dual_size", DEFAULT_ALGEBRA_CAP, "algebra")):
         if 2 ** (n := params[key]) > cap:
             raise BudgetExceeded(f"{key} {n} gives up to {2 ** n} upsets (an antichain "
                                  f"of {n} points), past {kind} cap {cap}")
+    small = _upto(enumerate_posets, params["size"], first=0)
+    mid = _upto(enumerate_posets, params["dual_size"], first=0)
     instances = [("counts", p) for p in small] + [("dual", p) for p in mid]
 
     def check(inst, meter):

@@ -17,6 +17,12 @@ image_of_upset and image_of_subposet build every candidate upset or
 subset with Poset.restrict and run a surjective find_pmorphism on each;
 they prune by width with the branch-and-bound oracle, so they share no
 width code with ipckit.
+
+image_of_upset_by_size_height_width is morphisms.image_of_upset as it was
+before it also skipped an up(x) with fewer maximal points than the
+target, its body copied verbatim: it walks every up(x) that the size,
+height and width skips let through with morphisms._search, so it must
+give the same answer with at least as many nodes.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ import sys
 
 from ipckit.budget import WorkMeter
 from ipckit.errors import BudgetExceeded
-from ipckit.morphisms import PMorphism
-from ipckit.poset import Poset, _bits, upset_masks
+from ipckit.morphisms import PMorphism, _search
+from ipckit.poset import Poset, _bits, upset_masks, width
 
 from _oracle_poset import max_antichain_bnb
 
@@ -289,6 +295,31 @@ def image_of_upset(target: Poset, host: Poset, meter: WorkMeter | None = None) -
         if max(sub.heights(), default=-1) < th:
             continue
         if _can_map_onto(sub, target, meter):
+            return True
+    return False
+
+
+def image_of_upset_by_size_height_width(target: Poset, host: Poset,
+                                        meter: WorkMeter | None = None) -> bool:
+    """Is the rooted target a p-morphic image of some upset of host?
+    Walks each up(x), largest first, that is as large, as high and as wide
+    as target."""
+    if target.n == 0:
+        return True
+    if target.root_index is None:
+        raise ValueError("image_of_upset expects a rooted target")
+    h = host._heights
+    order = host.topdown
+    tw = width(target)
+    th = target.height
+    for x in host.by_upset_size:
+        up_x = host.up[x]
+        if up_x.bit_count() < target.n:
+            break
+        if h[x] < th or host.upset_widths[x] < tw:
+            continue
+        domain = [i for i in order if up_x >> i & 1]
+        if _search(host, target, domain, False, True, meter) is not None:
             return True
     return False
 

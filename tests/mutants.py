@@ -375,6 +375,15 @@ MUTANTS = {
         "            if skip:\n                nodes += 1\n",
         ["tests/test_search.py::test_search_walks_the_oracle_walk"],
     ),
+    # an inclusive maxima bound also skips an up(x) with exactly as many
+    # maximal points as the target, which may map onto it
+    "upset-maxima-bound-inclusive": (
+        "src/ipckit/morphisms.py",
+        "(up_x & top).bit_count() < tm",
+        "(up_x & top).bit_count() <= tm",
+        ["tests/test_search.py::test_upset_images_skip_only_what_no_walk_maps_onto",
+         "tests/test_acceptance.py::test_criterion_03_kracht_bw2"],
+    ),
     "rooted-cache-key-drops-width": (
         "src/ipckit/poset.py",
         "    if max_width is not None and max_width >= size:\n",

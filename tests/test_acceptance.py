@@ -41,18 +41,18 @@ def test_criterion_02_bw_subframe_triangle():
 
 def test_criterion_03_kracht_bw2():
     # rooted posets up to 7: width <= 2 iff all eleven splitting axioms hold
-    _criterion(3, "kracht-bw2", {"size": 7}, (406, 34101))
+    _criterion(3, "kracht-bw2", {"size": 7}, (406, 23661))
 
 
 def test_criterion_04_appendix_k():
     # rooted width-<=2 posets up to 8: beta(P2) iff the seven K splittings
-    _criterion(4, "appendix-K", {"size": 8}, (344, 98347))
+    _criterion(4, "appendix-K", {"size": 8}, (344, 80113))
 
 
 def test_criterion_05_appendix_g():
     # rooted width-<=2 posets up to 8 validating beta(P2):
     # beta(P3) iff the six G splittings
-    _criterion(5, "appendix-G", {"size": 8}, (208, 52811))
+    _criterion(5, "appendix-G", {"size": 8}, (208, 40692))
 
 
 def test_criterion_06_duality_counts():
@@ -68,7 +68,7 @@ def test_criterion_07_godel_transfer():
 def test_criterion_08_jankov_oracle():
     # rooted targets up to 4, hosts up to 5:
     # syntactic splitting formula valid iff no upset maps onto the target
-    _criterion(8, "jankov-oracle", {"target_size": 4, "host_size": 5}, (783, 16362727))
+    _criterion(8, "jankov-oracle", {"target_size": 4, "host_size": 5}, (783, 16362426))
 
 
 def test_criterion_09_ym_rigidity():

@@ -15,7 +15,7 @@ import pytest
 from ipckit import scenarios
 from ipckit.catalog import catalog_get, catalog_keys
 from ipckit.cli import main
-from ipckit.errors import ParameterOutOfRange, SchemaError, UnknownKey
+from ipckit.errors import BudgetExceeded, ParameterOutOfRange, SchemaError, UnknownKey
 from ipckit.formulas import bw
 from ipckit.io import (
     export_poset,
@@ -378,6 +378,25 @@ def test_cli_verify_duality_counts_names_the_algebra_caps():
         assert done.stderr == (f"budget exceeded: {key} {n} gives up to {2 ** n} upsets "
                                f"(an antichain of {n} points), past {cap}\n"), key
         assert done.stdout == "", key
+
+
+def test_duality_counts_refuses_before_enumerating(monkeypatch):
+    # the enumeration cap, then the algebra caps, are checked before any
+    # poset is enumerated: dual_size 8 once spent 1.6 s enumerating
+    # posets of up to 8 points before its algebra cap refused it
+    calls, enumerate_posets = [], scenarios.enumerate_posets
+    monkeypatch.setattr(scenarios, "enumerate_posets",
+                        lambda n: calls.append(n) or enumerate_posets(n))
+    for key, n, message in (("dual_size", 8, "past algebra cap 64"),
+                            ("size", 5, "past subalgebra cap 16"),
+                            ("size", 7, "past algebra cap 64"),
+                            ("size", 9, "size 9 exceeds enumeration cap 8"),
+                            ("dual_size", 9, "size 9 exceeds enumeration cap 8")):
+        with pytest.raises(BudgetExceeded, match=message):
+            run_scenario("duality-counts", {key: n})
+    assert calls == []
+    run_scenario("duality-counts", {"size": 1, "dual_size": 2})
+    assert calls == [0, 1, 0, 1, 2]
 
 
 def test_benchmark_workload_params_are_accepted(monkeypatch):

@@ -45,8 +45,9 @@ from _oracle_upsets import upset_masks_dfs
 
 # the order data memoised on a Poset on first use; _peel holds the
 # heights and topdown
-MEMOS = ("_peel", "height", "upper_covers", "root_index", "full_width",
-         "upset_widths", "by_upset_size", "image_candidates", "upsets")
+MEMOS = ("_peel", "height", "maxima", "upper_covers", "root_index",
+         "full_width", "upset_widths", "by_upset_size", "image_candidates",
+         "upsets")
 
 
 def chain(k):
@@ -184,6 +185,7 @@ def test_derived_order_data_against_direct_definitions():
             down = p.down_masks()
             h = p.heights()
             assert list(p.topdown) == sorted(range(n), key=lambda i: (h[i], i))
+            assert p.maxima == sum(1 << i for i in range(n) if p.up[i] == 1 << i)
             for k, x in enumerate(p.topdown):
                 assert all(p.topdown.index(y) < k for y in range(n)
                            if y != x and p.up[x] >> y & 1)
@@ -286,7 +288,7 @@ def test_width_of_a_rooted_poset_is_its_full_width():
 
 def test_pickles_carry_no_memo():
     p = build_poset(["a", "b", "c"], [("a", "b"), ("a", "c")], name="v")
-    p.heights(), p.height, p.topdown, p.upper_covers
+    p.heights(), p.height, p.maxima, p.topdown, p.upper_covers
     p.root_index, p.full_width, p.upset_widths, p.by_upset_size
     p.image_candidates, p.upsets
     assert all(m in vars(p) for m in MEMOS)
@@ -295,6 +297,7 @@ def test_pickles_carry_no_memo():
     assert not any(m in vars(q) for m in MEMOS)
     assert pickle.dumps(p) == pickle.dumps(Poset(p.elements, p.up, "v"))
     assert q.heights() == [1, 0, 0] and q.upper_covers == ((1, 2), (), ())
+    assert q.maxima == 0b110
     assert (q.root_index, q.full_width, q.upset_widths, q.by_upset_size) == (
         0, 2, (2, 1, 1), (0, 1, 2))
 

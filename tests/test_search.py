@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipckit import morphisms
+from ipckit import axioms, morphisms, scenarios
 from ipckit.budget import WorkMeter
 from ipckit.catalog import catalog_get
 from ipckit.errors import BudgetExceeded
@@ -119,6 +119,53 @@ def test_skip_walks_answer_as_the_walk_that_skips_twice(monkeypatch):
         spent_new += m_new.spent
         spent_old += m_old.spent
     assert (spent_new, spent_old) == (263877, 827683)
+
+
+# the splitting scenarios at their acceptance parameters, and rn-closure
+UPSET_SCENARIOS = [("appendix-K", {"size": 8}), ("appendix-G", {"size": 8}),
+                   ("kracht-bw2", {"size": 7}),
+                   ("jankov-oracle", {"target_size": 4, "host_size": 5}),
+                   ("rn-closure", {"size": 8, "n": 2})]
+
+
+def _maxima(p):
+    """The mask of the points whose up-set is the point alone."""
+    return sum(1 << i for i in range(p.n) if p.up[i] == 1 << i)
+
+
+def test_upset_images_skip_only_what_no_walk_maps_onto(monkeypatch):
+    # every (target, host) pair these scenarios ask image_of_upset about
+    # gets the answer of the loop that skips on size, height and width
+    # only, in at most its nodes; and every up(x) at least as large as
+    # the target with fewer maximal points has no onto walk
+    pairs = {}
+
+    def record(target, host, meter=None):
+        pairs[target, host] = None
+        return image_of_upset(target, host, meter)
+
+    monkeypatch.setattr(axioms, "image_of_upset", record)
+    monkeypatch.setattr(scenarios, "image_of_upset", record)
+    for name, params in UPSET_SCENARIOS:
+        assert run_scenario(name, params).status == "pass", name
+    monkeypatch.undo()
+    spent_new = spent_old = skipped = 0
+    for target, host in pairs:
+        m_new, m_old = WorkMeter(), WorkMeter()
+        new = image_of_upset(target, host, m_new)
+        old = oracle.image_of_upset_by_size_height_width(target, host, m_old)
+        assert new == old, (host.up, target.up)
+        assert m_new.spent <= m_old.spent, (host.up, target.up)
+        spent_new += m_new.spent
+        spent_old += m_old.spent
+        top, tm = _maxima(host), _maxima(target).bit_count()
+        for x in range(host.n):
+            up_x = host.up[x]
+            if up_x.bit_count() >= target.n and (up_x & top).bit_count() < tm:
+                domain = [i for i in host.topdown if up_x >> i & 1]
+                assert _search(host, target, domain, False, True, None) is None
+                skipped += 1
+    assert (len(pairs), skipped, spent_new, spent_old) == (5793, 2875, 93907, 135001)
 
 
 # (host in POSETS67, target): nodes of its longest walk, for pairs whose
