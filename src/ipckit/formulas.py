@@ -103,15 +103,29 @@ def disj(parts):
     return reduce(Or, parts) if parts else BOT
 
 
+def subformulas(f):
+    """The distinct subformulas of f, children first (left before right)
+    and f last, walked on a stack where None marks the node below as expanded."""
+    seen = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g is None:
+            seen[stack.pop()] = None
+        elif g not in seen:
+            kind = type(g)
+            if kind is Var or kind is Bot:
+                seen[g] = None
+            elif kind is Box:
+                stack += (g, None, g.inner)
+            else:
+                stack += (g, None, g.right, g.left)
+    return list(seen)
+
+
 def variables(f):
     """Set of variable indices occurring in f."""
-    if isinstance(f, Var):
-        return {f.index}
-    if isinstance(f, Bot):
-        return set()
-    if isinstance(f, Box):
-        return variables(f.inner)
-    return variables(f.left) | variables(f.right)
+    return {g.index for g in subformulas(f) if type(g) is Var}
 
 
 # parsing ----------------------------------------------------------------
@@ -152,49 +166,46 @@ def _tokenize(text):
 
 
 def parse(text):
-    """The formula text spells, read by precedence climbing over _BINARY;
-    an error's position indexes text."""
-    tokens = _tokenize(text)
+    """The formula text spells, read by operator precedence over _BINARY:
+    operands wait on one stack and operators on another, prefix operators
+    and "(" among them; an error's position indexes text."""
+    tokens = _tokenize(text) + [(None, len(text))]
+    args, ops = [], []
     pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, len(text))
-
-    def binary(least):
-        nonlocal pos
-        out = unary()
-        while (op := peek()[0]) in _BINARY and _BINARY[op][0] >= least:
-            prec, node = _BINARY[op]
-            pos += 1
-            out = node(out, binary(prec if node is Imp else prec + 1))
-        return out
-
-    def unary():
-        nonlocal pos
-        tok, at = peek()
+    while True:
+        tok, at = tokens[pos]
         pos += 1
-        if tok == "~":
-            return neg(unary())
-        if tok == "[]":
-            return Box(unary())
-        if tok == "(":
-            out = binary(0)
-            if peek()[0] != ")":
-                raise FormulaSyntaxError("expected ')'", peek()[1])
-            pos += 1
-            return out
+        if tok in ("~", "[]", "("):
+            ops.append(tok)
+            continue
         if tok == "bot":
-            return BOT
-        if tok is None:
+            args.append(BOT)
+        elif tok is None:
             raise FormulaSyntaxError("unexpected end of input", at)
-        if tok == "p" or tok.startswith("p") and tok[1:].isascii() and tok[1:].isdigit():
-            return Var(int(tok[1:] or 0))
-        raise FormulaSyntaxError(f"unknown identifier {tok!r}", at)
-
-    out = binary(0)
-    if pos != len(tokens):
-        raise FormulaSyntaxError("trailing input", peek()[1])
-    return out
+        elif tok == "p" or tok.startswith("p") and tok[1:].isascii() and tok[1:].isdigit():
+            args.append(Var(int(tok[1:] or 0)))
+        else:
+            raise FormulaSyntaxError(f"unknown identifier {tok!r}", at)
+        # an operand ends: apply the prefix operators, then the binary ones
+        # that bind at least as tightly as the next (more, if it is ->)
+        while True:
+            while ops and ops[-1] in ("~", "[]"):
+                arg = args.pop()
+                args.append(neg(arg) if ops.pop() == "~" else Box(arg))
+            tok, at = tokens[pos]
+            prec, node = _BINARY.get(tok, (-1, None))
+            while ops and ops[-1] in _BINARY and _BINARY[ops[-1]][0] >= prec + (node is Imp):
+                right = args.pop()
+                args.append(_BINARY[ops.pop()][1](args.pop(), right))
+            pos += 1
+            if node is not None:
+                ops.append(tok)
+                break
+            if tok is None and not ops:
+                return args[0]
+            if tok != ")" or not ops:
+                raise FormulaSyntaxError("expected ')'" if ops else "trailing input", at)
+            ops.pop()  # the "(" on top
 
 
 # printing ---------------------------------------------------------------
@@ -204,27 +215,34 @@ _SPELLING = {node: (tok, prec) for tok, (prec, node) in _BINARY.items()}
 
 
 def pretty(f):
-    return _fmt(f, 0)
-
-
-def _fmt(f, ctx):
-    """f spelled where an operator must bind at least as tightly as ctx,
-    in parentheses if its own binds less tightly."""
-    if isinstance(f, Var):
-        return f"p{f.index}"
-    if isinstance(f, Bot):
-        return "bot"
-    if isinstance(f, Box):
-        return "[]" + _fmt(f.inner, _UNARY)
-    if isinstance(f, Imp) and isinstance(f.right, Bot):
-        return "~" + _fmt(f.left, _UNARY)
-    if type(f) not in _SPELLING:
-        raise TypeError(f"not a formula: {f!r}")
-    tok, prec = _SPELLING[type(f)]
-    # the side an operator groups to takes its own level, the other one up
-    left, right = (prec + 1, prec) if type(f) is Imp else (prec, prec + 1)
-    s = f"{_fmt(f.left, left)} {tok} {_fmt(f.right, right)}"
-    return f"({s})" if ctx > prec else s
+    """f spelled from pieces popped off one stack: strings, and (g, ctx)
+    pairs, g in parentheses if its operator binds less tightly than ctx."""
+    out = []
+    stack = [(f, 0)]
+    while stack:
+        piece = stack.pop()
+        if type(piece) is str:
+            out.append(piece)
+            continue
+        g, ctx = piece
+        kind = type(g)
+        if kind is Var:
+            out.append(f"p{g.index}")
+        elif kind is Bot:
+            out.append("bot")
+        elif kind is Box:
+            stack += ((g.inner, _UNARY), "[]")
+        elif kind is Imp and type(g.right) is Bot:
+            stack += ((g.left, _UNARY), "~")
+        elif kind not in _SPELLING:
+            raise TypeError(f"not a formula: {g!r}")
+        else:
+            tok, prec = _SPELLING[kind]
+            # the side an operator groups to takes its own level, the other one up
+            left, right = (prec + 1, prec) if kind is Imp else (prec, prec + 1)
+            infix = ((g.right, right), f" {tok} ", (g.left, left))
+            stack += (")", *infix, "(") if ctx > prec else infix
+    return "".join(out)
 
 
 # named formulas ----------------------------------------------------------
@@ -252,15 +270,13 @@ def grz_axiom():
 
 
 def godel_translate(f):
-    """Modal companion translation: variables and implications get boxed."""
-    if isinstance(f, Var):
-        return Box(f)
-    if isinstance(f, Bot):
-        return BOT
-    if isinstance(f, And):
-        return And(godel_translate(f.left), godel_translate(f.right))
-    if isinstance(f, Or):
-        return Or(godel_translate(f.left), godel_translate(f.right))
-    if isinstance(f, Imp):
-        return Box(Imp(godel_translate(f.left), godel_translate(f.right)))
-    raise NotIntuitionistic(f"contains a modal operator: {f}")
+    """Modal companion translation: variables and implications get boxed;
+    a modal f is refused, naming its leftmost box with no box inside."""
+    out = {}
+    for g in subformulas(f):
+        kind = type(g)
+        if kind is Box:
+            raise NotIntuitionistic(f"contains a modal operator: {g}")
+        t = g if kind is Var or kind is Bot else kind(out[g.left], out[g.right])
+        out[g] = Box(t) if kind is Var or kind is Imp else t
+    return out[f]

@@ -31,7 +31,7 @@ from itertools import islice, product
 
 from .budget import WorkMeter
 from .errors import BudgetExceeded, NotIntuitionistic
-from .formulas import And, Bot, Box, Formula, Imp, Or, Var, variables
+from .formulas import And, Bot, Box, Formula, Imp, Or, Var, subformulas, variables
 from .poset import Poset, _bits, iter_upset_masks
 
 # most valuation rows one bit-sliced evaluation covers
@@ -39,33 +39,22 @@ WINDOW = 4096
 
 
 def compile_formula(f, slot_of):
-    """The distinct subformulas of f, children first and f last, each with
-    every variable renamed to its slot (slot_of maps variable index to
-    slot): Var(slot), BOT, Box(child) or And/Or/Imp(left, right) over the
-    renamed children.
-
-    Formulas are interned, so equal subformulas of two formulas with the
-    same slots are one node object.  Renaming is injective, so distinct
-    subformulas of f give distinct nodes.
-    """
+    """subformulas(f), in its order, each with every variable renamed to
+    its slot (slot_of maps variable index to slot).  Formulas are interned,
+    so equal subformulas of two formulas with the same slots are one node
+    object; renaming is injective, so distinct subformulas give distinct
+    nodes."""
     renamed = {}
-
-    def walk(g):
-        node = renamed.get(g)
-        if node is None:
-            kind = type(g)
-            if kind is Var:
-                node = Var(slot_of[g.index])
-            elif kind is Bot:
-                node = g
-            elif kind is Box:
-                node = Box(walk(g.inner))
-            else:
-                node = kind(walk(g.left), walk(g.right))
-            renamed[g] = node
-        return node
-
-    walk(f)
+    for g in subformulas(f):
+        kind = type(g)
+        if kind is Var:
+            renamed[g] = Var(slot_of[g.index])
+        elif kind is Bot:
+            renamed[g] = g
+        elif kind is Box:
+            renamed[g] = Box(renamed[g.inner])
+        else:
+            renamed[g] = kind(renamed[g.left], renamed[g.right])
     return tuple(renamed.values())
 
 

@@ -1,6 +1,9 @@
-"""Test oracle for ipckit.formulas.parse: the recursive-descent parser
-with one function per precedence level, as it was before the one
-precedence table.
+"""Test oracles for ipckit.formulas and the scan compiler: the recursive
+walks that the one iterative walk (formulas.subformulas) and the stack
+machines of parse and pretty replaced.
+
+parse is the recursive-descent parser with one function per precedence
+level, as it was before the one precedence table.
 
 The tokenizer rewrites each unicode alias to its ASCII token padded with
 spaces before it reads the text, so an error position indexes the
@@ -12,8 +15,8 @@ coordinate system that input_position maps back to the input.
 
 from __future__ import annotations
 
-from ipckit.errors import FormulaSyntaxError
-from ipckit.formulas import BOT, And, Box, Imp, Or, Var, neg
+from ipckit.errors import FormulaSyntaxError, NotIntuitionistic
+from ipckit.formulas import _SPELLING, _UNARY, BOT, And, Bot, Box, Imp, Or, Var, neg
 
 ALIASES = {
     "→": "->",   # arrow
@@ -139,3 +142,84 @@ def input_position(text, pos):
         at += len(ALIASES[c]) + 2 if c in ALIASES else 1
     assert pos == at, (text, pos)
     return len(text)
+
+
+def variables(f):
+    """Set of variable indices occurring in f."""
+    if isinstance(f, Var):
+        return {f.index}
+    if isinstance(f, Bot):
+        return set()
+    if isinstance(f, Box):
+        return variables(f.inner)
+    return variables(f.left) | variables(f.right)
+
+
+def pretty(f):
+    return _fmt(f, 0)
+
+
+def _fmt(f, ctx):
+    """f spelled where an operator must bind at least as tightly as ctx,
+    in parentheses if its own binds less tightly."""
+    if isinstance(f, Var):
+        return f"p{f.index}"
+    if isinstance(f, Bot):
+        return "bot"
+    if isinstance(f, Box):
+        return "[]" + _fmt(f.inner, _UNARY)
+    if isinstance(f, Imp) and isinstance(f.right, Bot):
+        return "~" + _fmt(f.left, _UNARY)
+    if type(f) not in _SPELLING:
+        raise TypeError(f"not a formula: {f!r}")
+    tok, prec = _SPELLING[type(f)]
+    # the side an operator groups to takes its own level, the other one up
+    left, right = (prec + 1, prec) if type(f) is Imp else (prec, prec + 1)
+    s = f"{_fmt(f.left, left)} {tok} {_fmt(f.right, right)}"
+    return f"({s})" if ctx > prec else s
+
+
+def godel_translate(f):
+    """Modal companion translation: variables and implications get boxed."""
+    if isinstance(f, Var):
+        return Box(f)
+    if isinstance(f, Bot):
+        return BOT
+    if isinstance(f, And):
+        return And(godel_translate(f.left), godel_translate(f.right))
+    if isinstance(f, Or):
+        return Or(godel_translate(f.left), godel_translate(f.right))
+    if isinstance(f, Imp):
+        return Box(Imp(godel_translate(f.left), godel_translate(f.right)))
+    raise NotIntuitionistic(f"contains a modal operator: {f}")
+
+
+def compile_formula(f, slot_of):
+    """The distinct subformulas of f, children first and f last, each with
+    every variable renamed to its slot (slot_of maps variable index to
+    slot): Var(slot), BOT, Box(child) or And/Or/Imp(left, right) over the
+    renamed children.
+
+    Formulas are interned, so equal subformulas of two formulas with the
+    same slots are one node object.  Renaming is injective, so distinct
+    subformulas of f give distinct nodes.
+    """
+    renamed = {}
+
+    def walk(g):
+        node = renamed.get(g)
+        if node is None:
+            kind = type(g)
+            if kind is Var:
+                node = Var(slot_of[g.index])
+            elif kind is Bot:
+                node = g
+            elif kind is Box:
+                node = Box(walk(g.inner))
+            else:
+                node = kind(walk(g.left), walk(g.right))
+            renamed[g] = node
+        return node
+
+    walk(f)
+    return tuple(renamed.values())

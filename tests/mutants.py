@@ -47,8 +47,8 @@ MUTANTS = {
     ),
     "parse-implication-groups-left": (
         "src/ipckit/formulas.py",
-        "binary(prec if node is Imp else prec + 1)",
-        "binary(prec + 1)",
+        "_BINARY[ops[-1]][0] >= prec + (node is Imp)",
+        "_BINARY[ops[-1]][0] >= prec",
         ["tests/test_formulas.py::test_parser_matches_the_recursive_descent_oracle"],
     ),
     "parse-non-ascii-digits": (
@@ -56,6 +56,15 @@ MUTANTS = {
         'tok.startswith("p") and tok[1:].isascii() and tok[1:].isdigit()',
         'tok.startswith("p") and tok[1:].isdigit()',
         ["tests/test_formulas.py::test_parse_errors_carry_position"],
+    ),
+    # (p0 -> p1) -> p2 printed without its parentheses reads back as
+    # p0 -> (p1 -> p2)
+    "pretty-imp-left-unparenthesised": (
+        "src/ipckit/formulas.py",
+        "(prec + 1, prec) if kind is Imp",
+        "(prec, prec) if kind is Imp",
+        ["tests/test_formulas.py::test_parse_print_roundtrip",
+         "tests/test_formulas.py::test_formulas_at_depth_10000[paren]"],
     ),
     # another random suite: criterion 7's work-unit pin moves
     "random-formula-ops-swapped": (
@@ -476,8 +485,8 @@ MUTANTS = {
     # no longer the strict one and the transfer fails
     "godel-implication-unboxed": (
         "src/ipckit/formulas.py",
-        "        return Box(Imp(godel_translate(f.left), godel_translate(f.right)))\n",
-        "        return Imp(godel_translate(f.left), godel_translate(f.right))\n",
+        "Box(t) if kind is Var or kind is Imp else t",
+        "Box(t) if kind is Var else t",
         ["tests/test_acceptance.py::test_criterion_07_godel_transfer"],
     ),
     "bw-one-disjunct-short": (
@@ -501,6 +510,13 @@ MUTANTS = {
         "    return Imp(Box(Imp(Box(Imp(p, Box(p))), p)), Box(p))\n",
         "    return Imp(Box(Imp(Imp(p, Box(p)), p)), Box(p))\n",
         ["tests/test_formulas.py::test_grz_axiom_shape"],
+    ),
+    # a verify run over its budget exits as a failed one
+    "verify-budget-exits-fail": (
+        "src/ipckit/cli.py",
+        '    if report.status == "budget":\n        return EXIT_BUDGET\n',
+        '    if report.status == "budget":\n        return EXIT_FAIL\n',
+        ["tests/test_io_cli.py::test_cli_verify_exit_codes"],
     ),
 }
 

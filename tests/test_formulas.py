@@ -17,6 +17,7 @@ from helpers import random_formula as _random_formula
 import _oracle_formulas as oracle
 
 from ipckit import formulas
+from ipckit.axioms import jankov_syntactic
 from ipckit.errors import FormulaSyntaxError, NotIntuitionistic
 from ipckit.formulas import (
     BOT,
@@ -34,6 +35,9 @@ from ipckit.formulas import (
     pretty,
     variables,
 )
+from ipckit.poset import build_poset, enumerate_rooted
+from ipckit.scenarios import godel_suite
+from ipckit.semantics import compile_formula, is_valid, is_valid_modal
 
 
 def test_parse_examples():
@@ -110,13 +114,18 @@ def _outcome(parser, text, position=lambda at: at):
         return type(err), str(err).rsplit(" (at position ", 1)[0], position(err.position)
 
 
+def _oracle_trees(rng):
+    """The parser oracle test's 2,000 random modal trees."""
+    return [_random_formula(rng, rng.randrange(5), modal=True) for _ in range(2000)]
+
+
 def test_parser_matches_the_recursive_descent_oracle():
     # derandomised: ASCII input gives the oracle's tree or error, position
     # included; alias input gives the same with the position mapped from
     # the oracle's rewritten text to the input character it reads
     rng = random.Random(0x9A95E)
     # live trees, so parsing them mostly finds their nodes interned
-    trees = [_random_formula(rng, rng.randrange(5), modal=True) for _ in range(2000)]
+    trees = _oracle_trees(rng)
     for text in _parser_inputs(rng, trees, 50_000, aliases=False):
         assert _outcome(parse, text) == _outcome(oracle.parse, text), text
     unicode = 0
@@ -127,9 +136,83 @@ def test_parser_matches_the_recursive_descent_oracle():
     assert unicode > 30_000
 
 
-def test_deeply_parenthesised_formulas_parse():
-    depth = 200
-    assert parse("(" * depth + "p0" + ")" * depth) is Var(0)
+def test_walks_match_the_recursive_oracles():
+    # the printer, translation, variable set and scan plan, node order
+    # included, of the recursive walks they replaced
+    fs = [*_oracle_trees(random.Random(0x9A95E)), *godel_suite(200),
+          *(jankov_syntactic(x) for n in range(1, 5) for x in enumerate_rooted(n)),
+          *(bw(n) for n in range(5)), grz_axiom()]
+    modal = 0
+    for f in fs:
+        assert pretty(f) == oracle.pretty(f)
+        vs = variables(f)
+        assert vs == oracle.variables(f)
+        slots = {v: i for i, v in enumerate(sorted(vs))}
+        assert compile_formula(f, slots) == oracle.compile_formula(f, slots)
+        try:
+            want = oracle.godel_translate(f)
+        except NotIntuitionistic:
+            modal += 1
+            with pytest.raises(NotIntuitionistic):
+                godel_translate(f)
+        else:
+            assert godel_translate(f) is want
+    assert 0 < modal < len(fs)
+
+
+F2 = build_poset(["r", "a", "b"], [("r", "a"), ("r", "b")])
+
+
+def _deep(construct, d):
+    """construct nested d deep (d even, d % 3 == 1): its text, its
+    printed text, a shallow equivalent, its variables, and the boxes in
+    its translation (None for a modal formula)."""
+    cycle = [f"p{i % 3}" for i in range(d + 1)]
+    return {
+        "(": ("(" * d + "p0" + " -> p0)" * d,
+              "(" * (d - 1) + "p0 -> p0" + ") -> p0" * (d - 1),
+              "(p0 -> p0) -> p0", {0}, 2 * d + 1),
+        "->": (" -> ".join(cycle), None, "p0 -> p1 -> p2 -> p1", {0, 1, 2}, 2 * d + 1),
+        "|": (" | ".join(cycle), None, "p0 | p1 | p2", {0, 1, 2}, d + 1),
+        "&": (" & ".join(cycle), None, "p0 & p1 & p2", {0, 1, 2}, d + 1),
+        "~": ("~" * d + "p0", None, "~~p0", {0}, d + 1),
+        "[]": ("[]" * d + "p0", None, "[]p0", {0}, None),
+    }[construct]
+
+
+def check_deep(construct, d):
+    """Parse, print, variables, translation and scan verdict of construct
+    nested d deep, each against its shallow equivalent."""
+    text, printed, shallow, vs, boxes = _deep(construct, d)
+    f, g = parse(text), parse(shallow)
+    assert pretty(f) == (printed or text)
+    assert parse(pretty(f)) is f
+    assert variables(f) == vs
+    if boxes is None:
+        with pytest.raises(NotIntuitionistic) as err:
+            godel_translate(f)
+        assert str(err.value) == "contains a modal operator: []p0"
+        assert is_valid_modal(F2, f) == is_valid_modal(F2, g)
+    else:
+        t = godel_translate(f)
+        assert box_count(t) == boxes
+        assert is_valid(F2, f) == is_valid(F2, g)
+        assert is_valid_modal(F2, t) == is_valid(F2, g)
+
+
+@pytest.mark.parametrize("construct", ["(", "->", "|", "&", "~", "[]"],
+                         ids=["paren", "imp", "or", "and", "not", "box"])
+def test_formulas_at_depth_10000(construct):
+    check_deep(construct, 10_000)
+    if construct == "(":
+        assert parse("(" * 10_000 + "p0" + ")" * 10_000) is Var(0)
+
+
+def test_translation_refusal_names_the_leftmost_innermost_box():
+    # the first box the walk finishes: no box inside it, leftmost
+    with pytest.raises(NotIntuitionistic) as err:
+        godel_translate(parse("(p0 & [][]p1) | []p2"))
+    assert str(err.value) == "contains a modal operator: []p1"
 
 
 def test_precedence():
@@ -193,11 +276,16 @@ def subformula_count(f):
 
 
 def box_count(f):
-    if isinstance(f, (Var, Bot)):
-        return 0
-    if isinstance(f, Box):
-        return 1 + box_count(f.inner)
-    return box_count(f.left) + box_count(f.right)
+    """Box occurrences in f, counted on a stack, so f may be deep."""
+    count, stack = 0, [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Box):
+            count += 1
+            stack.append(g.inner)
+        elif isinstance(g, (And, Or, Imp)):
+            stack += (g.left, g.right)
+    return count
 
 
 def test_translation_structure_preserving():
